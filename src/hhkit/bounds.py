@@ -20,9 +20,11 @@ from .errors import CertificationError, DomainError, ParameterError
 from .functions import (
     CheckReport,
     FunctionSpec,
+    GradientPower,
     SMParams,
     check_harmonic_sm_convex,
     check_sm_convex,
+    clear_mesh_cache,
     deriv,
     eval_fn,
 )
@@ -303,30 +305,30 @@ def coeff_nu(s: float, q: float, iv: Interval) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Bounded so that random search cannot grow them without limit; 4096 covers
+# the default sweep's distinct keys, so its hit ratios are unaffected.
+CERT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CERT_CACHE_SIZE)
 def certify_function(f: FunctionSpec, params: SMParams, window: tuple[float, float], grid: int = 64) -> CheckReport:
     """Cached harmonic (s,m)-convexity certification of ``f`` itself."""
     return check_harmonic_sm_convex(f, SMParams(params.s, params.m), grid, window)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CERT_CACHE_SIZE)
 def certify_gradient(f: FunctionSpec, params: SMParams, window: tuple[float, float], grid: int = 64) -> CheckReport:
     """Cached harmonic (s,m)-convexity certification of |f'|^q on ``window``."""
-    q = params.q
-
-    def g(x):
-        return np.abs(deriv(f, x)) ** q
-
-    return check_harmonic_sm_convex(g, SMParams(params.s, params.m), grid, window)
+    return check_harmonic_sm_convex(GradientPower(f, params.q), SMParams(params.s, params.m), grid, window)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CERT_CACHE_SIZE)
 def certify_plain(f: FunctionSpec, params: SMParams, window: tuple[float, float], grid: int = 64) -> CheckReport:
     """Cached ordinary (s,m)-convexity certification (classical HH gate)."""
     return check_sm_convex(f, SMParams(params.s, params.m), grid, window)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CERT_CACHE_SIZE)
 def _cached_mean(f: FunctionSpec, a: float, b: float, spec: QuadSpec) -> float:
     return harmonic_mean_integral(f, a, b, spec)
 
@@ -336,6 +338,7 @@ def clear_certification_cache() -> None:
     certify_gradient.cache_clear()
     certify_plain.cache_clear()
     _cached_mean.cache_clear()
+    clear_mesh_cache()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -20,11 +21,13 @@ __all__ = [
     "FunctionSpec",
     "SMParams",
     "CheckReport",
+    "GradientPower",
     "eval_fn",
     "deriv",
     "harmonic_combine",
     "check_harmonic_sm_convex",
     "check_sm_convex",
+    "clear_mesh_cache",
     "compose_g",
     "check_prop1_implication",
 ]
@@ -164,6 +167,14 @@ def harmonic_combine(x, y, t, m: float = 1.0):
         if t == 0.0:
             return m * y
         return raw
+    if np.ndim(t) == raw.ndim and np.size(t) == np.shape(t)[-1] == raw.shape[-1]:
+        # t varies along the last axis only (the certification mesh): the
+        # endpoint rows are whole slices, so set them instead of masking.
+        tk = np.reshape(t, -1)
+        for hit, value in ((tk == 1.0, x * 1.0), (tk == 0.0, m * y)):
+            if hit.any():
+                raw[..., hit] = np.broadcast_to(value, raw.shape)[..., hit]
+        return raw
     tb = np.broadcast_to(t, raw.shape)
     out = np.where(tb == 1.0, np.broadcast_to(x * 1.0, raw.shape), raw)
     return np.where(tb == 0.0, np.broadcast_to(m * y, raw.shape), out)
@@ -208,7 +219,21 @@ class CheckReport:
     diagnostics: tuple[str, ...] = field(default=())
 
 
-FuncLike = Union[FunctionSpec, Callable]
+@dataclass(frozen=True)
+class GradientPower:
+    """|f'|^q as a hashable callable: the target of gradient certification.
+
+    Grid checks share one mesh of |f'| values across every q of the same f.
+    """
+
+    f: FunctionSpec
+    q: float
+
+    def __call__(self, x):
+        return np.abs(deriv(self.f, x)) ** self.q
+
+
+FuncLike = Union[FunctionSpec, GradientPower, Callable]
 
 
 def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]]):
@@ -225,19 +250,68 @@ def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]]):
     return xs[:, None, None], xs[None, :, None], ts[None, None, :]
 
 
-def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> CheckReport:
+class _MeshValues(NamedTuple):
+    """One certification mesh and the target's values on it (arrays read-only)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    fpts: np.ndarray
+
+
+def _mesh_stage(f: FuncLike, gradient: bool, combiner, m: float, grid: int, window) -> _MeshValues:
+    """Everything a grid check needs that does not depend on (s, q).
+
+    With ``gradient`` the values are |f'| (each row raises them to its q),
+    otherwise f itself.
+    """
     x, y, t = _mesh(f, grid, window)
-    pts = combiner(x, y, t, params.m)
-    fx = f(x)
-    fy = f(y)
+    pts = combiner(x, y, t, m)
+    fn = (lambda v: np.abs(deriv(f, v))) if gradient else f
+    return _MeshValues(x, y, t, fn(x), fn(y), fn(pts))
+
+
+# A mesh is shared by every (s, q) row on it; the rows of one (f, window, m)
+# arrive together, so a few entries suffice (about 1 MiB each at grid 48).
+@lru_cache(maxsize=4)
+def _shared_mesh_stage(f: FunctionSpec, gradient: bool, combiner, m: float, grid: int, window) -> _MeshValues:
+    mesh = _mesh_stage(f, gradient, combiner, m, grid, window)
+    for arr in mesh:
+        arr.flags.writeable = False
+    return mesh
+
+
+def clear_mesh_cache() -> None:
+    _shared_mesh_stage.cache_clear()
+
+
+def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> CheckReport:
+    gradient = isinstance(f, GradientPower)
+    source = f.f if gradient else f
+    # Only a FunctionSpec fixes its values by its fields; bare callables are
+    # evaluated afresh on every check.
+    stage = _shared_mesh_stage if isinstance(source, FunctionSpec) else _mesh_stage
+    x, y, t, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
+                                  None if window is None else tuple(window))
+    if gradient:
+        fx, fy, fpts = fx**f.q, fy**f.q, fpts**f.q
     lhs_w = t**params.s * fx
     rhs_w = params.m * (1.0 - t) ** params.s * fy
-    fpts = f(pts)
-    margin = fpts - (lhs_w + rhs_w)
+    # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, in two
+    # full-mesh buffers; the order of operations fixes every float of the
+    # reports, so keep it.
+    shape = np.broadcast_shapes(np.shape(fpts), lhs_w.shape, rhs_w.shape)
+    margin = np.add(lhs_w, rhs_w, out=np.empty(shape))
+    np.subtract(fpts, margin, out=margin)
     # 1e-12 absolute slack at the equality rows, widened with the local value
     # scale: rounding in f and the weighted sum grows with the magnitudes.
-    slack = np.maximum(CHECK_SLACK, 64.0 * np.finfo(float).eps * (np.abs(lhs_w) + np.abs(rhs_w) + np.abs(fpts)))
-    excess = margin - slack
+    excess = np.add(np.abs(lhs_w), np.abs(rhs_w), out=np.empty(shape))
+    excess += np.abs(fpts, out=fpts) if gradient else np.abs(fpts)
+    np.multiply(64.0 * np.finfo(float).eps, excess, out=excess)
+    np.maximum(CHECK_SLACK, excess, out=excess)
+    np.subtract(margin, excess, out=excess)
     worst_flat = int(np.argmax(excess))
     i, j, k = np.unravel_index(worst_flat, margin.shape)
     worst = float(margin[i, j, k])
@@ -275,7 +349,12 @@ def check_sm_convex(
     window: Optional[tuple[float, float]] = None,
 ) -> CheckReport:
     """Certify f(t x + m (1-t) y) <= t^s f(x) + m (1-t)^s f(y) on a grid."""
-    return _grid_check(f, params, grid, window, lambda x, y, t, m: t * x + m * (1.0 - t) * y)
+    return _grid_check(f, params, grid, window, _linear_combine)
+
+
+def _linear_combine(x, y, t, m: float):
+    """t x + m (1-t) y; one module-level function, so it keys the mesh cache."""
+    return t * x + m * (1.0 - t) * y
 
 
 def compose_g(f: FuncLike, a: float, b: float, m: float) -> Callable:

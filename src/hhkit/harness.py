@@ -618,16 +618,19 @@ def _fmt15(value) -> str:
     return str(value)
 
 
-def render_report_json(result: SweepResult) -> str:
-    doc = {
+def _report_doc(result: SweepResult) -> dict:
+    return _quantize({
         "schema_version": SCHEMA_VERSION,
         "config": result.config.to_dict(),
         "summary": result.summary,
         "records": [r.to_dict() for r in result.records],
         "skipped": result.skipped,
         "findings": [f.to_dict() for f in result.findings],
-    }
-    return json.dumps(_quantize(doc), indent=2, sort_keys=True) + "\n"
+    })
+
+
+def render_report_json(result: SweepResult) -> str:
+    return json.dumps(_report_doc(result), indent=2, sort_keys=True) + "\n"
 
 
 CSV_FIELDS = ("theorem", "a", "b", "s", "m", "q", "family", "lhs", "rhs", "margin", "satisfied")
@@ -644,8 +647,10 @@ def render_report_csv(result: SweepResult) -> str:
 
 
 def write_report_json(result: SweepResult, path: str) -> None:
+    """Stream the report to ``path``; the bytes equal ``render_report_json``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report_json(result))
+        json.dump(_report_doc(result), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_report_csv(result: SweepResult, path: str) -> None:

@@ -106,6 +106,45 @@ class TestHarmonicCombine:
         assert harmonic_combine(x, x, t, 1.0) == pytest.approx(x, rel=1e-12)
 
 
+def _where_reference(x, y, t, m):
+    """harmonic_combine's endpoint handling by masking the whole broadcast array."""
+    raw = m * x * y / (m * t * y + (1.0 - t) * x)
+    tb = np.broadcast_to(t, raw.shape)
+    out = np.where(tb == 1.0, np.broadcast_to(x * 1.0, raw.shape), raw)
+    return np.where(tb == 0.0, np.broadcast_to(m * y, raw.shape), out)
+
+
+_XS = np.geomspace(0.5, 7.0, 9)
+_TS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), [0.5]]))
+
+
+class TestHarmonicCombineSlices:
+    @pytest.mark.parametrize(
+        "x, y, t",
+        [
+            # the certification mesh: t varies along the last axis only
+            (_XS[:, None, None], _XS[None, :, None], _TS[None, None, :]),
+            (_XS[:, None], _XS[None, :] * 1.3, _TS[None, :9]),
+            (_XS[:, None, None], 2.0, _TS[None, None, :]),
+            (np.broadcast_to(_XS[:, None, None], (9, 1, _TS.size)), _XS[None, :, None], _TS[None, None, :]),
+            (_XS[:, None, None], _XS[None, :, None], np.linspace(0.1, 0.9, 7)[None, None, :]),
+            # general broadcasts
+            (_XS[:, None], _XS[None, :], _TS[:9, None]),
+            (_XS[:, None, None], _XS[None, :, None], _TS[:9, None, None]),
+            (_XS, _XS[::-1], _TS[:9]),
+            (_XS[:, None], 3.0, _TS),
+            (2.0, 3.0, _TS),
+            (_XS[:, None, None], _XS[None, :, None], np.broadcast_to(_TS, (9, 9, _TS.size))),
+        ],
+    )
+    @pytest.mark.parametrize("m", [1.0, 0.7])
+    def test_bytes_match_where_reference(self, x, y, t, m):
+        got = harmonic_combine(x, y, t, m)
+        ref = _where_reference(x, y, t, m)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestSMParams:
     def test_holder_conjugate(self):
         p = SMParams(1.0, 1.0, 3.0).p

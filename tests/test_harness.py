@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,41 @@ class TestReportRendering:
             if token.replace(".", "").replace("-", "").replace("e", "").isdigit() and "." in token:
                 mantissa = token.split("e")[0].replace("-", "").replace(".", "").lstrip("0")
                 assert len(mantissa) <= 15
+
+
+# Pinned before the shared-mesh grid check landed; a change to these bytes is
+# a behaviour change and must be declared as one.
+PINNED_SWEEP = SweepConfig(
+    theorems=("HH", "HarmHH", "II1", "I1", "I2", "FS1", "FS2", "II2", "II3", "II4"),
+    families=({"family": "pow", "params": (1.0, 1.5, 0.0)}, {"family": "pow", "params": (1.0, 2.0, 0.0)}),
+    a_values=(1.0,),
+    ratios=(2.0, 5.0),
+    s_grid=(0.5, 1.0),
+    m_grid=(0.8, 1.0),
+    q_grid=(1.0, 2.0),
+    grid=24,
+    seed=7,
+)
+PINNED_JSON_SHA256 = "bcc95b3b337ebf02db74d511dfc60522878944d06a4540a5dedb841315e696f2"
+PINNED_CSV_SHA256 = "8cb63ceb10a1d75b65775f66dbc33f41e84652498116934a4accc45e9308599b"
+
+
+class TestPinnedReports:
+    def test_small_sweep_report_digests(self, tmp_path):
+        res = run_sweep(PINNED_SWEEP)
+        # exponent 1.5 fails some gradient certifications, exponent 2 passes all
+        assert (res.summary["instances_evaluated"], res.summary["instances_skipped"]) == (132, 8)
+        json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        write_report_json(res, str(json_path))
+        write_report_csv(res, str(csv_path))
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == PINNED_JSON_SHA256
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
+
+    def test_written_json_equals_rendered(self, tmp_path):
+        res = run_sweep(single_instance_config(theorems=("II1", "II2"), q_grid=(1.0, 2.0)))
+        path = tmp_path / "r.json"
+        write_report_json(res, str(path))
+        assert path.read_bytes() == render_report_json(res).encode("utf-8")
 
 
 class TestDeterminism:
