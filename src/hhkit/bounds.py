@@ -155,7 +155,18 @@ def _record(theorem, iv, params, family, lhs, rhs, diagnostics) -> VerificationR
     )
 
 
+# The coefficient sets of one interval repeat 2F1 terms (coeff_C and coeff_rho
+# each evaluate one term twice, and the sets share terms with each other).
+# Bounded so that random search cannot grow it without limit.
+F21_CACHE_SIZE = 1024
+
+
 def _f21(a: float, b: float, c: float, z: float) -> float:
+    return _f21_cached(float(a), float(b), float(c), float(z))
+
+
+@lru_cache(maxsize=F21_CACHE_SIZE)
+def _f21_cached(a: float, b: float, c: float, z: float) -> float:
     return hyp2f1_euler(Hyp2F1Args(a, b, c, z))
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhkit import bounds
 from hhkit.bounds import (
     TOL_ACCEPT,
     Interval,
@@ -22,6 +23,7 @@ from hhkit.bounds import (
 from hhkit.errors import CertificationError, DomainError, ParameterError
 from hhkit.functions import FunctionSpec, SMParams
 from hhkit.quadrature import harmonic_mean_integral
+from hhkit.specfun import Hyp2F1Args, hyp2f1_euler
 
 IV12 = Interval(1.0, 2.0)
 
@@ -369,3 +371,28 @@ class TestOracleIdentities:
         for iv in (IV12, Interval(1.0, 5.0), Interval(2.0, 3.0)):
             for name, lhs, rhs in kernel_oracle_identities(iv):
                 assert abs(lhs - rhs) <= 1e-9, (name, iv)
+
+
+class TestF21Cache:
+    @pytest.fixture
+    def cold_f21(self):
+        bounds._f21_cached.cache_clear()
+        yield
+        bounds._f21_cached.cache_clear()
+
+    def test_int_and_float_arguments_share_one_entry(self, cold_f21):
+        z = 0.3
+        first = bounds._f21(2, 1, 3, z)
+        assert bounds._f21(2.0, 1.0, 3.0, z) == first
+        info = bounds._f21_cached.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+        assert first == hyp2f1_euler(Hyp2F1Args(2.0, 1.0, 3.0, z))
+
+    def test_cache_stays_bounded(self, cold_f21, monkeypatch):
+        # the bound, not the 2F1, is under test
+        monkeypatch.setattr(bounds, "hyp2f1_euler", lambda args: args.z)
+        for i in range(bounds.F21_CACHE_SIZE + 64):
+            bounds._f21(2.0, 1.0, 3.0, i / 4096.0)
+        info = bounds._f21_cached.cache_info()
+        assert info.maxsize == bounds.F21_CACHE_SIZE
+        assert info.currsize == bounds.F21_CACHE_SIZE

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hhkit import quadrature
 from hhkit.cli import main
 
 
@@ -179,6 +180,29 @@ class TestSweepCommand:
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_tolerance_not_met_becomes_evaluation_error(self, capsys, tmp_path, monkeypatch):
+        # The real integrator under a tolerance no depth-1 bisection can meet:
+        # every harmonic mean raises ToleranceNotMetError inside the sweep.
+        real = quadrature.integrate
+
+        def unreachable(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
+            return real(f, lo, hi, quadrature.QuadSpec(1e-300, 1e-300, 1, spec.split_points))
+
+        monkeypatch.setattr(quadrature, "integrate", unreachable)
+        # An interval no other test uses, so no cached mean hides the failure.
+        cfg = {"theorems": ["II1"], "families": [{"family": "pow", "params": [1.0, 2.0, 0.0]}],
+               "a_values": [1.37], "ratios": [2.3], "s_grid": [1.0], "m_grid": [1.0], "q_grid": [1.0],
+               "grid": 24, "seed": 5}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(cfg))
+        jout = tmp_path / "r.json"
+        code, out, _ = run(capsys, "sweep", "--config", str(config_path),
+                           "--json", str(jout), "--csv", str(tmp_path / "r.csv"))
+        assert code == 1
+        findings = json.loads(jout.read_text())["findings"]
+        assert findings and all(f["kind"] == "EvaluationError" for f in findings)
+        assert all(f["description"].startswith("ToleranceNotMetError: tolerance not met") for f in findings)
 
 
 class TestSearchCommand:

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,8 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhkit import quadrature, specfun
 from hhkit.errors import DomainError, ToleranceNotMetError
-from hhkit.quadrature import QuadSpec, harmonic_mean_integral, integrate, kernel_K
+from hhkit.quadrature import (
+    _EPS,
+    _MAX_INTERVALS,
+    _NODES,
+    _WEIGHT_FNS,
+    _WG15,
+    _WGK,
+    KERNEL_WEIGHTS,
+    QuadSpec,
+    _vectorized,
+    harmonic_mean_integral,
+    integrate,
+    kernel_K,
+)
+from hhkit.specfun import Hyp2F1Args
 
 
 def test_constant_integrand():
@@ -155,3 +171,172 @@ class TestKernelK:
             kernel_K("W1", 0.5, 0.5, 1.0, 2.0)
         with pytest.raises(DomainError):
             kernel_K("W1", 0.5, 1.0, 2.0, 1.0)
+
+
+def test_nan_integrand_is_not_certified():
+    # NaN compares False against the tolerance; it must not pass as converged.
+    with pytest.raises(ToleranceNotMetError) as err:
+        integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+    assert math.isnan(err.value.estimate)
+
+
+def test_infinite_integrand_is_not_certified():
+    with pytest.raises(ToleranceNotMetError), np.errstate(invalid="ignore"):
+        integrate(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+
+
+def test_kernel_rejects_nan_exponent():
+    with pytest.raises(DomainError):
+        kernel_K("W1", 0.5, math.nan, 1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity against the one-panel-per-call loop.  ``_ref_gk15`` and
+# ``_ref_integrate`` are the integrator as it was before bisections evaluated
+# both children in one integrand call; every result must match it exactly.
+# ---------------------------------------------------------------------------
+
+
+def _ref_gk15(f, lo, hi):
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fx = np.asarray(f(center + half * _NODES), dtype=float)
+    resk = half * float(_WGK @ fx)
+    resg = half * float(_WG15 @ fx)
+    resabs = half * float(_WGK @ np.abs(fx))
+    mean = resk / (hi - lo)
+    resasc = half * float(_WGK @ np.abs(fx - mean))
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
+        err = max(err, 50.0 * _EPS * resabs)
+    return resk, err
+
+
+def _ref_integrate(f, lo, hi, spec=QuadSpec()):
+    splits = sorted({float(p) for p in spec.split_points if lo < p < hi})
+    edges = [lo, *splits, hi]
+    fv = _vectorized(f)
+
+    heap = []
+    counter = 0
+    total_val = 0.0
+    total_err = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err = _ref_gk15(fv, a, b)
+        total_val += val
+        total_err += err
+        heapq.heappush(heap, (-err, counter, a, b, val, err, 0))
+        counter += 1
+
+    n_intervals = len(edges) - 1
+    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
+        while heap and heap[0][6] >= spec.max_depth:
+            heapq.heappop(heap)
+        if not heap or n_intervals >= _MAX_INTERVALS:
+            raise ToleranceNotMetError(
+                f"tolerance not met on [{lo}, {hi}]: estimate {total_val!r} "
+                f"with error bound {total_err!r}",
+                estimate=total_val,
+                error_bound=total_err,
+            )
+        _, _, a, b, val, err, depth = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        v1, e1 = _ref_gk15(fv, a, mid)
+        v2, e2 = _ref_gk15(fv, mid, b)
+        total_val += v1 + v2 - val
+        total_err += e1 + e2 - err
+        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1, depth + 1))
+        counter += 1
+        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2, depth + 1))
+        counter += 1
+        n_intervals += 1
+    return total_val
+
+
+def _recorded_integrals(monkeypatch, module, compute):
+    """The (integrand, lo, hi, spec) of every integrate call ``compute`` makes
+    through ``module``."""
+    calls = []
+
+    def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
+        calls.append((f, lo, hi, spec))
+        return integrate(f, lo, hi, spec)
+
+    monkeypatch.setattr(module, "integrate", record)
+    compute()
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("weight", KERNEL_WEIGHTS)
+    @pytest.mark.parametrize("split", [(), (0.5,)])
+    @pytest.mark.parametrize(
+        "s, r, a, b", [(0.0, 1.0, 1.0, 2.0), (0.5, 2.0, 1.0, 2.0), (0.25, 1.5, 0.5, 5.0), (1.0, 3.0, 0.7, 7.0)]
+    )
+    def test_kernel_integrands(self, weight, split, s, r, a, b):
+        wfn = _WEIGHT_FNS[weight]
+
+        def integrand(t):
+            return wfn(t, s) * (t * b + (1.0 - t) * a) ** (-2.0 * r)
+
+        spec = QuadSpec(split_points=split)
+        assert integrate(integrand, 0.0, 1.0, spec) == _ref_integrate(integrand, 0.0, 1.0, spec)
+
+    # b = 0.1 and 0.15 raise the left substitution power k_left = ceil(1.5 / b)
+    # to 15 and 10; c - b = 0.05 does the same on the right.
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [(2.0, 0.1, 2.1, 0.9), (3.0, 0.15, 1.15, 0.5), (2.0, 1.0, 1.05, 0.9), (0.5, 2.0, 3.0, 0.0)],
+    )
+    def test_euler_integrands(self, monkeypatch, a, b, c, z):
+        args = Hyp2F1Args(a, b, c, z)
+        calls = _recorded_integrals(monkeypatch, specfun, lambda: specfun.euler_integral(args))
+        assert len(calls) == 2  # the left and right halves
+        for f, lo, hi, spec in calls:
+            assert integrate(f, lo, hi, spec) == _ref_integrate(f, lo, hi, spec)
+
+    @pytest.mark.parametrize("fn", [lambda x: x**2, lambda x: 1.0 / x, lambda x: np.exp(-x) * np.sin(7.0 * x)])
+    def test_harmonic_mean_integrand(self, monkeypatch, fn):
+        calls = _recorded_integrals(monkeypatch, quadrature, lambda: harmonic_mean_integral(fn, 0.3, 3.0))
+        for f, lo, hi, spec in calls:
+            assert integrate(f, lo, hi, spec) == _ref_integrate(f, lo, hi, spec)
+
+    def test_scalar_only_callable(self):
+        assert integrate(math.exp, 0.0, 1.0) == _ref_integrate(math.exp, 0.0, 1.0)
+        assert integrate(math.sqrt, 0.0, 2.0) == _ref_integrate(math.sqrt, 0.0, 2.0)
+
+    def test_tolerance_not_met_carries_identical_estimate(self):
+        spec = QuadSpec(max_depth=4)
+        with pytest.raises(ToleranceNotMetError) as new:
+            integrate(lambda t: t**-0.95, 0.0, 1.0, spec)
+        with pytest.raises(ToleranceNotMetError) as ref:
+            _ref_integrate(lambda t: t**-0.95, 0.0, 1.0, spec)
+        assert new.value.estimate == ref.value.estimate
+        assert new.value.error_bound == ref.value.error_bound
+        assert str(new.value) == str(ref.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(min_value=-0.9, max_value=6.0),
+        w=st.floats(min_value=0.0, max_value=40.0),
+        lo=st.floats(min_value=0.0, max_value=2.0),
+        width=st.floats(min_value=1e-3, max_value=5.0),
+    )
+    def test_random_oscillating_powers(self, p, w, lo, width):
+        def f(x):
+            return x**p * np.cos(w * x)
+
+        spec = QuadSpec(split_points=(lo + 0.3 * width,))
+        try:
+            new = integrate(f, lo, lo + width, spec)
+        except ToleranceNotMetError as exc:
+            new = (exc.estimate, exc.error_bound)
+        try:
+            ref = _ref_integrate(f, lo, lo + width, spec)
+        except ToleranceNotMetError as exc:
+            ref = (exc.estimate, exc.error_bound)
+        assert new == ref
