@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from .errors import CertificationError, DomainError, ParameterError
 from .functions import (
@@ -29,6 +27,7 @@ from .functions import (
     eval_fn,
 )
 from .quadrature import DEFAULT_QUADSPEC, TIGHT_QUADSPEC, QuadSpec, harmonic_mean_integral, integrate, kernel_K
+from .quadrature import _WEIGHT_FNS
 from .specfun import Hyp2F1Args, beta, hyp2f1_euler
 
 __all__ = [
@@ -45,7 +44,11 @@ __all__ = [
     "verify_II1",
     "lemma_residual",
     "verify_bound",
+    "Theorem",
+    "THEOREMS",
     "GRADIENT_THEOREMS",
+    "theorem_row",
+    "verify_theorem",
     "certify_function",
     "certify_gradient",
     "certify_plain",
@@ -353,8 +356,85 @@ def clear_certification_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Theorem verifiers.
+# The theorem table and the verifiers.  One row per tag drives verification,
+# sweep plans, search draws and the command line.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem tag: the parameters it takes ("", "sm" or "smq"), the values
+    its statement fixes, its route, and its printed companion set.
+
+    Routes: ``hh``/``harmonic_hh`` (``verify_hh_double``), ``mean``
+    (``verify_II1``), and the ``verify_bound`` right-hand sides
+    ``power_mean`` (exponent-2 kernels W1/W2 and k0, the reading under which
+    the II3 corollaries reproduce FS1 and I1), ``split_power_mean`` (|1-2t|
+    split off, exponent-2q kernels W1/W2) and ``holder`` (exponent-2q kernels
+    N1/N2).  Every gradient row has a ``companion(s, q, iv)``; it looks its
+    builder up when called.
+    """
+
+    tag: str
+    takes: str
+    route: str
+    unit_sm: bool = False  # stated for s = m = 1
+    unit_m: bool = False  # stated for m = 1 and s in (0, 1]
+    q_above_one: bool = False
+    printed_2q: bool = False  # printed with exponent-2q kernels (``use_printed_exponents``)
+    companion: Optional[Callable[[float, float, Interval], CoefficientSet]] = None
+    note: Optional[str] = None  # an extra diagnostic line
+
+    def reject(self, s: float, m: float, q: float) -> Optional[str]:
+        """Why (s, m, q) lies outside the statement, or None when it is inside."""
+        if self.unit_sm and (s != 1.0 or m != 1.0):
+            return f"theorem {self.tag} is stated for s = m = 1, got s={s}, m={m}"
+        if self.unit_m and m != 1.0:
+            return f"theorem {self.tag} is stated for m = 1, got m={m}"
+        if self.unit_m and not s > 0.0:
+            return f"theorem {self.tag} requires s in (0, 1], got s={s}"
+        if self.q_above_one and not q > 1.0:
+            return f"theorem {self.tag} requires q > 1, got q={q}"
+        return None
+
+
+THEOREMS: dict[str, Theorem] = {row.tag: row for row in (
+    Theorem("HH", "", "hh"),
+    Theorem("HarmHH", "", "harmonic_hh"),
+    Theorem("II1", "sm", "mean"),
+    Theorem("I1", "smq", "power_mean", unit_sm=True, companion=lambda s, q, iv: coeff_lambda(iv)),
+    Theorem("I2", "smq", "holder", unit_sm=True, q_above_one=True, companion=lambda s, q, iv: coeff_mu(q, iv)),
+    Theorem("FS1", "smq", "power_mean", unit_m=True, companion=lambda s, q, iv: coeff_C(s, iv)),
+    Theorem("FS2", "smq", "holder", unit_m=True, q_above_one=True,
+            companion=lambda s, q, iv: coeff_nu(s, q, iv),
+            note="FS2 evaluated via its m=1 Holder form (identical value)"),
+    Theorem("II2", "smq", "split_power_mean", companion=lambda s, q, iv: coeff_rho(s, q, iv)),
+    Theorem("II3", "smq", "power_mean", printed_2q=True, companion=lambda s, q, iv: coeff_rho(s, 1.0, iv)),
+    Theorem("II4", "smq", "holder", q_above_one=True, companion=lambda s, q, iv: coeff_nu(s, q, iv)),
+)}
+
+GRADIENT_THEOREMS = tuple(tag for tag, row in THEOREMS.items() if "q" in row.takes)
+
+
+def theorem_row(tag: str) -> Theorem:
+    """The table row of ``tag``; ParameterError for a tag outside the table."""
+    if tag not in tuple(THEOREMS):
+        raise ParameterError(f"unknown theorem {tag!r}; one of {tuple(THEOREMS)}")
+    return THEOREMS[tag]
+
+
+def verify_theorem(theorem: str, f: FunctionSpec, params: Optional[SMParams], iv: Interval,
+                   grid: int = 64, enforce_certification: bool = True) -> VerificationRecord:
+    """Verify one instance of any table tag with the verifier its route names.
+
+    The double inequalities ignore ``params`` and always certify.
+    """
+    route = theorem_row(theorem).route
+    if route in ("hh", "harmonic_hh"):
+        return verify_hh_double(f, iv, harmonic=route == "harmonic_hh", grid=grid)
+    if route == "mean":
+        return verify_II1(f, params, iv, grid=grid, enforce_certification=enforce_certification)
+    return verify_bound(theorem, f, params, iv, grid=grid, enforce_certification=enforce_certification)
 
 
 def verify_hh_double(
@@ -471,20 +551,6 @@ def lemma_residual(f: FunctionSpec, iv: Interval, quad: QuadSpec = TIGHT_QUADSPE
     return abs(lhs - rhs)
 
 
-def _validate_theorem_params(theorem: str, params: SMParams) -> None:
-    if theorem not in GRADIENT_THEOREMS:
-        raise ParameterError(f"unknown gradient theorem {theorem!r}; one of {GRADIENT_THEOREMS}")
-    if theorem in ("I1", "I2") and (params.s != 1.0 or params.m != 1.0):
-        raise ParameterError(f"theorem {theorem} is stated for s = m = 1, got s={params.s}, m={params.m}")
-    if theorem in ("FS1", "FS2"):
-        if params.m != 1.0:
-            raise ParameterError(f"theorem {theorem} is stated for m = 1, got m={params.m}")
-        if not params.s > 0.0:
-            raise ParameterError(f"theorem {theorem} requires s in (0, 1], got s={params.s}")
-    if theorem in ("I2", "FS2", "II4") and not params.q > 1.0:
-        raise ParameterError(f"theorem {theorem} requires q > 1, got q={params.q}")
-
-
 def verify_bound(
     theorem: str,
     f: FunctionSpec,
@@ -497,21 +563,22 @@ def verify_bound(
 ) -> VerificationRecord:
     """One trapezoid-error bound instance with oracle coefficients on the RHS.
 
-    LHS = |(f(a)+f(b))/2 - harmonic mean|; the RHS prefactor and kernel
-    exponents follow the theorem routes:
-
-    * I1/FS1/II3 -- power-mean route with exponent-2 kernels (the reading under
-      which the II3 corollaries reproduce FS1 and I1; ``use_printed_exponents``
-      switches II3 to the literal exponent-2q form for diagnosis).
-    * II2 -- power-mean route with |1-2t| split off, exponent-2q kernels.
-    * I2/FS2/II4 -- Holder route, plain t^s / (1-t)^s exponent-2q kernels.
+    LHS = |(f(a)+f(b))/2 - harmonic mean|; the RHS prefactor and kernels
+    follow the row's route in ``THEOREMS``, and ``use_printed_exponents``
+    switches a ``printed_2q`` row (II3) to its literal exponent-2q form for
+    diagnosis.
 
     Requires |f'|^q to pass harmonic (s,m)-convexity certification on [a, b/m]
     (bypassable for detector sanity tests via ``enforce_certification=False``).
     """
-    _validate_theorem_params(theorem, params)
-    a, b = iv.a, iv.b
+    if theorem not in GRADIENT_THEOREMS:
+        raise ParameterError(f"unknown gradient theorem {theorem!r}; one of {GRADIENT_THEOREMS}")
+    row = THEOREMS[theorem]
     s, m, q = params.s, params.m, params.q
+    reason = row.reject(s, m, q)
+    if reason is not None:
+        raise ParameterError(reason)
+    a, b = iv.a, iv.b
     window = (a, b / m)
     diagnostics: list[str] = []
     if enforce_certification:
@@ -531,36 +598,28 @@ def verify_bound(
     lhs = abs(0.5 * (eval_fn(f, a) + eval_fn(f, b)) - mean)
     pref = 0.5 * a * b * (b - a)
 
-    if theorem in ("I1", "FS1", "II3") and not use_printed_exponents:
-        k0 = kernel_K("W1", 0.0, 1.0, a, b, quad)
-        k1 = kernel_K("W1", s, 1.0, a, b, quad)
-        k2 = kernel_K("W2", s, 1.0, a, b, quad)
-        rhs = pref * k0 ** (1.0 - 1.0 / q) * (k1 * da + m * k2 * db) ** (1.0 / q)
-        diagnostics.append(f"oracle_kernels k0={k0!r} k1={k1!r} k2={k2!r}")
-    elif theorem == "II3":
-        k0 = kernel_K("W1", 0.0, q, a, b, quad)
-        k1 = kernel_K("W1", s, q, a, b, quad)
-        k2 = kernel_K("W2", s, q, a, b, quad)
-        rhs = pref * k0 ** (1.0 - 1.0 / q) * (k1 * da + m * k2 * db) ** (1.0 / q)
-        diagnostics.append("literal printed exponents (2q) in use")
-        diagnostics.append(f"oracle_kernels k0={k0!r} k1={k1!r} k2={k2!r}")
-    elif theorem == "II2":
-        k1 = kernel_K("W1", s, q, a, b, quad)
-        k2 = kernel_K("W2", s, q, a, b, quad)
-        rhs = pref * 0.5 ** (1.0 - 1.0 / q) * (k1 * da + m * k2 * db) ** (1.0 / q)
-        diagnostics.append(f"oracle_kernels k1={k1!r} k2={k2!r}")
-    else:  # I2, FS2, II4: Holder route
-        p = params.p
-        k1 = kernel_K("N1", s, q, a, b, quad)
-        k2 = kernel_K("N2", s, q, a, b, quad)
-        rhs = pref * (1.0 / (p + 1.0)) ** (1.0 / p) * (k1 * da + m * k2 * db) ** (1.0 / q)
-        diagnostics.append(f"oracle_kernels k1={k1!r} k2={k2!r}")
-        if theorem == "FS2":
-            diagnostics.append("FS2 evaluated via its m=1 Holder form (identical value)")
-
-    printed = _printed_companion(theorem, s, q, iv)
-    if printed is not None:
-        diagnostics.append(f"printed_{printed.name}_max_abs_dev={printed.max_abs_dev:.6e}")
+    weights, r, kernels = ("W1", "W2"), q, ""
+    if row.route == "power_mean":
+        if use_printed_exponents and row.printed_2q:
+            diagnostics.append("literal printed exponents (2q) in use")
+        else:
+            r = 1.0
+        k0 = kernel_K("W1", 0.0, r, a, b, quad)
+        factor = k0 ** (1.0 - 1.0 / q)
+        kernels = f"k0={k0!r} "
+    elif row.route == "split_power_mean":
+        factor = 0.5 ** (1.0 - 1.0 / q)
+    else:  # holder
+        weights, p = ("N1", "N2"), params.p
+        factor = (1.0 / (p + 1.0)) ** (1.0 / p)
+    k1 = kernel_K(weights[0], s, r, a, b, quad)
+    k2 = kernel_K(weights[1], s, r, a, b, quad)
+    rhs = pref * factor * (k1 * da + m * k2 * db) ** (1.0 / q)
+    diagnostics.append(f"oracle_kernels {kernels}k1={k1!r} k2={k2!r}")
+    if row.note:
+        diagnostics.append(row.note)
+    printed = row.companion(s, q, iv)
+    diagnostics.append(f"printed_{printed.name}_max_abs_dev={printed.max_abs_dev:.6e}")
     return _record(theorem, iv, params, f.label, lhs, rhs, diagnostics)
 
 
@@ -571,23 +630,16 @@ def verify_bound(
 # ---------------------------------------------------------------------------
 
 
+# The substitution t -> 1-t maps each kernel weight onto its mirror.
+_MIRROR = {"W1": "W2", "W2": "W1", "N1": "N2", "N2": "N1"}
+
+
 def _substituted_kernel(weight: str, s: float, r: float, a: float, b: float,
                         quad: QuadSpec = DEFAULT_QUADSPEC) -> float:
     """Kernel integrals written in the t -> 1-t substituted form over (ta+(1-t)b)."""
-
-    def denom(t):
-        return (t * a + (1.0 - t) * b) ** (-2.0 * r)
-
-    if weight == "W1":
-        fn = lambda t: np.abs(1.0 - 2.0 * t) * (1.0 - t) ** s * denom(t)
-    elif weight == "W2":
-        fn = lambda t: np.abs(1.0 - 2.0 * t) * t**s * denom(t)
-    elif weight == "N1":
-        fn = lambda t: (1.0 - t) ** s * denom(t)
-    else:
-        fn = lambda t: t**s * denom(t)
+    wfn = _WEIGHT_FNS[_MIRROR[weight]]
     use = quad.with_splits(0.5) if weight in ("W1", "W2") else quad
-    return integrate(fn, 0.0, 1.0, use)
+    return integrate(lambda t: wfn(t, s) * (t * a + (1.0 - t) * b) ** (-2.0 * r), 0.0, 1.0, use)
 
 
 def kernel_oracle_identities(
@@ -603,45 +655,17 @@ def kernel_oracle_identities(
     substituted one.
     """
     a, b = iv.a, iv.b
-    rows: list[tuple[str, float, float]] = [
-        ("K1(1,1) = lambda2 oracle", kernel_K("W1", 1.0, 1.0, a, b), _substituted_kernel("W1", 1.0, 1.0, a, b)),
-        ("K2(1,1) = lambda3 oracle", kernel_K("W2", 1.0, 1.0, a, b), _substituted_kernel("W2", 1.0, 1.0, a, b)),
-    ]
+
+    def chain(name: str, weight: str, s: float, r: float) -> tuple[str, float, float]:
+        return name, kernel_K(weight, s, r, a, b), _substituted_kernel(weight, s, r, a, b)
+
+    rows = [chain("K1(1,1) = lambda2 oracle", "W1", 1.0, 1.0), chain("K2(1,1) = lambda3 oracle", "W2", 1.0, 1.0)]
     for s in s_grid:
-        rows.append(
-            (f"K1({s},1) = C2 oracle", kernel_K("W1", s, 1.0, a, b), _substituted_kernel("W1", s, 1.0, a, b))
-        )
-        rows.append(
-            (f"K2({s},1) = C3 oracle", kernel_K("W2", s, 1.0, a, b), _substituted_kernel("W2", s, 1.0, a, b))
-        )
+        rows += [chain(f"K1({s},1) = C2 oracle", "W1", s, 1.0), chain(f"K2({s},1) = C3 oracle", "W2", s, 1.0)]
     for q in q_grid:
-        rows.append(
-            (f"N1(1,{q}) = mu1 oracle", kernel_K("N1", 1.0, q, a, b), _substituted_kernel("N1", 1.0, q, a, b))
-        )
-        rows.append(
-            (f"N2(1,{q}) = mu2 oracle", kernel_K("N2", 1.0, q, a, b), _substituted_kernel("N2", 1.0, q, a, b))
-        )
-        rows.append(
-            (f"rho1(0,{q}) oracle = rho2(0,{q}) oracle", kernel_K("W1", 0.0, q, a, b), kernel_K("W2", 0.0, q, a, b))
-        )
+        rows += [
+            chain(f"N1(1,{q}) = mu1 oracle", "N1", 1.0, q),
+            chain(f"N2(1,{q}) = mu2 oracle", "N2", 1.0, q),
+            (f"rho1(0,{q}) oracle = rho2(0,{q}) oracle", kernel_K("W1", 0.0, q, a, b), kernel_K("W2", 0.0, q, a, b)),
+        ]
     return rows
-
-
-def _printed_companion(theorem: str, s: float, q: float, iv: Interval) -> Optional[CoefficientSet]:
-    """The printed coefficient set a record reports alongside its oracle RHS."""
-    try:
-        if theorem == "I1":
-            return coeff_lambda(iv)
-        if theorem == "I2":
-            return coeff_mu(q, iv)
-        if theorem == "FS1":
-            return coeff_C(s, iv)
-        if theorem in ("FS2", "II4"):
-            return coeff_nu(s, q, iv)
-        if theorem == "II2":
-            return coeff_rho(s, q, iv)
-        if theorem == "II3":
-            return coeff_rho(s, 1.0, iv)
-    except ParameterError:
-        return None
-    return None

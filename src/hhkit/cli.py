@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import bounds, harness
-from .bounds import Interval, lemma_residual, verify_bound, verify_hh_double, verify_II1
+from .bounds import GRADIENT_THEOREMS, THEOREMS, Interval, lemma_residual
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -25,16 +25,14 @@ from .errors import (
     ParameterError,
     ToleranceNotMetError,
 )
-from .functions import FunctionSpec, SMParams
+from .functions import FAMILIES, FunctionSpec, SMParams
 from .harness import SCHEMA_VERSION, SweepConfig, _fmt15, _quantize
 from .specfun import Hyp2F1Args, beta, hyp2f1_euler, hyp2f1_series, ln_gamma
 
 __all__ = ["main", "build_parser", "dispatch"]
 
 _FORMATS = ("json", "csv", "text")
-_THEOREMS = ("HH", "HarmHH", "II1", "Lemma", "I1", "I2", "FS1", "FS2", "II2", "II3", "II4")
 _COEFF_SETS = ("lambda", "mu", "c", "rho", "nu")
-_FAMILIES = ("pow", "spiece", "recip", "affine", "exp")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("verify", help="verify one theorem instance")
-    p.add_argument("--theorem", required=True, choices=_THEOREMS)
-    p.add_argument("--family", required=True, choices=_FAMILIES)
+    # the integral identity sits between the mean bound and the gradient bounds it underlies
+    p.add_argument("--theorem", required=True,
+                   choices=[t for t in THEOREMS if t not in GRADIENT_THEOREMS] + ["Lemma", *GRADIENT_THEOREMS])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--coeff", type=float, default=1.0, help="pow: coefficient")
     p.add_argument("--exp", type=float, default=2.0, help="pow: exponent")
     p.add_argument("--shift", type=float, default=0.0, help="pow: additive shift")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("search", help="randomized counterexample search")
-    p.add_argument("--theorem", required=True, choices=[t for t in _THEOREMS if t != "Lemma"])
+    p.add_argument("--theorem", required=True, choices=list(THEOREMS))
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
@@ -128,19 +128,14 @@ def _interval(args) -> Interval:
 
 
 def _build_function(args, m: float, iv: Interval) -> FunctionSpec:
-    pad = 1e-6
-    lo = m * iv.a * (1.0 - pad)
-    hi = iv.b / m * (1.0 + pad)
-    if args.family == "pow":
-        return FunctionSpec.power(args.coeff, args.exp, args.shift, lo, hi)
-    if args.family == "spiece":
-        sexp = args.s if args.sexp is None else args.sexp
-        return FunctionSpec.spiece(args.a0, args.b0, args.c0, sexp, lo, hi)
-    if args.family == "recip":
-        return FunctionSpec.reciprocal(lo, hi)
-    if args.family == "affine":
-        return FunctionSpec.affine(args.slope, args.intercept, lo, hi)
-    return FunctionSpec.exponential(args.scale, lo, hi)
+    params = {
+        "pow": (args.coeff, args.exp, args.shift),
+        "spiece": (args.a0, args.b0, args.c0, args.s if args.sexp is None else args.sexp),
+        "recip": (),
+        "affine": (args.slope, args.intercept),
+        "exp": (args.scale,),
+    }[args.family]
+    return harness.make_function({"family": args.family, "params": params}, m, iv)
 
 
 def _cmd_coeffs(args) -> tuple[int, str]:
@@ -195,13 +190,7 @@ def _cmd_verify(args) -> tuple[int, str]:
                                     [["Lemma", iv.a, iv.b, f.label, residual, ok]])
         return code, f"residual={_fmt15(residual)} {'satisfied' if ok else 'VIOLATED'}\n"
 
-    if args.theorem in ("HH", "HarmHH"):
-        rec = verify_hh_double(f, iv, harmonic=(args.theorem == "HarmHH"), grid=args.grid)
-    elif args.theorem == "II1":
-        rec = verify_II1(f, params, iv, grid=args.grid)
-    else:
-        rec = verify_bound(args.theorem, f, params, iv, grid=args.grid)
-
+    rec = bounds.verify_theorem(args.theorem, f, params, iv, grid=args.grid)
     code = 0 if rec.satisfied else 1
     if args.format == "json":
         return code, _emit_json(rec.to_dict())

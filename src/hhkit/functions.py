@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, InconclusiveError, ParameterError
 
 __all__ = [
+    "FAMILIES",
     "FunctionSpec",
     "SMParams",
     "CheckReport",
@@ -35,7 +36,7 @@ __all__ = [
 CHECK_SLACK = 1e-12
 _DOMAIN_SLACK = 1e-9  # relative; absorbs rounding of combined points at window edges
 
-_FAMILIES = ("pow", "spiece", "recip", "affine", "exp")
+FAMILIES = ("pow", "spiece", "recip", "affine", "exp")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class FunctionSpec:
     domain_hi: float
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}; one of {_FAMILIES}")
+        if self.family not in FAMILIES:
+            raise DomainError(f"unknown family {self.family!r}; one of {FAMILIES}")
         if not 0.0 < self.domain_lo < self.domain_hi:
             raise DomainError(
                 f"domain must satisfy 0 < lo < hi, got ({self.domain_lo}, {self.domain_hi})"

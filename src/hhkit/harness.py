@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 from . import bounds
 from .bounds import (
-    GRADIENT_THEOREMS,
     TOL_ACCEPT,
     CoefficientSet,
     Interval,
@@ -53,8 +52,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-ALL_THEOREMS = ("HH", "HarmHH", "II1", *GRADIENT_THEOREMS)
 
 # Domain cushion around the certification window [m*a, b/m]; combined points
 # touch the window edges exactly, so the declared domain must extend past them.
@@ -94,8 +91,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for t in self.theorems:
-            if t not in ALL_THEOREMS:
-                raise ParameterError(f"unknown theorem {t!r}; one of {ALL_THEOREMS}")
+            bounds.theorem_row(t)
         for v in self.ratios:
             if v <= 1.0:
                 raise ParameterError(f"interval ratios must exceed 1, got {v}")
@@ -209,29 +205,23 @@ class SweepResult:
 
 
 def _instance_plan(cfg: SweepConfig) -> list[tuple]:
-    """Deterministic enumeration: theorem -> family -> a -> ratio -> s -> m -> q."""
+    """Deterministic enumeration: theorem -> family -> a -> ratio -> s -> m -> q,
+    keeping the (s, m, q) points inside each theorem's statement."""
     plan: list[tuple] = []
     for theorem in cfg.theorems:
+        row = bounds.THEOREMS[theorem]
+        points = [(None, None, None)] if not row.takes else [
+            (s, m, q)
+            for s in cfg.s_grid
+            for m in cfg.m_grid
+            for q in (cfg.q_grid if "q" in row.takes else (None,))
+            if row.reject(s, m, q) is None
+        ]
         for fam in cfg.families:
             for a in cfg.a_values:
                 for ratio in cfg.ratios:
                     iv = Interval(a, a * ratio)
-                    if theorem in ("HH", "HarmHH"):
-                        plan.append((theorem, fam, iv, None, None, None))
-                        continue
-                    for s in cfg.s_grid:
-                        if theorem in ("I1", "I2") and s != 1.0:
-                            continue
-                        for m in cfg.m_grid:
-                            if theorem in ("I1", "I2", "FS1", "FS2") and m != 1.0:
-                                continue
-                            if theorem == "II1":
-                                plan.append((theorem, fam, iv, s, m, None))
-                                continue
-                            for q in cfg.q_grid:
-                                if theorem in ("I2", "FS2", "II4") and not q > 1.0:
-                                    continue
-                                plan.append((theorem, fam, iv, s, m, q))
+                    plan.extend((theorem, fam, iv, s, m, q) for s, m, q in points)
     return plan
 
 
@@ -240,13 +230,9 @@ def _evaluate_instance(item: tuple, grid: int):
     descriptor = {"theorem": theorem, "family": fam["family"], "params": list(fam["params"]),
                   "a": iv.a, "b": iv.b, "s": s, "m": m, "q": q}
     try:
-        if theorem in ("HH", "HarmHH"):
-            f = make_function(fam, 1.0, iv)
-            return bounds.verify_hh_double(f, iv, harmonic=(theorem == "HarmHH"), grid=grid), descriptor
-        f = make_function(fam, m, iv)
-        if theorem == "II1":
-            return bounds.verify_II1(f, SMParams(s, m), iv, grid=grid), descriptor
-        return bounds.verify_bound(theorem, f, SMParams(s, m, q), iv, grid=grid), descriptor
+        f = make_function(fam, 1.0 if m is None else m, iv)
+        params = None if s is None else SMParams(s, m, 1.0 if q is None else q)
+        return bounds.verify_theorem(theorem, f, params, iv, grid=grid), descriptor
     except CertificationError as exc:
         descriptor["reason"] = str(exc)
         return None, descriptor
@@ -333,19 +319,14 @@ _SEARCH_FAMILIES = (
 _SHRINK_STEPS = 20
 
 
-def _search_instance(theorem: str, fam: dict, a: float, ratio: float, s: float, m: float, q: float,
-                     grid: int, enforce_certification: bool) -> Optional[VerificationRecord]:
-    iv = Interval(a, a * ratio)
-    params = SMParams(s, m, q)
-    f = make_function(fam, m, iv)
+def _search_instance(theorem: str, fam: dict, point: dict, grid: int,
+                     enforce_certification: bool) -> Optional[VerificationRecord]:
+    iv = Interval(point["a"], point["a"] * point["ratio"])
+    params = SMParams(point["s"], point["m"], point["q"])
+    f = make_function(fam, point["m"], iv)
     try:
-        if theorem == "II1":
-            return bounds.verify_II1(f, params, iv, grid=grid,
+        return bounds.verify_theorem(theorem, f, params, iv, grid=grid,
                                      enforce_certification=enforce_certification)
-        if theorem in ("HH", "HarmHH"):
-            return bounds.verify_hh_double(f, iv, harmonic=(theorem == "HarmHH"), grid=grid)
-        return bounds.verify_bound(theorem, f, params, iv, grid=grid,
-                                   enforce_certification=enforce_certification)
     except (CertificationError, ParameterError, DomainError):
         return None
 
@@ -356,7 +337,7 @@ def _shrink(theorem: str, fam: dict, point: dict, grid: int, enforce: bool) -> d
     Anchors: m -> 1, s -> 1, q -> 1 (or just above for q>1 theorems), ratio -> 1+.
     20 steps per parameter localize the violation boundary to ~1e-6 of range.
     """
-    anchors = {"m": 1.0, "s": 1.0, "q": 1.5 if theorem in ("I2", "FS2", "II4") else 1.0, "ratio": 1.05}
+    anchors = {"m": 1.0, "s": 1.0, "q": 1.5 if bounds.THEOREMS[theorem].q_above_one else 1.0, "ratio": 1.05}
     current = dict(point)
     for name, anchor in anchors.items():
         lo_bad = current[name]
@@ -365,10 +346,7 @@ def _shrink(theorem: str, fam: dict, point: dict, grid: int, enforce: bool) -> d
             trial = 0.5 * (lo_bad + hi_good)
             candidate = dict(current)
             candidate[name] = trial
-            rec = _search_instance(
-                theorem, fam, candidate["a"], candidate["ratio"], candidate["s"],
-                candidate["m"], candidate["q"], grid, enforce,
-            )
+            rec = _search_instance(theorem, fam, candidate, grid, enforce)
             if rec is not None and rec.margin < -TOL_ACCEPT:
                 lo_bad = trial
             else:
@@ -400,8 +378,7 @@ def search_counterexample(
     """
     if budget < 1:
         raise ParameterError(f"search budget must be >= 1, got {budget}")
-    if theorem not in ALL_THEOREMS:
-        raise ParameterError(f"unknown theorem {theorem!r}; one of {ALL_THEOREMS}")
+    row = bounds.theorem_row(theorem)
     rng = random.Random(seed)
     worst: Optional[tuple[float, dict, dict]] = None
     for _ in range(budget):
@@ -411,17 +388,15 @@ def search_counterexample(
             "ratio": rng.uniform(*ratio_range),
             "s": rng.uniform(*s_range),
             "m": rng.uniform(*m_range),
-            "q": rng.uniform(*q_range) if theorem in ("I2", "FS2", "II4") else max(1.0, rng.uniform(*q_range)),
+            "q": rng.uniform(*q_range) if row.q_above_one else max(1.0, rng.uniform(*q_range)),
         }
-        if theorem in ("I1", "I2"):
+        if row.unit_sm:
             point["s"] = 1.0
+        if row.unit_sm or row.unit_m:
             point["m"] = 1.0
-        elif theorem in ("FS1", "FS2"):
-            point["m"] = 1.0
-        if theorem in ("I2", "FS2", "II4") and point["q"] <= 1.0:
+        if row.q_above_one and point["q"] <= 1.0:
             point["q"] = 1.0 + 0.5 * (q_range[1] - 1.0)
-        rec = _search_instance(theorem, fam, point["a"], point["ratio"], point["s"],
-                               point["m"], point["q"], grid, enforce_certification)
+        rec = _search_instance(theorem, fam, point, grid, enforce_certification)
         if rec is None:
             continue
         if rec.margin < -TOL_ACCEPT and (worst is None or rec.margin < worst[0]):
@@ -429,11 +404,9 @@ def search_counterexample(
     if worst is None:
         return None
     margin, fam, point = worst
-    worst_rec = _search_instance(theorem, fam, point["a"], point["ratio"], point["s"],
-                                 point["m"], point["q"], grid, enforce_certification)
+    worst_rec = _search_instance(theorem, fam, point, grid, enforce_certification)
     boundary = _shrink(theorem, fam, point, grid, enforce_certification)
-    boundary_rec = _search_instance(theorem, fam, boundary["a"], boundary["ratio"], boundary["s"],
-                                    boundary["m"], boundary["q"], grid, enforce_certification)
+    boundary_rec = _search_instance(theorem, fam, boundary, grid, enforce_certification)
     if boundary_rec is None or boundary_rec.margin >= -TOL_ACCEPT:
         boundary, boundary_rec = point, worst_rec
     return Finding(
@@ -461,6 +434,23 @@ def search_counterexample(
 
 _PRINTED_AGREEMENT_TOL = 1e-8
 _ORACLE_CHAIN_TOL = 1e-9
+
+
+def _printed_sets(iv: Interval, s_grid: Sequence[float], q_grid: Sequence[float]):
+    """Yield (grid parameters, set) for every printed coefficient set on ``iv``,
+    in report order: Lambda; Mu for q > 1; C for s > 0; Rho for every (s, q);
+    Nu for q > 1."""
+    yield {}, coeff_lambda(iv)
+    for q in q_grid:
+        if q > 1.0:
+            yield {"q": q}, coeff_mu(q, iv)
+    for s in s_grid:
+        if s > 0.0:
+            yield {"s": s}, coeff_C(s, iv)
+        for q in q_grid:
+            yield {"s": s, "q": q}, coeff_rho(s, q, iv)
+            if q > 1.0:
+                yield {"s": s, "q": q}, coeff_nu(s, q, iv)
 
 
 def check_reductions(
@@ -501,17 +491,8 @@ def check_reductions(
                              "oracle": oracle, "best_match_dev": best},
                 ))
 
-    printed_findings(coeff_lambda(iv), {"set": "Lambda", "a": iv.a, "b": iv.b})
-    for q in q_grid:
-        if q > 1.0:
-            printed_findings(coeff_mu(q, iv), {"set": "Mu", "q": q, "a": iv.a, "b": iv.b})
-    for s in s_grid:
-        if s > 0.0:
-            printed_findings(coeff_C(s, iv), {"set": "C", "s": s, "a": iv.a, "b": iv.b})
-        for q in q_grid:
-            printed_findings(coeff_rho(s, q, iv), {"set": "Rho", "s": s, "q": q, "a": iv.a, "b": iv.b})
-            if q > 1.0:
-                printed_findings(coeff_nu(s, q, iv), {"set": "Nu", "s": s, "q": q, "a": iv.a, "b": iv.b})
+    for grid_params, cs in _printed_sets(iv, s_grid, q_grid):
+        printed_findings(cs, {"set": cs.name, **grid_params, "a": iv.a, "b": iv.b})
 
     # Remark-level cross-identities: the source asserts C(1) = lambda and the
     # s = 1 hypergeometric mu forms; compare the printed values directly.
@@ -565,17 +546,7 @@ def build_adjudication_report(
     coefficient_tables = []
     findings: list[Finding] = []
     for iv in intervals:
-        sets: list[dict] = [coeff_lambda(iv).to_dict()]
-        for q in q_grid:
-            if q > 1.0:
-                sets.append({**coeff_mu(q, iv).to_dict(), "q": q})
-        for s in s_grid:
-            if s > 0.0:
-                sets.append({**coeff_C(s, iv).to_dict(), "s": s})
-            for q in q_grid:
-                sets.append({**coeff_rho(s, q, iv).to_dict(), "s": s, "q": q})
-                if q > 1.0:
-                    sets.append({**coeff_nu(s, q, iv).to_dict(), "s": s, "q": q})
+        sets = [{**cs.to_dict(), **grid_params} for grid_params, cs in _printed_sets(iv, s_grid, q_grid)]
         coefficient_tables.append({"a": iv.a, "b": iv.b, "sets": sets})
         findings.extend(check_reductions(iv, s_grid, q_grid))
     return {

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from hhkit.bounds import (
 )
 from hhkit.errors import CertificationError, DomainError, ParameterError
 from hhkit.functions import FunctionSpec, SMParams
-from hhkit.quadrature import harmonic_mean_integral
+from hhkit.quadrature import DEFAULT_QUADSPEC, harmonic_mean_integral, integrate, kernel_K
 from hhkit.specfun import Hyp2F1Args, hyp2f1_euler
 
 IV12 = Interval(1.0, 2.0)
@@ -396,3 +398,39 @@ class TestF21Cache:
         info = bounds._f21_cached.cache_info()
         assert info.maxsize == bounds.F21_CACHE_SIZE
         assert info.currsize == bounds.F21_CACHE_SIZE
+
+
+def _reference_substituted_kernel(weight, s, r, a, b, quad=DEFAULT_QUADSPEC):
+    """Reference for the mirror map: the four substituted kernels with each
+    weight written out in the t -> 1-t orientation."""
+
+    def denom(t):
+        return (t * a + (1.0 - t) * b) ** (-2.0 * r)
+
+    if weight == "W1":
+        fn = lambda t: np.abs(1.0 - 2.0 * t) * (1.0 - t) ** s * denom(t)
+    elif weight == "W2":
+        fn = lambda t: np.abs(1.0 - 2.0 * t) * t**s * denom(t)
+    elif weight == "N1":
+        fn = lambda t: (1.0 - t) ** s * denom(t)
+    else:
+        fn = lambda t: t**s * denom(t)
+    use = quad.with_splits(0.5) if weight in ("W1", "W2") else quad
+    return integrate(fn, 0.0, 1.0, use)
+
+
+class TestSubstitutedKernel:
+    def test_mirror_map_is_bit_identical_to_the_written_out_weights(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            weight = rng.choice(("W1", "W2", "N1", "N2"))
+            s, r = rng.choice((0.0, 1.0, rng.random())), 1.0 + 2.0 * rng.random()
+            a = rng.uniform(0.5, 3.0)
+            b = a * rng.uniform(1.1, 10.0)
+            args = (weight, s, r, a, b)
+            assert bounds._substituted_kernel(*args) == _reference_substituted_kernel(*args), args
+
+    def test_substitution_reproduces_the_kernel(self):
+        for weight in ("W1", "W2", "N1", "N2"):
+            assert bounds._substituted_kernel(weight, 0.5, 1.5, 1.0, 3.0) == pytest.approx(
+                kernel_K(weight, 0.5, 1.5, 1.0, 3.0), rel=1e-10)

@@ -7,6 +7,7 @@ from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ParameterError
 from hhkit.harness import (
     SweepConfig,
+    _instance_plan,
     build_adjudication_report,
     check_reductions,
     default_sweep_config,
@@ -61,6 +62,18 @@ class TestSweepConfig:
     def test_make_function_window_covers_combined_points(self):
         f = make_function({"family": "pow", "params": (1.0, 2.0, 0.0)}, 0.5, Interval(1.0, 2.0))
         assert f.domain_lo < 0.5 and f.domain_hi > 4.0
+
+
+class TestFSAtSZero:
+    def test_sweep_over_s_zero_has_no_findings(self):
+        # FS1/FS2 are stated for s in (0, 1]; s = 0 points are not planned,
+        # the same way I1 at s != 1 is not.
+        cfg = single_instance_config(theorems=("FS1", "FS2"), s_grid=(0.0, 1.0), q_grid=(1.0, 2.0), grid=16)
+        res = run_sweep(cfg)
+        assert res.findings == []
+        assert [(r.theorem, r.params.s, r.params.q) for r in res.records] == [
+            ("FS1", 1.0, 1.0), ("FS1", 1.0, 2.0), ("FS2", 1.0, 2.0)]
+        assert all(item[3] != 0.0 for item in _instance_plan(cfg))
 
 
 class TestRunSweep:
