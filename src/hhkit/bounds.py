@@ -424,17 +424,20 @@ def theorem_row(tag: str) -> Theorem:
 
 
 def verify_theorem(theorem: str, f: FunctionSpec, params: Optional[SMParams], iv: Interval,
-                   grid: int = 64, enforce_certification: bool = True) -> VerificationRecord:
+                   grid: int = 64, enforce_certification: bool = True,
+                   companion: bool = True) -> VerificationRecord:
     """Verify one instance of any table tag with the verifier its route names.
 
-    The double inequalities ignore ``params`` and always certify.
+    The double inequalities ignore ``params`` and always certify; only the
+    gradient rows have a ``companion`` (see ``verify_bound``).
     """
     route = theorem_row(theorem).route
     if route in ("hh", "harmonic_hh"):
         return verify_hh_double(f, iv, harmonic=route == "harmonic_hh", grid=grid)
     if route == "mean":
         return verify_II1(f, params, iv, grid=grid, enforce_certification=enforce_certification)
-    return verify_bound(theorem, f, params, iv, grid=grid, enforce_certification=enforce_certification)
+    return verify_bound(theorem, f, params, iv, grid=grid, enforce_certification=enforce_certification,
+                        companion=companion)
 
 
 def verify_hh_double(
@@ -560,6 +563,7 @@ def verify_bound(
     quad: QuadSpec = DEFAULT_QUADSPEC,
     use_printed_exponents: bool = False,
     enforce_certification: bool = True,
+    companion: bool = True,
 ) -> VerificationRecord:
     """One trapezoid-error bound instance with oracle coefficients on the RHS.
 
@@ -570,6 +574,12 @@ def verify_bound(
 
     Requires |f'|^q to pass harmonic (s,m)-convexity certification on [a, b/m]
     (bypassable for detector sanity tests via ``enforce_certification=False``).
+
+    ``companion=False`` leaves out the last diagnostic, the row's printed
+    coefficient set against its oracles, and with it the set's 2F1 terms and
+    kernels.  The margin and every other diagnostic are unchanged, and the
+    set accepts every (s, q) that ``reject`` accepts, so a caller that needs
+    only the verdict (a search draw) can skip it.
     """
     if theorem not in GRADIENT_THEOREMS:
         raise ParameterError(f"unknown gradient theorem {theorem!r}; one of {GRADIENT_THEOREMS}")
@@ -618,8 +628,9 @@ def verify_bound(
     diagnostics.append(f"oracle_kernels {kernels}k1={k1!r} k2={k2!r}")
     if row.note:
         diagnostics.append(row.note)
-    printed = row.companion(s, q, iv)
-    diagnostics.append(f"printed_{printed.name}_max_abs_dev={printed.max_abs_dev:.6e}")
+    if companion:
+        printed = row.companion(s, q, iv)
+        diagnostics.append(f"printed_{printed.name}_max_abs_dev={printed.max_abs_dev:.6e}")
     return _record(theorem, iv, params, f.label, lhs, rhs, diagnostics)
 
 

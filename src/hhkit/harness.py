@@ -320,13 +320,18 @@ _SHRINK_STEPS = 20
 
 
 def _search_instance(theorem: str, fam: dict, point: dict, grid: int,
-                     enforce_certification: bool) -> Optional[VerificationRecord]:
+                     enforce_certification: bool, companion: bool = False) -> Optional[VerificationRecord]:
+    """One search instance, or None when it lies outside the hypothesis class.
+
+    Draws and shrink trials need only the margin, so the printed companion set
+    is built (``companion=True``) only for the records a finding reports.
+    """
     iv = Interval(point["a"], point["a"] * point["ratio"])
     params = SMParams(point["s"], point["m"], point["q"])
     f = make_function(fam, point["m"], iv)
     try:
         return bounds.verify_theorem(theorem, f, params, iv, grid=grid,
-                                     enforce_certification=enforce_certification)
+                                     enforce_certification=enforce_certification, companion=companion)
     except (CertificationError, ParameterError, DomainError):
         return None
 
@@ -404,9 +409,9 @@ def search_counterexample(
     if worst is None:
         return None
     margin, fam, point = worst
-    worst_rec = _search_instance(theorem, fam, point, grid, enforce_certification)
+    worst_rec = _search_instance(theorem, fam, point, grid, enforce_certification, companion=True)
     boundary = _shrink(theorem, fam, point, grid, enforce_certification)
-    boundary_rec = _search_instance(theorem, fam, boundary, grid, enforce_certification)
+    boundary_rec = _search_instance(theorem, fam, boundary, grid, enforce_certification, companion=True)
     if boundary_rec is None or boundary_rec.margin >= -TOL_ACCEPT:
         boundary, boundary_rec = point, worst_rec
     return Finding(

@@ -44,6 +44,14 @@ class TestSpecfunCommand:
         assert code == 2
         assert "c > b" in err
 
+    def test_series_non_convergence_is_a_numerical_failure(self, capsys):
+        # the argument set of test_specfun's series non-convergence case
+        code, out, err = run(capsys, "specfun", "--fn", "2f1-series", "--a", "8", "--b", "3.5", "--c", "4",
+                             "--z", "0.999999")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: 2F1 series did not converge within 1000000 terms")
+
 
 class TestCoeffsCommand:
     def test_rho_json_document(self, capsys):

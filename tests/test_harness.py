@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hhkit import bounds
 from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ParameterError
 from hhkit.harness import (
@@ -295,6 +296,63 @@ class TestSearchCounterexample:
             "II2", f, SMParams(rec["s"], rec["m"], rec["q"]), iv, enforce_certification=False
         )
         assert again.margin == pytest.approx(rec["margin"], rel=1e-12)
+
+
+BUILDERS = ("coeff_lambda", "coeff_mu", "coeff_C", "coeff_rho", "coeff_nu")
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Every call of a printed coefficient builder, as (name, args).  The table's
+    companions look their builder up in ``bounds`` when called."""
+    calls = []
+    for name in BUILDERS:
+        def counted(*args, _name=name, _real=getattr(bounds, name)):
+            calls.append((_name, args))
+            return _real(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    return calls
+
+
+class TestSearchCompanion:
+    """Search draws and shrink trials compute their verdict only; the printed
+    companion set is built for the two records a finding reports."""
+
+    @pytest.mark.parametrize("theorem", ["II2", "II3", "II4"])
+    def test_certified_search_builds_no_companion(self, theorem, builder_calls, monkeypatch):
+        evaluated = []
+        real_verify = bounds.verify_bound
+
+        def verify(*args, **kwargs):
+            rec = real_verify(*args, **kwargs)
+            evaluated.append(rec)
+            return rec
+
+        monkeypatch.setattr(bounds, "verify_bound", verify)
+        assert search_counterexample(theorem, budget=20, seed=5) is None
+        assert evaluated  # certified draws ran to a verdict
+        assert builder_calls == []
+
+    def test_finding_builds_companions_for_its_two_records(self, builder_calls):
+        finding = search_counterexample(
+            "II2",
+            budget=40,
+            seed=7,
+            families=AFFINE_ONLY,
+            s_range=(1.0, 1.0),
+            m_range=(0.1, 0.2),
+            q_range=(1.0, 1.0),
+            a_range=(1.0, 1.0),
+            ratio_range=(2.0, 2.0),
+            enforce_certification=False,
+        )
+        expected = []
+        for key in ("worst_parameters", "boundary_parameters"):
+            p = finding.payload[key]
+            expected.append(("coeff_rho", (p["s"], p["q"], Interval(p["a"], p["a"] * p["ratio"]))))
+        assert builder_calls == expected
+        for key in ("worst_record", "boundary_record"):
+            assert finding.payload[key]["diagnostics"][-1].startswith("printed_Rho_max_abs_dev=")
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ verifiers, the search draws and the dispatcher."""
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hhkit import bounds
 from hhkit.bounds import THEOREMS, Interval, verify_bound, verify_hh_double, verify_II1, verify_theorem
@@ -88,12 +90,43 @@ class TestSearchDraws:
     def test_draws_respect_the_row(self, theorem, monkeypatch):
         seen = []
 
-        def record(tag, f, params, iv, grid, enforce_certification):
-            seen.append(params)
+        def record(tag, f, params, iv, grid, enforce_certification, companion):
+            seen.append((params, companion))
             return None
 
         monkeypatch.setattr(bounds, "verify_theorem", record)
         search_counterexample(theorem, budget=20, seed=2, q_range=(0.5, 3.0))
         row = THEOREMS[theorem]
         assert len(seen) == 20
-        assert all(row.reject(p.s, p.m, p.q) is None for p in seen)
+        assert all(row.reject(p.s, p.m, p.q) is None for p, _ in seen)
+        # a draw needs only its verdict, never the printed companion set
+        assert all(companion is False for _, companion in seen)
+
+
+def inside_statement(row):
+    """(s, m, q, interval) draws over the search ranges, s and q with their
+    endpoints, restricted to the values the row's statement fixes."""
+    s = st.just(1.0) if row.unit_sm else st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    m = st.just(1.0) if row.unit_sm or row.unit_m else st.floats(0.0, 1.0, exclude_min=True)
+    q = st.one_of(st.just(1.0), st.floats(1.0, 3.0))
+    iv = st.builds(lambda a, ratio: Interval(a, a * ratio), st.floats(0.5, 3.0), st.floats(1.1, 10.0))
+    return st.tuples(s, m, q, iv)
+
+
+class TestCompanionAcceptsTheStatement:
+    """Search draws skip the printed companion set; that cannot change which
+    draws are skipped only if the companion raises nothing inside the
+    statement ``reject`` accepts."""
+
+    @pytest.mark.parametrize("theorem", bounds.GRADIENT_THEOREMS)
+    def test_companion_raises_nothing_where_reject_accepts(self, theorem):
+        row = THEOREMS[theorem]
+
+        @settings(max_examples=25, deadline=None)
+        @given(inside_statement(row))
+        def check(point):
+            s, m, q, iv = point
+            assume(row.reject(s, m, q) is None)
+            row.companion(s, q, iv)
+
+        check()
