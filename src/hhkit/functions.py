@@ -95,9 +95,6 @@ class FunctionSpec:
     def exponential(cls, scale: float, lo: float, hi: float) -> "FunctionSpec":
         return cls("exp", (float(scale),), lo, hi)
 
-    def with_domain(self, lo: float, hi: float) -> "FunctionSpec":
-        return FunctionSpec(self.family, self.params, lo, hi)
-
     @property
     def label(self) -> str:
         inner = ",".join(format(p, "g") for p in self.params)
@@ -110,8 +107,11 @@ class FunctionSpec:
 def _check_domain(f: FunctionSpec, x) -> None:
     lo = f.domain_lo * (1.0 - _DOMAIN_SLACK)
     hi = f.domain_hi * (1.0 + _DOMAIN_SLACK)
-    xmin = float(np.min(x))
-    xmax = float(np.max(x))
+    if isinstance(x, float):
+        xmin = xmax = float(x)
+    else:
+        xmin = float(np.min(x))
+        xmax = float(np.max(x))
     if xmin < lo or xmax > hi:
         raise DomainError(
             f"argument range [{xmin}, {xmax}] leaves the domain [{f.domain_lo}, {f.domain_hi}] of {f.label}"

@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -225,82 +223,46 @@ def _instance_plan(cfg: SweepConfig) -> list[tuple]:
     return plan
 
 
-def _evaluate_instance(item: tuple, grid: int):
-    theorem, fam, iv, s, m, q = item
-    descriptor = {"theorem": theorem, "family": fam["family"], "params": list(fam["params"]),
-                  "a": iv.a, "b": iv.b, "s": s, "m": m, "q": q}
-    try:
-        f = make_function(fam, 1.0 if m is None else m, iv)
-        params = None if s is None else SMParams(s, m, 1.0 if q is None else q)
-        return bounds.verify_theorem(theorem, f, params, iv, grid=grid), descriptor
-    except CertificationError as exc:
-        descriptor["reason"] = str(exc)
-        return None, descriptor
-    except Exception as exc:  # aggregated, never aborts the sweep
-        descriptor["error"] = f"{type(exc).__name__}: {exc}"
-        return exc, descriptor
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HHKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def run_sweep(cfg: SweepConfig, progress: Optional[Callable[[int, int], None]] = None) -> SweepResult:
-    """Evaluate every combination in ``cfg``; certification failures become
-    skips, margin violations and per-instance errors become findings."""
+    """Evaluate every combination in ``cfg`` in plan order; certification
+    failures become skips, margin violations and per-instance errors become
+    findings."""
     plan = _instance_plan(cfg)
-    workers = _worker_count()
-    results: list = [None] * len(plan)
-    if workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, out in enumerate(pool.map(lambda it: _evaluate_instance(it, cfg.grid), plan)):
-                results[idx] = out
-                if progress:
-                    progress(idx + 1, len(plan))
-    else:
-        for idx, item in enumerate(plan):
-            results[idx] = _evaluate_instance(item, cfg.grid)
-            if progress:
-                progress(idx + 1, len(plan))
-
     records: list[VerificationRecord] = []
     skipped: list[dict] = []
     findings: list[Finding] = []
-    for outcome, descriptor in results:
-        if outcome is None:
+    for idx, (theorem, fam, iv, s, m, q) in enumerate(plan):
+        descriptor = {"theorem": theorem, "family": fam["family"], "params": list(fam["params"]),
+                      "a": iv.a, "b": iv.b, "s": s, "m": m, "q": q}
+        try:
+            f = make_function(fam, 1.0 if m is None else m, iv)
+            params = None if s is None else SMParams(s, m, 1.0 if q is None else q)
+            rec = bounds.verify_theorem(theorem, f, params, iv, grid=cfg.grid)
+        except CertificationError as exc:
+            descriptor["reason"] = str(exc)
             skipped.append(descriptor)
-            continue
-        if isinstance(outcome, Exception):
+        except Exception as exc:  # aggregated, never aborts the sweep
+            descriptor["error"] = f"{type(exc).__name__}: {exc}"
             # Severity carries no magnitude for aggregated errors; 0 keeps the
             # report strict JSON (no Infinity literals).
-            findings.append(
-                Finding(
-                    kind="EvaluationError",
-                    severity=0.0,
-                    description=descriptor.get("error", "unexpected error"),
-                    payload=descriptor,
+            findings.append(Finding(kind="EvaluationError", severity=0.0,
+                                    description=descriptor["error"], payload=descriptor))
+        else:
+            records.append(rec)
+            if not rec.satisfied:
+                findings.append(
+                    Finding(
+                        kind="BoundViolation",
+                        severity=abs(min(rec.margin, 0.0)),
+                        description=(
+                            f"{rec.theorem} violated by {rec.family} on "
+                            f"[{rec.interval.a}, {rec.interval.b}] (margin {rec.margin:.6e})"
+                        ),
+                        payload=rec.to_dict(),
+                    )
                 )
-            )
-            continue
-        records.append(outcome)
-        if not outcome.satisfied:
-            findings.append(
-                Finding(
-                    kind="BoundViolation",
-                    severity=abs(min(outcome.margin, 0.0)),
-                    description=(
-                        f"{outcome.theorem} violated by {outcome.family} on "
-                        f"[{outcome.interval.a}, {outcome.interval.b}] (margin {outcome.margin:.6e})"
-                    ),
-                    payload=outcome.to_dict(),
-                )
-            )
+        if progress:
+            progress(idx + 1, len(plan))
     return SweepResult(config=cfg, records=records, skipped=skipped, findings=findings)
 
 
@@ -337,14 +299,19 @@ def _search_instance(theorem: str, fam: dict, point: dict, grid: int,
 
 
 def _shrink(theorem: str, fam: dict, point: dict, grid: int, enforce: bool) -> dict:
-    """Bisect each parameter toward its safe anchor while the violation persists.
+    """Bisect ``ratio`` and each parameter the theorem takes toward its safe
+    anchor while the violation persists.
 
     Anchors: m -> 1, s -> 1, q -> 1 (or just above for q>1 theorems), ratio -> 1+.
     20 steps per parameter localize the violation boundary to ~1e-6 of range.
+    Parameters the theorem does not take keep their drawn values.
     """
-    anchors = {"m": 1.0, "s": 1.0, "q": 1.5 if bounds.THEOREMS[theorem].q_above_one else 1.0, "ratio": 1.05}
+    row = bounds.THEOREMS[theorem]
+    anchors = {"m": 1.0, "s": 1.0, "q": 1.5 if row.q_above_one else 1.0, "ratio": 1.05}
     current = dict(point)
     for name, anchor in anchors.items():
+        if name != "ratio" and name not in row.takes:
+            continue
         lo_bad = current[name]
         hi_good = anchor
         for _ in range(_SHRINK_STEPS):

@@ -170,3 +170,45 @@ def test_threads_sharing_meshes_get_the_serial_reports(cold_caches):
     for got in results.values():
         assert len(got) == 3 * len(rows)
         assert all(report == expected[i] for i, report in got)
+
+
+# Independent references for the grid check.  For s = m = 1, c x^e with c > 0
+# is harmonically convex on a window iff u -> (1/u)^e = u^(-e) is convex there,
+# that is iff e >= 0 or e <= -1; |f'|^q of x^p is again such a power, with
+# e = (p - 1) q.
+ORACLE_EXPONENTS = (-3.0, -2.0, -1.5, -1.05, -0.95, -0.5, -0.05, 0.05, 0.5, 1.0, 2.0, 3.0)
+ORACLE_WINDOWS = ((1.0, 1.5), (1.0, 5.0), (0.5, 5.0))
+
+
+def _closed_form_convex(e):
+    return e >= 0.0 or e <= -1.0
+
+
+@pytest.mark.parametrize("window", ORACLE_WINDOWS)
+@pytest.mark.parametrize("p", ORACLE_EXPONENTS)
+def test_grid_check_matches_the_power_closed_form(p, window):
+    lo, hi = window
+    f = make_function({"family": "pow", "params": (1.0, p, 0.0)}, 1.0, Interval(lo, hi))
+    unit = SMParams(1.0, 1.0)
+    assert check_harmonic_sm_convex(f, unit, 48, window).passed == _closed_form_convex(p)
+    for q in (1.0, 1.5, 3.0):
+        got = check_harmonic_sm_convex(functions.GradientPower(f, q), unit, 48, window).passed
+        assert got == _closed_form_convex((p - 1.0) * q), q
+
+
+def test_gradient_verdicts_agree_between_grids_48_and_64(cold_caches):
+    # pow exponent 1.5 at a = 1 over the default ratios and (s, m, q): the
+    # sweep certifies on grid 48, `hhkit verify` on grid 64
+    verdicts = set()
+    for ratio in (1.5, 2.0, 5.0):
+        iv = Interval(1.0, ratio)
+        for m in (0.5, 0.8, 1.0):
+            f = make_function({"family": "pow", "params": (1.0, 1.5, 0.0)}, m, iv)
+            window = (iv.a, iv.b / m)
+            for s in (0.25, 0.5, 0.75, 1.0):
+                for q in (1.0, 1.5, 2.0, 3.0):
+                    params = SMParams(s, m, q)
+                    coarse = certify_gradient(f, params, window, 48).passed
+                    assert certify_gradient(f, params, window, 64).passed == coarse, (ratio, m, s, q)
+                    verdicts.add(coarse)
+    assert verdicts == {True, False}

@@ -136,7 +136,7 @@ NO_FINDING = _sha(json.dumps(None))
 UNCERTIFIED_SEARCH = {
     "HH": NO_FINDING,
     "HarmHH": NO_FINDING,
-    "II1": "d5e06a425e30e9514736464a656bb55c278d6ed70f5137ecc986941cb1f70a26",
+    "II1": "c8c66bad2b02ee27dd3f91663a1089e8b450f1376904bdd984c4e8925a17322f",
     "I1": NO_FINDING,
     "I2": NO_FINDING,
     "FS1": NO_FINDING,

@@ -77,6 +77,16 @@ class TestEvalAndDeriv:
         with pytest.raises(DomainError):
             eval_fn(f, np.array([1.5, 2.5]))
 
+    @pytest.mark.parametrize("x", [0.5, 3.0])
+    def test_scalar_and_array_arguments_share_the_domain_message(self, x):
+        f = FunctionSpec.power(1, 2, 0, 1.0, 2.0)
+        messages = set()
+        for arg in (x, np.float64(x), np.array([x])):
+            with pytest.raises(DomainError) as exc:
+                eval_fn(f, arg)
+            messages.add(str(exc.value))
+        assert messages == {f"argument range [{x}, {x}] leaves the domain [1.0, 2.0] of pow(1,2,0)"}
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(DomainError):
             FunctionSpec.power(1, 2, 0, -1.0, 2.0)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hhkit import bounds
+from hhkit import bounds, harness
 from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ParameterError
 from hhkit.harness import (
@@ -200,13 +200,34 @@ class TestDeterminism:
         assert a == b
         assert render_report_csv(run_sweep(cfg)) == render_report_csv(run_sweep(cfg))
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        cfg = single_instance_config(theorems=("II1", "II3"), s_grid=(0.5, 1.0), q_grid=(1.0, 2.0))
-        monkeypatch.setenv("HHKIT_THREADS", "1")
-        serial = render_report_json(run_sweep(cfg))
-        monkeypatch.setenv("HHKIT_THREADS", "4")
-        threaded = render_report_json(run_sweep(cfg))
-        assert serial == threaded
+
+class TestProgress:
+    def test_called_once_per_instance_in_plan_order(self, monkeypatch):
+        # pow exponent 1.5 at m = 0.8 fails some gradient certifications
+        # (skips), and II1 at s = 0.5 is made to raise (EvaluationErrors), so
+        # every outcome of an instance reports its progress
+        cfg = single_instance_config(
+            theorems=("II1", "II2"),
+            families=({"family": "pow", "params": (1.0, 1.5, 0.0)},),
+            s_grid=(0.5, 1.0),
+            m_grid=(0.8, 1.0),
+            q_grid=(1.0, 2.0),
+        )
+        real_verify = bounds.verify_theorem
+
+        def verify(theorem, f, params, *args, **kwargs):
+            if theorem == "II1" and params.s == 0.5:
+                raise ValueError("injected")
+            return real_verify(theorem, f, params, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "verify_theorem", verify)
+        calls = []
+        res = run_sweep(cfg, progress=lambda done, total: calls.append((done, total)))
+        errors = sum(f.kind == "EvaluationError" for f in res.findings)
+        n = len(res.records) + len(res.skipped) + errors
+        assert len(res.records) and len(res.skipped) and errors
+        assert n == len(_instance_plan(cfg))
+        assert calls == [(i, n) for i in range(1, n + 1)]
 
 
 class TestSearchCounterexample:
@@ -296,6 +317,37 @@ class TestSearchCounterexample:
             "II2", f, SMParams(rec["s"], rec["m"], rec["q"]), iv, enforce_certification=False
         )
         assert again.margin == pytest.approx(rec["margin"], rel=1e-12)
+
+
+class TestShrink:
+    """The shrink bisects ``ratio`` and the parameters the theorem takes, 20
+    trials each, and leaves the other drawn values as they are."""
+
+    @pytest.mark.parametrize("theorem, trials", [("II1", 60), ("HH", 20), ("II2", 80)])
+    def test_trials_per_theorem(self, theorem, trials, monkeypatch):
+        calls = []
+        real = harness._search_instance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_search_instance", counted)
+        point = {"a": 1.0, "ratio": 2.0, "s": 0.5, "m": 0.5, "q": 2.0}
+        boundary = harness._shrink(theorem, AFFINE_ONLY[0], point, 24, False)
+        assert len(calls) == trials
+        row = bounds.THEOREMS[theorem]
+        for name in "smq":
+            if name not in row.takes:
+                assert boundary[name] == point[name]
+
+    def test_ii1_boundary_keeps_the_drawn_q(self):
+        finding = search_counterexample(
+            "II1", budget=6, seed=11, families=({"family": "pow", "params": (1.0, 0.5, 0.0)},),
+            m_range=(0.1, 0.6), enforce_certification=False,
+        )
+        assert finding is not None
+        assert finding.payload["boundary_parameters"]["q"] == finding.payload["worst_parameters"]["q"]
 
 
 BUILDERS = ("coeff_lambda", "coeff_mu", "coeff_C", "coeff_rho", "coeff_nu")
