@@ -535,7 +535,13 @@ def ii1_substitution_means(f: FunctionSpec, iv: Interval, quad: QuadSpec = DEFAU
 
 
 def lemma_residual(f: FunctionSpec, iv: Interval, quad: QuadSpec = TIGHT_QUADSPEC) -> float:
-    """|LHS - RHS| of the trapezoid-minus-mean integral identity.
+    """|LHS - RHS| of the trapezoid-minus-mean integral identity (see ``_lemma_sides``)."""
+    lhs, rhs = _lemma_sides(f, iv, quad)
+    return abs(lhs - rhs)
+
+
+def _lemma_sides(f: FunctionSpec, iv: Interval, quad: QuadSpec = TIGHT_QUADSPEC) -> tuple[float, float]:
+    """Both sides of the trapezoid-minus-mean integral identity.
 
     LHS = (f(a)+f(b))/2 - harmonic mean of f; RHS = ab(b-a)/2 *
     int_0^1 (1-2t) (tb+(1-t)a)^(-2) f'(ab/(tb+(1-t)a)) dt, the kernel
@@ -551,7 +557,7 @@ def lemma_residual(f: FunctionSpec, iv: Interval, quad: QuadSpec = TIGHT_QUADSPE
         return (1.0 - 2.0 * t) / (denom * denom) * deriv(f, a * b / denom)
 
     rhs = 0.5 * a * b * (b - a) * integrate(integrand, 0.0, 1.0, quad)
-    return abs(lhs - rhs)
+    return lhs, rhs
 
 
 def verify_bound(

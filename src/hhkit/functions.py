@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 CHECK_SLACK = 1e-12
+_SLACK_SCALE = 64.0 * np.finfo(float).eps  # the relative slack: 64 ulps of the local value scale
+# Points per slab of the grid check's row stage: at grid 48 six x rows, whose
+# two buffers stay in L2 between passes; at grid 24 the whole mesh.
+_SLAB_POINTS = 2**14
 _DOMAIN_SLACK = 1e-9  # relative; absorbs rounding of combined points at window edges
 
 FAMILIES = ("pow", "spiece", "recip", "affine", "exp")
@@ -297,34 +301,62 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
     x, y, t, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
                                   None if window is None else tuple(window))
     if gradient:
-        fx, fy, fpts = fx**f.q, fy**f.q, fpts**f.q
+        fx, fy = fx**f.q, fy**f.q
     lhs_w = t**params.s * fx
     rhs_w = params.m * (1.0 - t) ** params.s * fy
-    # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, in two
-    # full-mesh buffers; the order of operations fixes every float of the
-    # reports, so keep it.
     shape = np.broadcast_shapes(np.shape(fpts), lhs_w.shape, rhs_w.shape)
-    margin = np.add(lhs_w, rhs_w, out=np.empty(shape))
-    np.subtract(fpts, margin, out=margin)
-    # 1e-12 absolute slack at the equality rows, widened with the local value
-    # scale: rounding in f and the weighted sum grows with the magnitudes.
-    excess = np.add(np.abs(lhs_w), np.abs(rhs_w), out=np.empty(shape))
-    excess += np.abs(fpts, out=fpts) if gradient else np.abs(fpts)
-    np.multiply(64.0 * np.finfo(float).eps, excess, out=excess)
-    np.maximum(CHECK_SLACK, excess, out=excess)
-    np.subtract(margin, excess, out=excess)
-    worst_flat = int(np.argmax(excess))
-    i, j, k = np.unravel_index(worst_flat, margin.shape)
-    worst = float(margin[i, j, k])
+    # a bare callable may return a scalar; slabs slice the first axis
+    fpts = np.broadcast_to(fpts, shape)
+    lhs_w = np.broadcast_to(lhs_w, shape[:1] + lhs_w.shape[1:])
+    if not gradient:
+        abs_lhs, abs_rhs = np.abs(lhs_w), np.abs(rhs_w)
+    # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, one slab of
+    # x rows at a time in two per-call buffers that stay in cache; the order
+    # of operations fixes every float of the reports, so keep it.
+    row_points = shape[1] * shape[2]
+    rows = min(shape[0], max(1, _SLAB_POINTS // row_points))
+    total = np.empty((rows,) + shape[1:])
+    margin = np.empty_like(total)
+    best = None
+    for r0 in range(0, shape[0], rows):
+        n = min(rows, shape[0] - r0)
+        slab = slice(r0, r0 + n)
+        tot, mar = total[:n], margin[:n]
+        fb = fpts[slab]
+        if gradient:
+            fb = fb**f.q
+        np.add(lhs_w[slab], rhs_w, out=tot)
+        np.subtract(fb, tot, out=mar)
+        # 1e-12 absolute slack at the equality rows, widened with the local
+        # value scale: rounding in f and the weighted sum grows with the
+        # magnitudes.  Every gradient term is >= 0, so there
+        # |lhs_w| + |rhs_w| is the sum already in ``tot``, bit for bit.
+        if gradient:
+            tot += fb
+        else:
+            np.add(abs_lhs[slab], abs_rhs, out=tot)
+            tot += np.abs(fb)
+        np.multiply(_SLACK_SCALE, tot, out=tot)
+        np.maximum(CHECK_SLACK, tot, out=tot)
+        np.subtract(mar, tot, out=tot)
+        flat = int(np.argmax(tot))
+        excess = float(tot.flat[flat])
+        # The first maximum wins, and a NaN beats everything, as in one
+        # argmax over the whole mesh.
+        if best is None or excess > best[0] or math.isnan(excess):
+            best = (excess, float(mar.flat[flat]), np.unravel_index(r0 * row_points + flat, shape))
+        if math.isnan(excess):
+            break
+    excess, worst, (i, j, k) = best
     witness = (float(x[i, 0, 0]), float(y[0, j, 0]), float(t[0, 0, k]))
     diagnostics = []
     if params.s == 0.0:
         diagnostics.append("s=0 is outside the definitional range (0,1]; theorem-driver extension")
     return CheckReport(
-        passed=bool(float(excess[i, j, k]) <= 0.0),
+        passed=excess <= 0.0,
         worst_margin=worst,
         witness=witness,
-        samples=int(margin.size),
+        samples=math.prod(shape),
         diagnostics=tuple(diagnostics),
     )
 

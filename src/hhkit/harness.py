@@ -304,13 +304,15 @@ def _shrink(theorem: str, fam: dict, point: dict, grid: int, enforce: bool) -> d
 
     Anchors: m -> 1, s -> 1, q -> 1 (or just above for q>1 theorems), ratio -> 1+.
     20 steps per parameter localize the violation boundary to ~1e-6 of range.
-    Parameters the theorem does not take keep their drawn values.
+    Parameters the theorem does not take keep their drawn values, and so does
+    one already at its anchor (s = m = 1 for I1/I2, m = 1 for FS1/FS2): every
+    trial would repeat the current point.
     """
     row = bounds.THEOREMS[theorem]
     anchors = {"m": 1.0, "s": 1.0, "q": 1.5 if row.q_above_one else 1.0, "ratio": 1.05}
     current = dict(point)
     for name, anchor in anchors.items():
-        if name != "ratio" and name not in row.takes:
+        if (name != "ratio" and name not in row.takes) or current[name] == anchor:
             continue
         lo_bad = current[name]
         hi_good = anchor

@@ -44,7 +44,10 @@ _SERIES_Z_CAP = 1.0 - 1e-6
 
 # The integral path must beat the 1e-9 series agreement with room to spare and
 # hit 1 +- 1e-12 at z = 0, so it runs two orders tighter than the default rule.
-_EULER_QUADSPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
+# The absolute floor is per half: two halves within 1e-15 each keep the z = 0
+# ratio within 1.2e-13 of 1 down to B(4, 3) = 1/60.  A floor of 1e-13 let a
+# 1.3e-12 error through at b = c - b = 2.52.
+_EULER_QUADSPEC = QuadSpec(abs_tol=1e-15, rel_tol=1e-12)
 
 
 def ln_gamma(x: float) -> float:
@@ -126,7 +129,10 @@ def euler_integral(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> float:
     1 - t = v^k on the right, turning t^(b-1) dt into k u^(kb-1) du.  k = 2
     suffices for exponents >= 1/2; smaller b or c - b raise k until the
     transformed integrand vanishes at the endpoint, so the adaptive rule
-    certifies its tolerance for every b, c - b > 0.
+    certifies its tolerance for every b, c - b > 0.  Each half starts from two
+    panels: on a single one the 7- and 15-point rules can agree by accident
+    (an error estimate of 3e-16 against a true error of 3e-14 at b = 2.86,
+    c - b = 2.29) and the rule stops at once.
     """
     a, b, c, z = args.a_param, args.b_param, args.c_param, args.z
     cb = c - b
@@ -141,8 +147,9 @@ def euler_integral(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> float:
         t = 1.0 - v**k_right
         return k_right * v ** (k_right * cb - 1.0) * t ** (b - 1.0) * (1.0 - z * t) ** (-a)
 
-    return integrate(left, 0.0, 0.5 ** (1.0 / k_left), spec) + integrate(
-        right, 0.0, 0.5 ** (1.0 / k_right), spec
+    hi_left, hi_right = 0.5 ** (1.0 / k_left), 0.5 ** (1.0 / k_right)
+    return integrate(left, 0.0, hi_left, spec.with_splits(0.5 * hi_left)) + integrate(
+        right, 0.0, hi_right, spec.with_splits(0.5 * hi_right)
     )
 
 

@@ -99,12 +99,12 @@ GOLDEN = {
     "search-II2": (0, "fb60bf62592496f2842cb0e27ac04de324094644e7ad92d2a335d85681fc409c", EMPTY),
     "search-II3": (0, "22002efcfb0403f5857386aa37fd12a71301d89341333307c89d5a64e9849120", EMPTY),
     "search-II4": (0, "94e3dc0817fc3c30bb759f369a927e47d8d3c9bb0ef30aedd85b6f2b4436040a", EMPTY),
-    "reductions-json": (0, "9fd2df916d90a586631d20b32af9bed8985fc9fb6ec03a0fca0c372aaeb97df1", EMPTY),
-    "reductions-csv": (0, "fa676333e3a9a14ecc39e63022f2a0df6c8cb563021888038d3e3e499b8f5d31", EMPTY),
-    "reductions-text": (0, "3ee0b7bd2d91564cd4594ddd866810e158949c3664686a70b667a2371ed6d721", EMPTY),
+    "reductions-json": (0, "0a8d00cfe900ece711d1762361513859175fc966f06ff60a19b124b99532ae10", EMPTY),
+    "reductions-csv": (0, "895026e9561dbf86fb2d6a32fbbb8706005a18804796963a287ec7b7871b5271", EMPTY),
+    "reductions-text": (0, "2349aa53edafa746c2817d29062cbd100c282a2e77cf6d4e16fd61292ccffe6f", EMPTY),
     "coeffs-lambda": (0, "ebc51c0d318c665507b6d9c8d4c8ba88493dfe89998710f2180e1954cb8365a6", EMPTY),
     "coeffs-mu": (0, "a8dacbea989ebc9c02e201e4a6e68680613ab0ad9c23a83e8ca832543f6fd95b", EMPTY),
-    "coeffs-c": (0, "2e0777ece911289983915e19bde73c313ac7dc81af89e2c21c40c82ba6bb8493", EMPTY),
+    "coeffs-c": (0, "09ca65cb9e9868d77dca2e1f17e30dbd5ae72a2dc9090d56ad033abc7123d40f", EMPTY),
     "coeffs-rho": (0, "64e6e692a9d47d45898f9d70e7ced5a9189fcc9d64a59e58e6d2cbfd03e091fc", EMPTY),
     "coeffs-nu": (0, "ef67581ffdca84bb4957d8567f08edb619d3b669751b246b60b2c3bfb69a48af", EMPTY),
 }

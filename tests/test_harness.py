@@ -321,9 +321,12 @@ class TestSearchCounterexample:
 
 class TestShrink:
     """The shrink bisects ``ratio`` and the parameters the theorem takes, 20
-    trials each, and leaves the other drawn values as they are."""
+    trials each, and leaves the other drawn values, and those already at
+    their anchor, as they are."""
 
-    @pytest.mark.parametrize("theorem, trials", [("II1", 60), ("HH", 20), ("II2", 80)])
+    @pytest.mark.parametrize("theorem, trials", [
+        ("II1", 60), ("HH", 20), ("II2", 80), ("I1", 40), ("I2", 40), ("FS1", 60), ("FS2", 60),
+    ])
     def test_trials_per_theorem(self, theorem, trials, monkeypatch):
         calls = []
         real = harness._search_instance
@@ -333,12 +336,18 @@ class TestShrink:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "_search_instance", counted)
+        # the point as a search draws it: the values a row fixes sit at their
+        # anchors, where bisecting 1 toward 1 would only repeat the point
+        row = bounds.THEOREMS[theorem]
         point = {"a": 1.0, "ratio": 2.0, "s": 0.5, "m": 0.5, "q": 2.0}
+        if row.unit_sm:
+            point["s"] = 1.0
+        if row.unit_sm or row.unit_m:
+            point["m"] = 1.0
         boundary = harness._shrink(theorem, AFFINE_ONLY[0], point, 24, False)
         assert len(calls) == trials
-        row = bounds.THEOREMS[theorem]
         for name in "smq":
-            if name not in row.takes:
+            if name not in row.takes or point[name] == 1.0:
                 assert boundary[name] == point[name]
 
     def test_ii1_boundary_keeps_the_drawn_q(self):
