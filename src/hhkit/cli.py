@@ -174,6 +174,7 @@ def _cmd_coeffs(args) -> tuple[int, str]:
 
 def _cmd_verify(args) -> tuple[int, str]:
     iv = _interval(args)
+    harness.check_grid(args.grid)
     params = SMParams(args.s, args.m, args.q)
     f = _build_function(args, params.m, iv)
 

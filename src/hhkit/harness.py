@@ -75,6 +75,12 @@ class Finding:
         }
 
 
+def check_grid(grid: int) -> None:
+    """Reject a certification grid density below 8 (a mesh too coarse to certify)."""
+    if grid < 8:
+        raise ParameterError(f"certification grid density must be >= 8, got {grid}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     theorems: tuple[str, ...]
@@ -105,8 +111,7 @@ class SweepConfig:
         for q in self.q_grid:
             if q < 1.0:
                 raise ParameterError(f"q grid values must be >= 1, got {q}")
-        if self.grid < 8:
-            raise ParameterError(f"certification grid density must be >= 8, got {self.grid}")
+        check_grid(self.grid)
         for fam in self.families:
             # instantiating on a probe interval surfaces bad names/arity at
             # config-parse time instead of mid-sweep

@@ -78,6 +78,10 @@ _EPS = np.finfo(float).eps
 _ERR_FLOOR = 50.0 * _EPS
 _RESABS_FLOOR = np.finfo(float).tiny / _ERR_FLOOR
 _MAX_INTERVALS = 20_000
+# Generations below each end of a bisected panel evaluated with its children
+# (see _ladder): one integrand call then serves up to this many further
+# bisections of a chain running toward that end.
+_LADDER_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -111,21 +115,9 @@ DEFAULT_QUADSPEC = QuadSpec()
 TIGHT_QUADSPEC = QuadSpec(abs_tol=1e-14, rel_tol=5e-14)
 
 
-def _gk15(fx: np.ndarray, abs_fx: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """One Kronrod-15 panel's statistics from its 15 integrand values and their
-    absolute values: returns (integral estimate, error estimate).
-
-    ``ndarray.dot`` on two contiguous 15-vectors is the same BLAS ``ddot`` call
-    as ``@``.  A batched ``(k, 15) @ (15,)`` product (``gemv``) is not: it
-    differs from ``ddot`` in the last bit on about half of random rows, so each
-    panel keeps its own four dot products.
-    """
-    half = 0.5 * (hi - lo)
-    resk = half * float(_WGK.dot(fx))
-    resg = half * float(_WG15.dot(fx))
-    resabs = half * float(_WGK.dot(abs_fx))
-    mean = resk / (hi - lo)
-    resasc = half * float(_WGK.dot(np.abs(fx - mean)))
+def _gk15(resk: float, resg: float, resabs: float, resasc: float) -> tuple[float, float]:
+    """One Kronrod-15 panel's (integral estimate, error estimate) from its four
+    weighted sums (see :func:`_panel_sums`): QUADPACK's dqk15 error formula."""
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -134,19 +126,55 @@ def _gk15(fx: np.ndarray, abs_fx: np.ndarray, lo: float, hi: float) -> tuple[flo
     return resk, err
 
 
-def _panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float]) -> list[tuple[float, float]]:
-    """GK15 statistics of each panel between consecutive ``edges``.
+def _panel_sums(
+    f: Callable[[np.ndarray], np.ndarray], panels: list[tuple[float, float]]
+) -> list[tuple[float, float, float, float]]:
+    """The weighted sums (resk, resg, resabs, resasc) of each ``(lo, hi)`` panel.
 
     The integrand is called once, on the nodes of every panel laid end to end:
     on 15-element arrays numpy's per-call overhead, not the arithmetic, is what
     a panel costs.  Each panel's nodes are ``center + half * _NODES``, computed
-    elementwise exactly as a single panel would compute them.
+    elementwise exactly as a single panel would compute them.  ``np.vecdot``
+    runs one BLAS ``ddot`` per row, the same kernel and summation order as
+    ``ndarray.dot`` on one row; a batched ``(k, 15) @ (15,)`` product (``gemv``)
+    is not, and differs from ``ddot`` in the last bit on about half of random
+    rows.
     """
-    e = np.array(edges, dtype=float)
-    lo, hi = e[:-1, None], e[1:, None]
-    fx = f((0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES).ravel())
-    rows = zip(fx.reshape(-1, 15), np.abs(fx).reshape(-1, 15), edges[:-1], edges[1:])
-    return [_gk15(*row) for row in rows]
+    lo, hi = np.array(panels, dtype=float).T
+    half = 0.5 * (hi - lo)
+    fx = f(((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+    resk = half * np.vecdot(fx, _WGK)
+    resg = half * np.vecdot(fx, _WG15)
+    resabs = half * np.vecdot(np.abs(fx), _WGK)
+    resasc = half * np.vecdot(np.abs(fx - (resk / (hi - lo))[:, None]), _WGK)
+    return list(zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()))
+
+
+def _ladder(a: float, b: float, levels: int) -> list[tuple[float, float]]:
+    """The two children of ``[a, b]``, then the children of its outermost
+    descendant at each end, ``levels`` generations down.
+
+    Adaptive bisection toward an endpoint singularity or a pre-split kink pops
+    a child of the panel it popped before, so these are the panels such a chain
+    asks for next.  A descent stops where its midpoint rounds onto an endpoint.
+    """
+    mid = 0.5 * (a + b)
+    panels = [(a, mid), (mid, b)]
+    lo, hi = a, mid
+    for _ in range(levels):
+        m = 0.5 * (lo + hi)
+        if not lo < m < hi:
+            break
+        panels += [(lo, m), (m, hi)]
+        hi = m
+    lo, hi = mid, b
+    for _ in range(levels):
+        m = 0.5 * (lo + hi)
+        if not lo < m < hi:
+            break
+        panels += [(lo, m), (m, hi)]
+        lo = m
+    return panels
 
 
 def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -179,6 +207,11 @@ def integrate(
     its bound) when every subinterval has reached ``max_depth`` or the interval
     budget is exhausted without certifying the tolerance, and when the estimate
     or its bound is not finite.
+
+    A bisection whose children were not evaluated yet evaluates them together
+    with the look-ahead panels of :func:`_ladder`, in one integrand call; the
+    result is the same, bit for bit, as evaluating each bisection's two
+    children when it happens.
     """
     if not lo < hi:
         raise DomainError(f"integration requires lo < hi, got [{lo}, {hi}]")
@@ -190,12 +223,17 @@ def integrate(
     counter = 0
     total_val = 0.0
     total_err = 0.0
-    for a, b, (val, err) in zip(edges[:-1], edges[1:], _panels(fv, edges)):
+    panels = list(zip(edges[:-1], edges[1:]))
+    for (a, b), sums in zip(panels, _panel_sums(fv, panels)):
+        val, err = _gk15(*sums)
         total_val += val
         total_err += err
         heapq.heappush(heap, (-err, counter, a, b, val, err, 0))
         counter += 1
 
+    # Sums of look-ahead panels not yet consumed, by (lo, hi).  A sum depends
+    # only on its panel, so a panel reached again reads the same values.
+    ahead: dict[tuple[float, float], tuple[float, float, float, float]] = {}
     n_intervals = len(edges) - 1
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
         # Drop exhausted intervals from the refinement pool; their error stays
@@ -211,7 +249,13 @@ def integrate(
             )
         _, _, a, b, val, err, depth = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = _panels(fv, [a, mid, b])
+        left, right = ahead.pop((a, mid), None), ahead.pop((mid, b), None)
+        if left is None or right is None:
+            ladder = _ladder(a, b, min(_LADDER_LEVELS, spec.max_depth - depth - 1))
+            sums = _panel_sums(fv, ladder)
+            left, right = sums[0], sums[1]
+            ahead.update(zip(ladder[2:], sums[2:]))
+        (v1, e1), (v2, e2) = _gk15(*left), _gk15(*right)
         total_val += v1 + v2 - val
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, counter, a, mid, v1, e1, depth + 1))

@@ -142,6 +142,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "satisfied" in out
 
+    @pytest.mark.parametrize("grid", ["0", "-1", "7"])
+    def test_grid_below_eight_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--theorem", "II2", "--family", "pow", "--exp", "2",
+                             "--a", "1", "--b", "2", "--s", "0.5", "--m", "0.8", "--q", "2", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert f"certification grid density must be >= 8, got {grid}" in err
+
+    def test_grid_eight_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "--theorem", "II2", "--family", "pow", "--exp", "2",
+                           "--a", "1", "--b", "2", "--s", "0.5", "--m", "0.8", "--q", "2", "--grid", "8")
+        assert code == 0
+        assert out.endswith(" satisfied\n")
+
     def test_unknown_theorem_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--theorem", "nope", "--family", "pow", "--a", "1", "--b", "2"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhkit import quadrature, specfun
+from hhkit import bounds, harness, quadrature, specfun
+from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ToleranceNotMetError
 from hhkit.quadrature import (
     _EPS,
@@ -255,16 +256,17 @@ def _ref_integrate(f, lo, hi, spec=QuadSpec()):
     return total_val
 
 
-def _recorded_integrals(monkeypatch, module, compute):
+def _recorded_integrals(monkeypatch, modules, compute):
     """The (integrand, lo, hi, spec) of every integrate call ``compute`` makes
-    through ``module``."""
+    through ``modules``."""
     calls = []
 
     def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
         calls.append((f, lo, hi, spec))
         return integrate(f, lo, hi, spec)
 
-    monkeypatch.setattr(module, "integrate", record)
+    for module in modules:
+        monkeypatch.setattr(module, "integrate", record)
     compute()
     monkeypatch.undo()
     assert calls
@@ -294,14 +296,14 @@ class TestBitIdentity:
     )
     def test_euler_integrands(self, monkeypatch, a, b, c, z):
         args = Hyp2F1Args(a, b, c, z)
-        calls = _recorded_integrals(monkeypatch, specfun, lambda: specfun.euler_integral(args))
+        calls = _recorded_integrals(monkeypatch, (specfun,), lambda: specfun.euler_integral(args))
         assert len(calls) == 2  # the left and right halves
         for f, lo, hi, spec in calls:
             assert integrate(f, lo, hi, spec) == _ref_integrate(f, lo, hi, spec)
 
     @pytest.mark.parametrize("fn", [lambda x: x**2, lambda x: 1.0 / x, lambda x: np.exp(-x) * np.sin(7.0 * x)])
     def test_harmonic_mean_integrand(self, monkeypatch, fn):
-        calls = _recorded_integrals(monkeypatch, quadrature, lambda: harmonic_mean_integral(fn, 0.3, 3.0))
+        calls = _recorded_integrals(monkeypatch, (quadrature,), lambda: harmonic_mean_integral(fn, 0.3, 3.0))
         for f, lo, hi, spec in calls:
             assert integrate(f, lo, hi, spec) == _ref_integrate(f, lo, hi, spec)
 
@@ -340,3 +342,159 @@ class TestBitIdentity:
         except ToleranceNotMetError as exc:
             ref = (exc.estimate, exc.error_bound)
         assert new == ref
+
+
+# ---------------------------------------------------------------------------
+# Look-ahead ladder.  Panels are evaluated before a bisection asks for them but
+# consumed in the reference order, so every result above stays bit-identical;
+# these tests pin the pieces that argument rests on.
+# ---------------------------------------------------------------------------
+
+
+def _outcome(integrator, f, lo, hi, spec):
+    """An integral's value, or its ToleranceNotMetError's estimate, bound and message."""
+    try:
+        return integrator(f, lo, hi, spec)
+    except ToleranceNotMetError as exc:
+        return exc.estimate, exc.error_bound, str(exc)
+
+
+def _counted(f):
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return f(x)
+
+    return counting, calls
+
+
+def test_vecdot_is_one_ddot_per_row():
+    # The batched panel sums rely on np.vecdot running the same ddot per row as
+    # ndarray.dot; a numpy that changes its kernel must fail here rather than
+    # move the last digits of every integral.
+    rng = np.random.default_rng(20261018)
+    rows = rng.standard_normal((4000, 15)) * np.exp(rng.uniform(-30.0, 30.0, (4000, 15)))
+    for w in (_WGK, _WG15):
+        assert np.vecdot(rows, w).tolist() == [w.dot(row) for row in rows]
+
+
+@pytest.mark.parametrize("k", [30, 40, 44])
+def test_ladder_meets_float_resolution(monkeypatch, k):
+    # A 1e6 jump on [1, 1 + 2^-k] refines to panels one or two ulps wide, so
+    # look-ahead midpoints round onto an endpoint long before max_depth.
+    c = 1.0 + math.pi * 2.0 ** -(k + 2)
+
+    def f(x):
+        return np.where(x > c, 1e6, 0.0)
+
+    cut_short = []
+    ladder = quadrature._ladder
+
+    def record(a, b, levels):
+        panels = ladder(a, b, levels)
+        cut_short.append(len(panels) < 2 + 4 * levels)
+        return panels
+
+    monkeypatch.setattr(quadrature, "_ladder", record)
+    spec = QuadSpec()
+    hi = 1.0 + 2.0**-k
+    assert _outcome(integrate, f, 1.0, hi, spec) == _outcome(_ref_integrate, f, 1.0, hi, spec)
+    assert any(cut_short)
+
+
+def test_ladder_stays_within_max_depth(monkeypatch):
+    # max_depth 10 stops the same refinement short of its tolerance: the
+    # look-ahead may not evaluate a panel the loop could never reach, and the
+    # failure reads exactly as the reference's.
+    c = 1.0 + math.pi * 2.0**-32
+    hi = 1.0 + 2.0**-30
+
+    def f(x):
+        return np.where(x > c, 1e6, 0.0)
+
+    widths = []
+    ladder = quadrature._ladder
+
+    def record(a, b, levels):
+        panels = ladder(a, b, levels)
+        widths.extend(b - a for a, b in panels)
+        return panels
+
+    monkeypatch.setattr(quadrature, "_ladder", record)
+    spec = QuadSpec(max_depth=10)
+    new = _outcome(integrate, f, 1.0, hi, spec)
+    assert isinstance(new, tuple)
+    assert new == _outcome(_ref_integrate, f, 1.0, hi, spec)
+    assert min(widths) == (hi - 1.0) / 2**10
+
+
+def _w1_kernel():
+    wfn = _WEIGHT_FNS["W1"]
+    return (lambda t: wfn(t, 0.25) * (t * 2.0 + (1.0 - t) * 1.0) ** -2.0), 0.0, 1.0, QuadSpec(split_points=(0.5,))
+
+
+def _euler_left_half(monkeypatch):
+    # b = 0.3 < 1: the substituted left half still carries u^0.5 at u = 0.
+    args = Hyp2F1Args(1.5, 0.3, 2.0, 0.7)
+    return _recorded_integrals(monkeypatch, (specfun,), lambda: specfun.euler_integral(args))[0]
+
+
+@pytest.mark.parametrize("case", ["W1 kernel s=0.25", "Euler left half b=0.3"])
+def test_ladder_saves_integrand_calls(monkeypatch, case):
+    f, lo, hi, spec = _w1_kernel() if case.startswith("W1") else _euler_left_half(monkeypatch)
+    ref_f, ref_calls = _counted(f)
+    ref = _ref_integrate(ref_f, lo, hi, spec)
+    panels = ref_calls[0]  # the reference calls the integrand once per panel
+    bisections = (panels - (len(spec.split_points) + 1)) // 2
+
+    gk15_calls = [0]
+    gk15 = quadrature._gk15
+
+    def counting_gk15(*sums):
+        gk15_calls[0] += 1
+        return gk15(*sums)
+
+    monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
+    new_f, new_calls = _counted(f)
+    assert integrate(new_f, lo, hi, spec) == ref
+    assert gk15_calls[0] == panels
+    assert bisections > 0
+    assert new_calls[0] < bisections
+
+
+# Slow lane: replay every integral of an adjudication report and of two
+# searches against the reference loop.
+
+_INTEGRATING_MODULES = (quadrature, specfun, bounds)
+
+
+def _clear_value_caches():
+    for cached in (quadrature._kernel_K_cached, bounds._f21_cached, bounds.coeff_lambda, bounds.coeff_mu,
+                   bounds.coeff_C, bounds.coeff_rho, bounds.coeff_nu):
+        cached.cache_clear()
+    bounds.clear_certification_cache()
+
+
+def _assert_replay_bit_identical(monkeypatch, compute):
+    _clear_value_caches()
+    try:
+        calls = _recorded_integrals(monkeypatch, _INTEGRATING_MODULES, compute)
+    finally:
+        _clear_value_caches()
+    for f, lo, hi, spec in calls:
+        assert _outcome(integrate, f, lo, hi, spec) == _outcome(_ref_integrate, f, lo, hi, spec)
+
+
+@pytest.mark.slow
+def test_adjudication_report_integrals_replay(monkeypatch):
+    rng = np.random.default_rng(11)
+    intervals = [Interval(a, a * r) for a, r in zip(rng.uniform(0.5, 3.0, 3).tolist(),
+                                                     rng.uniform(1.1, 10.0, 3).tolist())]
+    _assert_replay_bit_identical(monkeypatch, lambda: harness.build_adjudication_report(intervals))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem", ["II2", "II4"])
+def test_search_integrals_replay(monkeypatch, theorem):
+    _assert_replay_bit_identical(monkeypatch, lambda: harness.search_counterexample(theorem, 100, seed=7))
