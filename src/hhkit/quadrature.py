@@ -160,20 +160,13 @@ def _ladder(a: float, b: float, levels: int) -> list[tuple[float, float]]:
     """
     mid = 0.5 * (a + b)
     panels = [(a, mid), (mid, b)]
-    lo, hi = a, mid
-    for _ in range(levels):
-        m = 0.5 * (lo + hi)
-        if not lo < m < hi:
-            break
-        panels += [(lo, m), (m, hi)]
-        hi = m
-    lo, hi = mid, b
-    for _ in range(levels):
-        m = 0.5 * (lo + hi)
-        if not lo < m < hi:
-            break
-        panels += [(lo, m), (m, hi)]
-        lo = m
+    for lo, hi, toward_lo in ((a, mid, True), (mid, b, False)):
+        for _ in range(levels):
+            m = 0.5 * (lo + hi)
+            if not lo < m < hi:
+                break
+            panels += [(lo, m), (m, hi)]
+            lo, hi = (lo, m) if toward_lo else (m, hi)
     return panels
 
 
