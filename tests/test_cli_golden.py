@@ -1,6 +1,9 @@
 """Golden CLI outputs, pinned before the theorem table replaced the per-module
-dispatch.  Each case pins the sha256 of stdout and of stderr and the exit code;
-a change to any of them is a behaviour change and must be declared as one.
+dispatch; the csv and text cases, the missing-flag errors, ``specfun`` and
+``sweep`` were pinned before one renderer and the printed-set table replaced
+the per-command format branches.  Each case pins the sha256 of stdout and of
+stderr and the exit code; a change to any of them is a behaviour change and
+must be declared as one.
 
 The uncertified searches pin what the CLI cannot reach: the order of the
 random draws, the per-theorem overrides and the shrink toward the boundary.
@@ -17,6 +20,11 @@ from hhkit.harness import search_counterexample
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 V = ["verify", "--family", "pow", "--a", "1", "--b", "2", "--format", "json"]
+C = ["coeffs", "--a", "1", "--b", "2"]
+SET_FLAGS = {"lambda": [], "mu": ["--q", "2"], "c": ["--s", "0.5"], "rho": ["--s", "0.5", "--q", "2"],
+             "nu": ["--s", "0.5", "--q", "2"]}
+SPECFUN = {"2f1": ["--fn", "2f1", "--a", "1", "--b", "1.5", "--c", "2.5", "--z", "0.3"],
+           "beta": ["--fn", "beta", "--x", "1.5", "--y", "0.5"]}
 
 CASES = {
     "verify-HH": V + ["--theorem", "HH"],
@@ -62,6 +70,18 @@ CASES = {
                    "--format", "json"],
     "coeffs-nu": ["coeffs", "--set", "nu", "--s", "0.5", "--q", "2", "--a", "1", "--b", "2",
                   "--format", "json"],
+    **{f"coeffs-{name}-{fmt}": C + ["--set", name, *flags, "--format", fmt]
+       for name, flags in SET_FLAGS.items() for fmt in ("csv", "text")},
+    **{f"coeffs-missing-{name}": C + ["--set", name] for name in ("mu", "c", "rho", "nu")},
+    "coeffs-missing-rho-q": C + ["--set", "rho", "--s", "0.5"],
+    "verify-Lemma-csv": V[:-1] + ["csv", "--theorem", "Lemma", "--exp", "3"],
+    "verify-Lemma-text": V[:-2] + ["--theorem", "Lemma", "--exp", "3"],
+    "verify-II1-csv": V[:-1] + ["csv", "--theorem", "II1", "--s", "0.5", "--m", "0.8"],
+    "verify-II1-text": V[:-2] + ["--theorem", "II1", "--s", "0.5", "--m", "0.8"],
+    **{f"search-II1-{fmt}": ["search", "--theorem", "II1", "--budget", "4", "--seed", "7", "--format", fmt]
+       for fmt in ("csv", "text")},
+    **{f"specfun-{fn}-{fmt}": ["specfun", *flags, "--format", fmt]
+       for fn, flags in SPECFUN.items() for fmt in ("json", "csv", "text")},
 }
 
 GOLDEN = {
@@ -107,6 +127,33 @@ GOLDEN = {
     "coeffs-c": (0, "09ca65cb9e9868d77dca2e1f17e30dbd5ae72a2dc9090d56ad033abc7123d40f", EMPTY),
     "coeffs-rho": (0, "64e6e692a9d47d45898f9d70e7ced5a9189fcc9d64a59e58e6d2cbfd03e091fc", EMPTY),
     "coeffs-nu": (0, "ef67581ffdca84bb4957d8567f08edb619d3b669751b246b60b2c3bfb69a48af", EMPTY),
+    "coeffs-lambda-csv": (0, "85e1d76a6ca5b28972fc07cfeaa4bb868708089cdf95248831a9941d586c80af", EMPTY),
+    "coeffs-lambda-text": (0, "cd95de6638576c8a71ad88c6c2c01eb5cee6b2412adda3f10441175a3b6b78bf", EMPTY),
+    "coeffs-mu-csv": (0, "97ac6efb2aa375ef6cabae899bc6e0252a5b302d5e27f491a2fd051c11ac04b7", EMPTY),
+    "coeffs-mu-text": (0, "e2322ba20409bef89c402db529f7f55c531eecba8f3810697df47b247610880b", EMPTY),
+    "coeffs-c-csv": (0, "a98fa64bf7dc94f04697928616d2ccb0ae191fa9c7e2fa7e72953db5de82f5bd", EMPTY),
+    "coeffs-c-text": (0, "22c1d4ab5ab712ee573f9fb328880e20e09d8d35b631c1ff2e553da19dabe929", EMPTY),
+    "coeffs-rho-csv": (0, "bde955d7fc414d1c567c7cab32d3a85f6e102ca19742cd2f9637a1c7a0da0edd", EMPTY),
+    "coeffs-rho-text": (0, "ff250490409709fa00db5a61b32503a4eb07126e1a0eeb8fac072a0cf14f3ac9", EMPTY),
+    "coeffs-nu-csv": (0, "f0d63b4eccd5fc943c91f90820bb92900ed492c5ea880e3b5615a030c2347178", EMPTY),
+    "coeffs-nu-text": (0, "1fd5b4e98c63c9a0f86ee54198d32cd32475509432799dbac9218a9a002c95ca", EMPTY),
+    "coeffs-missing-mu": (2, EMPTY, "37f00d2813c8de03ddda90f6b27600b3eaef428914c6c402a3ff6515e43baa30"),
+    "coeffs-missing-c": (2, EMPTY, "61ec1c978a96fdb3fae20e2f529f3d7862ba832b5729c3b9a71b8ebfebbb8c06"),
+    "coeffs-missing-rho": (2, EMPTY, "c7c7be1fde38519e6492b8e569faf285e24fd67b166ecd63970cee86465806bf"),
+    "coeffs-missing-nu": (2, EMPTY, "552698379b7eb38cf1ca7cdefa39dd2351288c455fe496ceb88ca51013677fd9"),
+    "coeffs-missing-rho-q": (2, EMPTY, "c7c7be1fde38519e6492b8e569faf285e24fd67b166ecd63970cee86465806bf"),
+    "verify-Lemma-csv": (0, "597074231a32867c5f5aa937058e11ab258fa9a066ff06cfbc9b30379cd6f325", EMPTY),
+    "verify-Lemma-text": (0, "ebe1c9bd340be423e087bd61e738bf883c7ff60f530f4b895b6ba10692481cf1", EMPTY),
+    "verify-II1-csv": (0, "4feefc54cc2208905ced7c94ed47ae82f0615982aaeb43df99586799b685dc56", EMPTY),
+    "verify-II1-text": (0, "c6531c60a5093853af79fdc6c475301e767051558909500515f350a98c39ff95", EMPTY),
+    "search-II1-csv": (0, "e47f28baff80618e46fb642aafb164e42850913e6107a415991e4ae21e51f7f8", EMPTY),
+    "search-II1-text": (0, "804a29d5eda18a6203cf4eeb8f11a4c1f9fa966851f86a51a3ea16afc61fe9b3", EMPTY),
+    "specfun-2f1-json": (0, "66271b97f8e19f22c6ede9393813c22c728dc8cfefb601d76a5543e62130706b", EMPTY),
+    "specfun-2f1-csv": (0, "ea4eb7be651b827e19cccb9b86fc7f06f3a0d18b09982a396c2bde4ea3c8b184", EMPTY),
+    "specfun-2f1-text": (0, "fcdeb7b4fa2201f20d643b332363c4f707e3efadef71094153aefacd2c5632b3", EMPTY),
+    "specfun-beta-json": (0, "2581a5312254f5a83d6a93fb6c52c0d7cfb147d65b7b5d483e6fcc21ce5189c7", EMPTY),
+    "specfun-beta-csv": (0, "371992a8175dac01f3f4eaec030d1d30d7bcd91dafeadd55f5133b2f57b822d3", EMPTY),
+    "specfun-beta-text": (0, "b63099bb3cbc03965fb201f315421e0d8b2063361d50c3c3b4a4837514c0aa0a", EMPTY),
 }
 
 
@@ -123,6 +170,38 @@ def test_cli_output_is_pinned(name, capsys):
     code = main(list(CASES[name]))
     captured = capsys.readouterr()
     assert (code, _sha(captured.out), _sha(captured.err)) == GOLDEN[name]
+
+
+# A small sweep: a certification skip (exponent 1.5), every route, and both
+# report files, written under relative paths that stdout names.
+SWEEP_CONFIG = {
+    "theorems": ["HH", "HarmHH", "II1", "II2", "II4"],
+    "families": [{"family": "pow", "params": [1.0, 1.5, 0.0]}, {"family": "pow", "params": [1.0, 2.0, 0.0]}],
+    "a_values": [1.0], "ratios": [2.0], "s_grid": [0.5, 1.0], "m_grid": [0.8, 1.0], "q_grid": [1.0, 2.0],
+    "grid": 16, "seed": 0,
+}
+SWEEP_REPORTS = {
+    "json": "85fcb8632405ae4c6bb335ed46246a9326ce1fbbc0788de0a11a5bb59b7ba925",
+    "csv": "0f80684cf2c6e59550a4f62c98fd7a47cf2c952be0b71481d9eee2fe280b20b1",
+}
+SWEEP_GOLDEN = {
+    "json": (0, "5a4d3c79a1978442bfcef42b29bf112e4d913227c6cc45e131f79793f17873af", EMPTY),
+    "csv": (0, "0f80684cf2c6e59550a4f62c98fd7a47cf2c952be0b71481d9eee2fe280b20b1", EMPTY),
+    "text": (0, "f40218369ec47b92df0bedfe63688f3852e6b7e4a2d2e10a4178be3a10c0df6f", EMPTY),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_GOLDEN))
+def test_sweep_output_is_pinned(fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+    code = main(["sweep", "--config", "config.json", "--json", "report.json", "--csv", "report.csv",
+                 "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, _sha(captured.out), _sha(captured.err)) == SWEEP_GOLDEN[fmt]
+    written = {kind: hashlib.sha256((tmp_path / f"report.{kind}").read_bytes()).hexdigest()
+               for kind in SWEEP_REPORTS}
+    assert written == SWEEP_REPORTS
 
 
 UNCERTIFIED_FAMILIES = (
