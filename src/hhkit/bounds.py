@@ -40,6 +40,8 @@ __all__ = [
     "coeff_C",
     "coeff_rho",
     "coeff_nu",
+    "PrintedSet",
+    "PRINTED_SETS",
     "verify_hh_double",
     "verify_II1",
     "lemma_residual",
@@ -53,13 +55,10 @@ __all__ = [
     "certify_gradient",
     "certify_plain",
     "clear_certification_cache",
-    "ii1_substitution_means",
     "kernel_oracle_identities",
 ]
 
 TOL_ACCEPT = 1e-9
-
-GRADIENT_THEOREMS = ("I1", "I2", "FS1", "FS2", "II2", "II3", "II4")
 
 
 @dataclass(frozen=True)
@@ -313,6 +312,31 @@ def coeff_nu(s: float, q: float, iv: Interval) -> CoefficientSet:
     return _coeff_set("Nu", ("nu1", "nu2"), (nu1, nu2), oracles)
 
 
+@dataclass(frozen=True)
+class PrintedSet:
+    """One printed coefficient set: the parameters its builder takes before the
+    interval ("", "q", "s" or "sq"), the range those parameters must lie in
+    (the hint of a missing-parameter message), and its builder's name."""
+
+    name: str
+    takes: str
+    ranges: str
+    builder: str
+
+    def build(self, s: Optional[float], q: Optional[float], iv: Interval) -> CoefficientSet:
+        """The set at (s, q) on ``iv``; the builder is looked up when called."""
+        return globals()[self.builder](*(s if p == "s" else q for p in self.takes), iv)
+
+
+PRINTED_SETS: dict[str, PrintedSet] = {row.name: row for row in (
+    PrintedSet("lambda", "", "", "coeff_lambda"),
+    PrintedSet("mu", "q", "range: q > 1", "coeff_mu"),
+    PrintedSet("c", "s", "range: 0 < s <= 1", "coeff_C"),
+    PrintedSet("rho", "sq", "s in [0,1], q >= 1", "coeff_rho"),
+    PrintedSet("nu", "sq", "s in [0,1], q > 1", "coeff_nu"),
+)}
+
+
 # ---------------------------------------------------------------------------
 # Certification (grid checks, cached -- certification dominates sweep cost).
 # All keys are frozen dataclasses/floats, so lru_cache applies directly.
@@ -371,8 +395,8 @@ class Theorem:
     ``power_mean`` (exponent-2 kernels W1/W2 and k0, the reading under which
     the II3 corollaries reproduce FS1 and I1), ``split_power_mean`` (|1-2t|
     split off, exponent-2q kernels W1/W2) and ``holder`` (exponent-2q kernels
-    N1/N2).  Every gradient row has a ``companion(s, q, iv)``; it looks its
-    builder up when called.
+    N1/N2).  Every gradient row has a ``companion(s, q, iv)``: the ``build`` of
+    a ``PRINTED_SETS`` row, or for II3 the rho set at r = 1.
     """
 
     tag: str
@@ -402,15 +426,14 @@ THEOREMS: dict[str, Theorem] = {row.tag: row for row in (
     Theorem("HH", "", "hh"),
     Theorem("HarmHH", "", "harmonic_hh"),
     Theorem("II1", "sm", "mean"),
-    Theorem("I1", "smq", "power_mean", unit_sm=True, companion=lambda s, q, iv: coeff_lambda(iv)),
-    Theorem("I2", "smq", "holder", unit_sm=True, q_above_one=True, companion=lambda s, q, iv: coeff_mu(q, iv)),
-    Theorem("FS1", "smq", "power_mean", unit_m=True, companion=lambda s, q, iv: coeff_C(s, iv)),
-    Theorem("FS2", "smq", "holder", unit_m=True, q_above_one=True,
-            companion=lambda s, q, iv: coeff_nu(s, q, iv),
+    Theorem("I1", "smq", "power_mean", unit_sm=True, companion=PRINTED_SETS["lambda"].build),
+    Theorem("I2", "smq", "holder", unit_sm=True, q_above_one=True, companion=PRINTED_SETS["mu"].build),
+    Theorem("FS1", "smq", "power_mean", unit_m=True, companion=PRINTED_SETS["c"].build),
+    Theorem("FS2", "smq", "holder", unit_m=True, q_above_one=True, companion=PRINTED_SETS["nu"].build,
             note="FS2 evaluated via its m=1 Holder form (identical value)"),
-    Theorem("II2", "smq", "split_power_mean", companion=lambda s, q, iv: coeff_rho(s, q, iv)),
+    Theorem("II2", "smq", "split_power_mean", companion=PRINTED_SETS["rho"].build),
     Theorem("II3", "smq", "power_mean", printed_2q=True, companion=lambda s, q, iv: coeff_rho(s, 1.0, iv)),
-    Theorem("II4", "smq", "holder", q_above_one=True, companion=lambda s, q, iv: coeff_nu(s, q, iv)),
+    Theorem("II4", "smq", "holder", q_above_one=True, companion=PRINTED_SETS["nu"].build),
 )}
 
 GRADIENT_THEOREMS = tuple(tag for tag, row in THEOREMS.items() if "q" in row.takes)
@@ -445,7 +468,6 @@ def verify_hh_double(
     iv: Interval,
     harmonic: bool = True,
     grid: int = 64,
-    quad: QuadSpec = DEFAULT_QUADSPEC,
 ) -> VerificationRecord:
     """Both links of the (harmonic) Hermite-Hadamard double inequality.
 
@@ -467,10 +489,10 @@ def verify_hh_double(
         )
     if harmonic:
         mid = eval_fn(f, 2.0 * a * b / (a + b))
-        mean = _cached_mean(f, a, b, quad)
+        mean = _cached_mean(f, a, b, DEFAULT_QUADSPEC)
     else:
         mid = eval_fn(f, 0.5 * (a + b))
-        mean = integrate(lambda x: eval_fn(f, x), a, b, quad) / (b - a)
+        mean = integrate(lambda x: eval_fn(f, x), a, b, DEFAULT_QUADSPEC) / (b - a)
     end_avg = 0.5 * (eval_fn(f, a) + eval_fn(f, b))
     margin_left = mean - mid
     margin_right = end_avg - mean
@@ -489,7 +511,6 @@ def verify_II1(
     params: SMParams,
     iv: Interval,
     grid: int = 64,
-    quad: QuadSpec = DEFAULT_QUADSPEC,
     enforce_certification: bool = True,
 ) -> VerificationRecord:
     """Harmonic mean of f against min of the two (s,m)-endpoint averages.
@@ -512,26 +533,12 @@ def verify_II1(
         diagnostics.extend(cert.diagnostics)
     else:
         diagnostics.append("certification bypassed (diagnostic mode)")
-    lhs = _cached_mean(f, a, b, quad)
+    lhs = _cached_mean(f, a, b, DEFAULT_QUADSPEC)
     avg_ab = (eval_fn(f, a) + m * eval_fn(f, b / m)) / (s + 1.0)
     avg_ba = (eval_fn(f, b) + m * eval_fn(f, a / m)) / (s + 1.0)
     rhs = min(avg_ab, avg_ba)
     diagnostics.append(f"endpoint_averages=({avg_ab!r}, {avg_ba!r})")
     return _record("II1", iv, params, f.label, lhs, rhs, diagnostics)
-
-
-def ii1_substitution_means(f: FunctionSpec, iv: Interval, quad: QuadSpec = DEFAULT_QUADSPEC) -> tuple[float, float]:
-    """The two kernel substitutions of the harmonic mean, int_0^1 f(ab/(tb+(1-t)a)) dt
-    and int_0^1 f(ab/(ta+(1-t)b)) dt.  Both equal the harmonic mean integral."""
-    a, b = iv.a, iv.b
-
-    def sub1(t):
-        return eval_fn(f, a * b / (t * b + (1.0 - t) * a))
-
-    def sub2(t):
-        return eval_fn(f, a * b / (t * a + (1.0 - t) * b))
-
-    return integrate(sub1, 0.0, 1.0, quad), integrate(sub2, 0.0, 1.0, quad)
 
 
 def lemma_residual(f: FunctionSpec, iv: Interval, quad: QuadSpec = TIGHT_QUADSPEC) -> float:
@@ -566,7 +573,6 @@ def verify_bound(
     params: SMParams,
     iv: Interval,
     grid: int = 64,
-    quad: QuadSpec = DEFAULT_QUADSPEC,
     use_printed_exponents: bool = False,
     enforce_certification: bool = True,
     companion: bool = True,
@@ -610,7 +616,7 @@ def verify_bound(
 
     da = abs(deriv(f, a)) ** q
     db = abs(deriv(f, b / m)) ** q
-    mean = _cached_mean(f, a, b, quad)
+    mean = _cached_mean(f, a, b, DEFAULT_QUADSPEC)
     lhs = abs(0.5 * (eval_fn(f, a) + eval_fn(f, b)) - mean)
     pref = 0.5 * a * b * (b - a)
 
@@ -620,7 +626,7 @@ def verify_bound(
             diagnostics.append("literal printed exponents (2q) in use")
         else:
             r = 1.0
-        k0 = kernel_K("W1", 0.0, r, a, b, quad)
+        k0 = kernel_K("W1", 0.0, r, a, b)
         factor = k0 ** (1.0 - 1.0 / q)
         kernels = f"k0={k0!r} "
     elif row.route == "split_power_mean":
@@ -628,8 +634,8 @@ def verify_bound(
     else:  # holder
         weights, p = ("N1", "N2"), params.p
         factor = (1.0 / (p + 1.0)) ** (1.0 / p)
-    k1 = kernel_K(weights[0], s, r, a, b, quad)
-    k2 = kernel_K(weights[1], s, r, a, b, quad)
+    k1 = kernel_K(weights[0], s, r, a, b)
+    k2 = kernel_K(weights[1], s, r, a, b)
     rhs = pref * factor * (k1 * da + m * k2 * db) ** (1.0 / q)
     diagnostics.append(f"oracle_kernels {kernels}k1={k1!r} k2={k2!r}")
     if row.note:

@@ -10,14 +10,11 @@ CSV are the stable output contracts, text is human-oriented.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from typing import Optional
 
 from . import bounds, harness
-from .bounds import GRADIENT_THEOREMS, THEOREMS, Interval, lemma_residual
+from .bounds import GRADIENT_THEOREMS, PRINTED_SETS, THEOREMS, Interval, lemma_residual
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -26,13 +23,12 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .functions import FAMILIES, FunctionSpec, SMParams
-from .harness import SCHEMA_VERSION, SweepConfig, _fmt15, _quantize
+from .harness import CSV_FIELDS, SweepConfig, _fmt15, render_csv, render_json
 from .specfun import Hyp2F1Args, beta, hyp2f1_euler, hyp2f1_series, ln_gamma
 
 __all__ = ["main", "build_parser", "dispatch"]
 
 _FORMATS = ("json", "csv", "text")
-_COEFF_SETS = ("lambda", "mu", "c", "rho", "nu")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=_FORMATS, default="text")
 
     p = sub.add_parser("coeffs", help="closed-form coefficients with quadrature oracles")
-    p.add_argument("--set", required=True, choices=_COEFF_SETS, dest="coeff_set")
+    p.add_argument("--set", required=True, choices=tuple(PRINTED_SETS), dest="coeff_set")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--s", type=float, default=None)
@@ -108,17 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(doc: dict) -> str:
-    return json.dumps(_quantize({"schema_version": SCHEMA_VERSION, **doc}), indent=2, sort_keys=True) + "\n"
-
-
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt15(v) for v in row])
-    return buf.getvalue()
+def _render(fmt: str, doc: dict, header, rows, text: list[str]) -> str:
+    """The one format switch: ``doc`` as JSON, ``rows`` under ``header`` as CSV
+    (``rows`` is only iterated for csv), or the text lines."""
+    if fmt == "json":
+        return render_json(doc)
+    if fmt == "csv":
+        return render_csv(header, rows)
+    return "\n".join(text) + "\n"
 
 
 def _interval(args) -> Interval:
@@ -140,36 +133,17 @@ def _build_function(args, m: float, iv: Interval) -> FunctionSpec:
 
 def _cmd_coeffs(args) -> tuple[int, str]:
     iv = _interval(args)
-    name = args.coeff_set
-    if name == "lambda":
-        cs = bounds.coeff_lambda(iv)
-    elif name == "mu":
-        if args.q is None:
-            raise ParameterError("--q is required for --set mu (range: q > 1)")
-        cs = bounds.coeff_mu(args.q, iv)
-    elif name == "c":
-        if args.s is None:
-            raise ParameterError("--s is required for --set c (range: 0 < s <= 1)")
-        cs = bounds.coeff_C(args.s, iv)
-    elif name == "rho":
-        if args.s is None or args.q is None:
-            raise ParameterError("--s and --q are required for --set rho (s in [0,1], q >= 1)")
-        cs = bounds.coeff_rho(args.s, args.q, iv)
-    else:
-        if args.s is None or args.q is None:
-            raise ParameterError("--s and --q are required for --set nu (s in [0,1], q > 1)")
-        cs = bounds.coeff_nu(args.s, args.q, iv)
-
+    row = PRINTED_SETS[args.coeff_set]
+    flags = ["--" + p for p in row.takes]
+    if any(getattr(args, p) is None for p in row.takes):
+        raise ParameterError(f"{' and '.join(flags)} {'is' if len(flags) == 1 else 'are'} required "
+                             f"for --set {row.name} ({row.ranges})")
+    cs = row.build(args.s, args.q, iv)
     doc = {"a": iv.a, "b": iv.b, "s": args.s, "q": args.q, **cs.to_dict()}
-    if args.format == "json":
-        return 0, _emit_json(doc)
-    rows = [[lab, v, o, abs(v - o)] for lab, v, o in zip(cs.labels, cs.values, cs.oracle_values)]
-    if args.format == "csv":
-        return 0, _csv_lines(["label", "printed", "oracle", "deviation"], rows)
-    lines = [f"{lab}: printed={_fmt15(v)} oracle={_fmt15(o)} |dev|={_fmt15(abs(v - o))}" for lab, v, o in
-             zip(cs.labels, cs.values, cs.oracle_values)]
-    lines.append(f"max_abs_dev={_fmt15(cs.max_abs_dev)}")
-    return 0, "\n".join(lines) + "\n"
+    entries = list(zip(cs.labels, cs.values, cs.oracle_values, cs.deviations))
+    text = [f"{lab}: printed={_fmt15(v)} oracle={_fmt15(o)} |dev|={_fmt15(d)}" for lab, v, o, d in entries]
+    text.append(f"max_abs_dev={_fmt15(cs.max_abs_dev)}")
+    return 0, _render(args.format, doc, ["label", "printed", "oracle", "deviation"], entries, text)
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -183,23 +157,14 @@ def _cmd_verify(args) -> tuple[int, str]:
         ok = residual <= bounds.TOL_ACCEPT
         doc = {"theorem": "Lemma", "a": iv.a, "b": iv.b, "family": f.label,
                "residual": residual, "tolerance": bounds.TOL_ACCEPT, "satisfied": ok}
-        code = 0 if ok else 1
-        if args.format == "json":
-            return code, _emit_json(doc)
-        if args.format == "csv":
-            return code, _csv_lines(["theorem", "a", "b", "family", "residual", "satisfied"],
-                                    [["Lemma", iv.a, iv.b, f.label, residual, ok]])
-        return code, f"residual={_fmt15(residual)} {'satisfied' if ok else 'VIOLATED'}\n"
-
-    rec = bounds.verify_theorem(args.theorem, f, params, iv, grid=args.grid)
-    code = 0 if rec.satisfied else 1
-    if args.format == "json":
-        return code, _emit_json(rec.to_dict())
-    if args.format == "csv":
-        row = rec.to_dict()
-        return code, _csv_lines(list(harness.CSV_FIELDS), [[row[k] for k in harness.CSV_FIELDS]])
-    verdict = "satisfied" if rec.satisfied else "VIOLATED"
-    return code, f"lhs={_fmt15(rec.lhs)} rhs={_fmt15(rec.rhs)} margin={_fmt15(rec.margin)} {verdict}\n"
+        header = ["theorem", "a", "b", "family", "residual", "satisfied"]
+        text = [f"residual={_fmt15(residual)} {'satisfied' if ok else 'VIOLATED'}"]
+    else:
+        rec = bounds.verify_theorem(args.theorem, f, params, iv, grid=args.grid)
+        ok, doc, header = rec.satisfied, rec.to_dict(), CSV_FIELDS
+        text = [f"lhs={_fmt15(rec.lhs)} rhs={_fmt15(rec.rhs)} margin={_fmt15(rec.margin)} "
+                f"{'satisfied' if ok else 'VIOLATED'}"]
+    return 0 if ok else 1, _render(args.format, doc, header, [[doc[k] for k in header]], text)
 
 
 def _cmd_sweep(args) -> tuple[int, str]:
@@ -210,36 +175,29 @@ def _cmd_sweep(args) -> tuple[int, str]:
     harness.write_report_csv(result, args.csv_out)
     bad = [f for f in result.findings if f.kind in ("BoundViolation", "EvaluationError")]
     code = 1 if bad else 0
-    if args.format == "json":
-        return code, _emit_json({"summary": result.summary, "json_report": args.json_out,
-                                 "csv_report": args.csv_out})
-    if args.format == "csv":
+    if args.format == "csv":  # the CSV report itself
         return code, harness.render_report_csv(result)
     s = result.summary
-    lines = [
+    text = [
         f"instances={s['instances_evaluated']} skipped={s['instances_skipped']} "
         f"violations={s['violations']} findings={s['findings']}",
         f"worst_margin={_fmt15(s['worst_margin'])} mean_margin={_fmt15(s['mean_margin'])}",
         f"reports: {args.json_out} {args.csv_out}",
     ]
-    return code, "\n".join(lines) + "\n"
+    doc = {"summary": s, "json_report": args.json_out, "csv_report": args.csv_out}
+    return code, _render(args.format, doc, None, None, text)
 
 
 def _cmd_search(args) -> tuple[int, str]:
     finding = harness.search_counterexample(args.theorem, args.budget, args.seed)
+    doc = {"theorem": args.theorem, "budget": args.budget, "seed": args.seed,
+           "finding": None if finding is None else finding.to_dict()}
     if finding is None:
-        doc = {"theorem": args.theorem, "budget": args.budget, "seed": args.seed, "finding": None}
-        if args.format == "json":
-            return 0, _emit_json(doc)
-        if args.format == "csv":
-            return 0, _csv_lines(["theorem", "budget", "seed", "finding"], [[args.theorem, args.budget, args.seed, ""]])
-        return 0, f"no counterexample found ({args.theorem}, budget {args.budget}, seed {args.seed})\n"
-    doc = {"theorem": args.theorem, "budget": args.budget, "seed": args.seed, "finding": finding.to_dict()}
-    if args.format == "json":
-        return 1, _emit_json(doc)
-    if args.format == "csv":
-        return 1, _csv_lines(["kind", "severity", "description"], [[finding.kind, finding.severity, finding.description]])
-    return 1, finding.description + "\n"
+        return 0, _render(args.format, doc, ["theorem", "budget", "seed", "finding"],
+                          [[args.theorem, args.budget, args.seed, None]],
+                          [f"no counterexample found ({args.theorem}, budget {args.budget}, seed {args.seed})"])
+    return 1, _render(args.format, doc, ["kind", "severity", "description"],
+                      [[finding.kind, finding.severity, finding.description]], [finding.description])
 
 
 def _cmd_specfun(args) -> tuple[int, str]:
@@ -258,33 +216,22 @@ def _cmd_specfun(args) -> tuple[int, str]:
     else:
         need(["x"])
         value = ln_gamma(args.x)
-
-    if args.format == "json":
-        return 0, _emit_json({"fn": args.fn, "value": value})
-    if args.format == "csv":
-        return 0, _csv_lines(["fn", "value"], [[args.fn, value]])
-    return 0, _fmt15(value) + "\n"
+    return 0, _render(args.format, {"fn": args.fn, "value": value}, ["fn", "value"], [[args.fn, value]],
+                      [_fmt15(value)])
 
 
 def _cmd_reductions(args) -> tuple[int, str]:
     iv = _interval(args)
     report = harness.build_adjudication_report([iv], tuple(args.s_grid), tuple(args.q_grid))
-    oracle_failures = [f for f in report["findings"]
-                       if f["kind"] == "ReductionMismatch" and f["payload"].get("level") == "oracle"]
-    code = 1 if oracle_failures else 0
-    if args.format == "json":
-        return code, _emit_json(report)
-    if args.format == "csv":
-        rows = [[f["kind"], f["severity"], f["description"]] for f in report["findings"]]
-        return code, _csv_lines(["kind", "severity", "description"], rows)
-    lines = [
-        f"oracle chain: {'FAILED' if oracle_failures else 'OK'} "
-        f"(tolerance {_fmt15(report['oracle_chain_tol'])})",
-        f"printed-form findings: {len(report['findings'])}",
+    findings = report["findings"]
+    oracle_failures = [f for f in findings if f["kind"] == "ReductionMismatch" and f["payload"].get("level") == "oracle"]
+    text = [
+        f"oracle chain: {'FAILED' if oracle_failures else 'OK'} (tolerance {_fmt15(report['oracle_chain_tol'])})",
+        f"printed-form findings: {len(findings)}",
+        *(f"[{f['kind']}] severity={_fmt15(f['severity'])}: {f['description']}" for f in findings),
     ]
-    for f in report["findings"]:
-        lines.append(f"[{f['kind']}] severity={_fmt15(f['severity'])}: {f['description']}")
-    return code, "\n".join(lines) + "\n"
+    rows = ([f["kind"], f["severity"], f["description"]] for f in findings)
+    return 1 if oracle_failures else 0, _render(args.format, report, ["kind", "severity", "description"], rows, text)
 
 
 _COMMANDS = {

@@ -14,7 +14,7 @@ import io
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds
 from .bounds import (
@@ -45,6 +45,8 @@ __all__ = [
     "build_adjudication_report",
     "write_report_json",
     "write_report_csv",
+    "render_json",
+    "render_csv",
     "render_report_json",
     "render_report_csv",
 ]
@@ -568,38 +570,55 @@ def _fmt15(value) -> str:
     return str(value)
 
 
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _json_chunks(doc: dict):
+    """``doc`` stamped with the schema version and quantized, as JSON text chunks."""
+    return _JSON.iterencode(_quantize({"schema_version": SCHEMA_VERSION, **doc}))
+
+
+def render_json(doc: dict) -> str:
+    """The JSON form of every hhkit document: ``schema_version`` added, floats
+    at 15 significant digits, keys sorted, two-space indent."""
+    return "".join(_json_chunks(doc)) + "\n"
+
+
+def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV form of every hhkit table: one header line, then each row's
+    values at 15 significant digits (None as an empty field)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt15(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _report_doc(result: SweepResult) -> dict:
-    return _quantize({
-        "schema_version": SCHEMA_VERSION,
+    return {
         "config": result.config.to_dict(),
         "summary": result.summary,
         "records": [r.to_dict() for r in result.records],
         "skipped": result.skipped,
         "findings": [f.to_dict() for f in result.findings],
-    })
+    }
 
 
 def render_report_json(result: SweepResult) -> str:
-    return json.dumps(_report_doc(result), indent=2, sort_keys=True) + "\n"
+    return render_json(_report_doc(result))
 
 
 CSV_FIELDS = ("theorem", "a", "b", "s", "m", "q", "family", "lhs", "rhs", "margin", "satisfied")
 
 
 def render_report_csv(result: SweepResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in result.records:
-        row = r.to_dict()
-        writer.writerow([_fmt15(row[k]) for k in CSV_FIELDS])
-    return buf.getvalue()
+    return render_csv(CSV_FIELDS, ([row[k] for k in CSV_FIELDS] for row in (r.to_dict() for r in result.records)))
 
 
 def write_report_json(result: SweepResult, path: str) -> None:
     """Stream the report to ``path``; the bytes equal ``render_report_json``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_report_doc(result), fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(_report_doc(result)))
         fh.write("\n")
 
 

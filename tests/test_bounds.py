@@ -15,7 +15,6 @@ from hhkit.bounds import (
     coeff_mu,
     coeff_nu,
     coeff_rho,
-    ii1_substitution_means,
     kernel_oracle_identities,
     lemma_residual,
     verify_bound,
@@ -23,11 +22,25 @@ from hhkit.bounds import (
     verify_II1,
 )
 from hhkit.errors import CertificationError, DomainError, ParameterError
-from hhkit.functions import FunctionSpec, SMParams
+from hhkit.functions import FunctionSpec, SMParams, eval_fn
 from hhkit.quadrature import DEFAULT_QUADSPEC, harmonic_mean_integral, integrate, kernel_K
 from hhkit.specfun import Hyp2F1Args, hyp2f1_euler
 
 IV12 = Interval(1.0, 2.0)
+
+
+def ii1_substitution_means(f: FunctionSpec, iv: Interval) -> tuple[float, float]:
+    """The two kernel substitutions of the harmonic mean, int_0^1 f(ab/(tb+(1-t)a)) dt
+    and int_0^1 f(ab/(ta+(1-t)b)) dt.  Both equal the harmonic mean integral."""
+    a, b = iv.a, iv.b
+
+    def sub1(t):
+        return eval_fn(f, a * b / (t * b + (1.0 - t) * a))
+
+    def sub2(t):
+        return eval_fn(f, a * b / (t * a + (1.0 - t) * b))
+
+    return integrate(sub1, 0.0, 1.0, DEFAULT_QUADSPEC), integrate(sub2, 0.0, 1.0, DEFAULT_QUADSPEC)
 
 
 def power(coeff=1.0, exponent=2.0, shift=0.0, lo=0.05, hi=50.0):
