@@ -612,7 +612,8 @@ CSV_FIELDS = ("theorem", "a", "b", "s", "m", "q", "family", "lhs", "rhs", "margi
 
 
 def render_report_csv(result: SweepResult) -> str:
-    return render_csv(CSV_FIELDS, ([row[k] for k in CSV_FIELDS] for row in (r.to_dict() for r in result.records)))
+    rows = (r.to_dict() for r in result.records)
+    return render_csv(CSV_FIELDS, ([row[k] for k in CSV_FIELDS] for row in rows))
 
 
 def write_report_json(result: SweepResult, path: str) -> None:
