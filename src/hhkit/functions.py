@@ -1,9 +1,24 @@
 """Curated differentiable function families and convexity-definition checkers.
 
 Convexity certification is grid-based: a candidate passes when the defining
-inequality holds (within 1e-12 absolute slack for the equality rows t = 0, 1)
-on a log-spaced x,y mesh crossed with a t mesh containing {0, 1/2, 1}.  The
-report carries the worst margin and its witness, so failures are reproducible.
+inequality holds (within a slack of max(1e-12, 64 ulps of the local value
+scale)) on a log-spaced x,y mesh crossed with a t mesh containing
+{0, 1/2, 1}.  The report carries the worst margin and its witness, so
+failures are reproducible.
+
+Homogeneous targets, c x^e on the window, are checked on the border of the
+x,y mesh only: ``pow`` with shift 0, ``recip``, ``spiece`` with c0 = 0, and
+|f'|^q of these (``homogeneity``).  A diagonal of the geometric mesh (fixed
+j - i) has one ratio r = y/x, and with y = r x both combined points are x
+times a function of (r, t).  So along a diagonal, at each t, the margin is
+u g(r, t) and the slack max(1e-12, 64 ulps * u h(r, t)), with u = |c| x^e:
+the excess is positive only where g > 64 ulps * h, and then grows with u, so
+it peaks at one of the diagonal's two ends.  Those ends are the 4n - 4 border
+pairs (i or j at 0 or n - 1), evaluated with the full mesh's formulas at the
+same points: verdicts and failing reports are the full mesh's.  Where g = 0 a
+margin is rounding noise, so a passing check's worst margin may differ there,
+within the slack.  Bare callables, ``exp``, ``affine``, shifted ``pow`` and
+``spiece`` with c0 != 0 keep the full mesh.
 """
 
 from __future__ import annotations
@@ -35,8 +50,9 @@ __all__ = [
 
 CHECK_SLACK = 1e-12
 _SLACK_SCALE = 64.0 * np.finfo(float).eps  # the relative slack: 64 ulps of the local value scale
-# Points per slab of the grid check's row stage: at grid 48 six x rows, whose
-# two buffers stay in L2 between passes; at grid 24 the whole mesh.
+# Points per slab of the grid check's row stage: at grid 48 six x rows of a
+# full mesh, whose two buffers stay in L2 between passes; at grid 24, and for
+# a border mesh up to grid 64, the whole mesh.
 _SLAB_POINTS = 2**14
 _DOMAIN_SLACK = 1e-9  # relative; absorbs rounding of combined points at window edges
 
@@ -103,6 +119,17 @@ class FunctionSpec:
     def label(self) -> str:
         inner = ",".join(format(p, "g") for p in self.params)
         return f"{self.family}({inner})"
+
+    @property
+    def homogeneity(self) -> Optional[tuple[float, float]]:
+        """(c, e) when the formula is c * x**e, else None."""
+        if self.family == "pow" and self.params[2] == 0.0:
+            return self.params[0], self.params[1]
+        if self.family == "spiece" and self.params[2] == 0.0:
+            return self.params[1], self.params[3]
+        if self.family == "recip":
+            return 1.0, -1.0
+        return None
 
     def __call__(self, x):
         return eval_fn(self, x)
@@ -234,6 +261,15 @@ class GradientPower:
     f: FunctionSpec
     q: float
 
+    @property
+    def homogeneity(self) -> Optional[tuple[float, float]]:
+        """(|c e|^q, (e - 1) q) when f is c x^e, else None."""
+        h = self.f.homogeneity
+        if h is None:
+            return None
+        c, e = h
+        return abs(c * e) ** self.q, (e - 1.0) * self.q
+
     def __call__(self, x):
         return np.abs(deriv(self.f, x)) ** self.q
 
@@ -241,7 +277,10 @@ class GradientPower:
 FuncLike = Union[FunctionSpec, GradientPower, Callable]
 
 
-def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]]):
+def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]], border: bool = False):
+    """The x, y, t mesh, broadcastable to (grid, grid, t points); with
+    ``border`` only its border (x, y) pairs, in row-major order, as columns
+    broadcastable to (4 grid - 4, t points)."""
     if window is None:
         if not isinstance(f, FunctionSpec):
             raise DomainError("a sampling window is required when f is a bare callable")
@@ -252,6 +291,10 @@ def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]]):
     xs = np.geomspace(lo, hi, grid)
     # t mesh must contain the exact endpoints and the midpoint 1/2 (equality rows)
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
+    if border:
+        i, j = np.divmod(np.arange(grid * grid), grid)
+        edge = (i == 0) | (i == grid - 1) | (j == 0) | (j == grid - 1)
+        return xs[i[edge], None], xs[j[edge], None], ts[None, :]
     return xs[:, None, None], xs[None, :, None], ts[None, None, :]
 
 
@@ -270,9 +313,11 @@ def _mesh_stage(f: FuncLike, gradient: bool, combiner, m: float, grid: int, wind
     """Everything a grid check needs that does not depend on (s, q).
 
     With ``gradient`` the values are |f'| (each row raises them to its q),
-    otherwise f itself.
+    otherwise f itself.  A homogeneous ``f`` gets the border mesh (module
+    docstring), and so does |f'|^q of it.
     """
-    x, y, t = _mesh(f, grid, window)
+    border = isinstance(f, FunctionSpec) and f.homogeneity is not None
+    x, y, t = _mesh(f, grid, window, border)
     pts = combiner(x, y, t, m)
     fn = (lambda v: np.abs(deriv(f, v))) if gradient else f
     return _MeshValues(x, y, t, fn(x), fn(y), fn(pts))
@@ -305,15 +350,14 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
     lhs_w = t**params.s * fx
     rhs_w = params.m * (1.0 - t) ** params.s * fy
     shape = np.broadcast_shapes(np.shape(fpts), lhs_w.shape, rhs_w.shape)
+    weights = (lhs_w, rhs_w) if gradient else (lhs_w, rhs_w, np.abs(lhs_w), np.abs(rhs_w))
     # a bare callable may return a scalar; slabs slice the first axis
     fpts = np.broadcast_to(fpts, shape)
-    lhs_w = np.broadcast_to(lhs_w, shape[:1] + lhs_w.shape[1:])
-    if not gradient:
-        abs_lhs, abs_rhs = np.abs(lhs_w), np.abs(rhs_w)
+    lhs_w, rhs_w, *abs_w = (np.broadcast_to(w, shape[:1] + w.shape[1:]) for w in weights)
     # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, one slab of
-    # x rows at a time in two per-call buffers that stay in cache; the order
-    # of operations fixes every float of the reports, so keep it.
-    row_points = shape[1] * shape[2]
+    # first-axis rows at a time in two per-call buffers that stay in cache;
+    # the order of operations fixes every float of the reports, so keep it.
+    row_points = math.prod(shape[1:])
     rows = min(shape[0], max(1, _SLAB_POINTS // row_points))
     total = np.empty((rows,) + shape[1:])
     margin = np.empty_like(total)
@@ -325,7 +369,7 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
         fb = fpts[slab]
         if gradient:
             fb = fb**f.q
-        np.add(lhs_w[slab], rhs_w, out=tot)
+        np.add(lhs_w[slab], rhs_w[slab], out=tot)
         np.subtract(fb, tot, out=mar)
         # 1e-12 absolute slack at the equality rows, widened with the local
         # value scale: rounding in f and the weighted sum grows with the
@@ -334,7 +378,7 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
         if gradient:
             tot += fb
         else:
-            np.add(abs_lhs[slab], abs_rhs, out=tot)
+            np.add(abs_w[0][slab], abs_w[1][slab], out=tot)
             tot += np.abs(fb)
         np.multiply(_SLACK_SCALE, tot, out=tot)
         np.maximum(CHECK_SLACK, tot, out=tot)
@@ -347,8 +391,8 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
             best = (excess, float(mar.flat[flat]), np.unravel_index(r0 * row_points + flat, shape))
         if math.isnan(excess):
             break
-    excess, worst, (i, j, k) = best
-    witness = (float(x[i, 0, 0]), float(y[0, j, 0]), float(t[0, 0, k]))
+    excess, worst, index = best
+    witness = tuple(float(np.broadcast_to(v, shape)[index]) for v in (x, y, t))
     diagnostics = []
     if params.s == 0.0:
         diagnostics.append("s=0 is outside the definitional range (0,1]; theorem-driver extension")

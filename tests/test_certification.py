@@ -1,5 +1,6 @@
-"""The shared-mesh, slab-by-slab grid check against a from-scratch reference,
-and the certification caches' bounds."""
+"""The shared-mesh, slab-by-slab grid check against a from-scratch full-mesh
+reference (homogeneous targets on the border mesh: same verdicts, witnesses on
+the border), and the certification caches' bounds."""
 
 import math
 import sys
@@ -8,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhkit import bounds, functions
 from hhkit.bounds import (
@@ -18,7 +21,9 @@ from hhkit.bounds import (
     certify_gradient,
     certify_plain,
     clear_certification_cache,
+    verify_bound,
 )
+from hhkit.errors import CertificationError, DomainError
 from hhkit.functions import (
     CHECK_SLACK,
     CheckReport,
@@ -40,13 +45,18 @@ M_VALUES = (0.5, 1.0)
 Q_VALUES = (1.0, 1.5, 3.0)
 
 
-def _reference_check(g, params, grid, window, plain=False):
-    """The grid check written out in full: fresh mesh, no caching, no buffers,
-    one pass over the whole mesh.  ``plain`` selects the ordinary (s,m)
-    combination t x + m (1-t) y in place of the harmonic one."""
-    lo, hi = window
-    xs = np.geomspace(lo, hi, grid)
+def _mesh_axes(grid, window):
+    xs = np.geomspace(window[0], window[1], grid)
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
+    return xs, ts
+
+
+def _reference_mesh(g, params, grid, window, plain=False):
+    """The grid check's full mesh written out: fresh mesh, no caching, no
+    buffers.  Returns x, y, t, margin and slack, each of the full
+    (grid, grid, t points) shape.  ``plain`` selects the ordinary (s,m)
+    combination t x + m (1-t) y in place of the harmonic one."""
+    xs, ts = _mesh_axes(grid, window)
     x, y, t = xs[:, None, None], xs[None, :, None], ts[None, None, :]
     if plain:
         pts = t * x + params.m * (1.0 - t) * y
@@ -60,16 +70,50 @@ def _reference_check(g, params, grid, window, plain=False):
     fpts = g(pts)
     margin = fpts - (lhs_w + rhs_w)
     slack = np.maximum(CHECK_SLACK, 64.0 * np.finfo(float).eps * (np.abs(lhs_w) + np.abs(rhs_w) + np.abs(fpts)))
+    return tuple(np.broadcast_to(a, margin.shape) for a in (x, y, t, margin, slack))
+
+
+def _reference_check(g, params, grid, window, plain=False):
+    """The grid check on the full mesh, in one pass."""
+    return _reference_report(_reference_mesh(g, params, grid, window, plain), params)
+
+
+def _reference_report(mesh, params):
+    x, y, t, margin, slack = mesh
     excess = margin - slack
-    i, j, k = np.unravel_index(int(np.argmax(excess)), margin.shape)
+    index = np.unravel_index(int(np.argmax(excess)), margin.shape)
     diagnostics = ("s=0 is outside the definitional range (0,1]; theorem-driver extension",) if params.s == 0.0 else ()
     return CheckReport(
-        passed=bool(float(excess[i, j, k]) <= 0.0),
-        worst_margin=float(margin[i, j, k]),
-        witness=(float(x[i, 0, 0]), float(y[0, j, 0]), float(t[0, 0, k])),
+        passed=bool(float(excess[index]) <= 0.0),
+        worst_margin=float(margin[index]),
+        witness=(float(x[index]), float(y[index]), float(t[index])),
         samples=int(margin.size),
         diagnostics=diagnostics,
     )
+
+
+def _border_index(witness, grid, window):
+    """The full-mesh index of a witness, asserting that it is a mesh point on
+    the border of the x,y mesh."""
+    xs, ts = _mesh_axes(grid, window)
+    (i,), (j,), (k,) = (np.flatnonzero(axis == w) for axis, w in zip((xs, xs, ts), witness))
+    assert {i, j} & {0, grid - 1}, witness
+    return i, j, k
+
+
+def _assert_border_check(got, g, params, grid, window, plain=False):
+    """A border-mesh report against the full-mesh reference: the same verdict,
+    a witness on the mesh border whose full-formula margin is the report's
+    worst margin bit for bit, and (4 grid - 4) x-y pairs evaluated."""
+    mesh = _reference_mesh(g, params, grid, window, plain)
+    ref = _reference_report(mesh, params)
+    margins = mesh[3]
+    margin = float(margins[_border_index(got.witness, grid, window)])
+    assert got.passed == ref.passed
+    assert got.worst_margin == margin or (math.isnan(got.worst_margin) and math.isnan(margin))
+    assert got.samples == (4 * grid - 4) * margins.shape[2]
+    assert got.diagnostics == ref.diagnostics
+    return ref
 
 
 def _old_gradient_closure(f, q):
@@ -88,24 +132,29 @@ def cold_caches():
 
 @pytest.mark.parametrize("grid", [24, 48, 64])
 def test_mesh_path_equals_reference(grid, cold_caches):
-    verdicts = set()
+    reports = []
     for exponent in EXPONENTS:
         for m in M_VALUES:
             f = make_function({"family": "pow", "params": (1.0, exponent, 0.0)}, m, IV)
             window = (IV.a, IV.b / m)
             for s in S_VALUES:
                 got = certify_function(f, SMParams(s, m), window, grid)
-                assert got == _reference_check(f, SMParams(s, m), grid, window)
-                verdicts.add(got.passed)
+                ref = _assert_border_check(got, f, SMParams(s, m), grid, window)
+                reports.append((got, ref))
                 for q in Q_VALUES:
                     params = SMParams(s, m, q)
                     got = certify_gradient(f, params, window, grid)
                     old = _old_gradient_closure(f, q)
-                    assert got == _reference_check(old, params, grid, window)
-                    assert got == check_harmonic_sm_convex(old, SMParams(s, m), grid, window)
-                    verdicts.add(got.passed)
-    # both the passing and the failing certifications are compared
-    assert verdicts == {True, False}
+                    ref = _assert_border_check(got, old, params, grid, window)
+                    # a bare callable has no homogeneity: it keeps the full mesh
+                    assert check_harmonic_sm_convex(old, SMParams(s, m), grid, window) == ref
+                    reports.append((got, ref))
+    # both the passing and the failing certifications are compared; a failing
+    # one keeps the full mesh's worst margin and witness
+    assert {got.passed for got, _ in reports} == {True, False}
+    for got, ref in reports:
+        if not got.passed:
+            assert (got.worst_margin, got.witness) == (ref.worst_margin, ref.witness)
 
 
 def test_cached_mesh_arrays_are_read_only(cold_caches):
@@ -118,7 +167,7 @@ def test_cached_mesh_arrays_are_read_only(cold_caches):
     for arr in mesh:
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        mesh.fpts[0, 0, 0] = 0.0
+        mesh.fpts[0, 0] = 0.0
 
 
 def test_rows_of_one_mesh_share_it(cold_caches):
@@ -159,14 +208,23 @@ def test_certification_caches_stay_bounded(cold_caches):
 @pytest.mark.parametrize("grid", [16, 48])  # one slab, eight slabs
 def test_threads_sharing_meshes_get_the_serial_reports(grid, cold_caches):
     # More threads than cores and a short switch interval, all reading the
-    # same few cached meshes while rows evict and rebuild them.
-    fams = [make_function({"family": "pow", "params": (1.0, e, 0.0)}, 1.0, IV) for e in EXPONENTS]
+    # same few cached meshes while rows evict and rebuild them.  Shifted
+    # powers are not homogeneous, so they keep the full mesh.
+    fams = [make_function({"family": "pow", "params": (1.0, e, shift)}, 1.0, IV)
+            for e in EXPONENTS for shift in (0.0, 1.0)]
     rows = [(f, s, q) for f in fams for s in S_VALUES for q in Q_VALUES]
 
     def check(f, s, q):
         return check_harmonic_sm_convex(GradientPower(f, q), SMParams(s, 1.0), grid, (IV.a, IV.b))
 
-    expected = [_reference_check(_old_gradient_closure(f, q), SMParams(s, 1.0), grid, (IV.a, IV.b)) for f, s, q in rows]
+    expected = [check(*row) for row in rows]
+    for (f, s, q), report in zip(rows, expected):
+        closure, params, window = _old_gradient_closure(f, q), SMParams(s, 1.0), (IV.a, IV.b)
+        if f.homogeneity is None:
+            assert report == _reference_check(closure, params, grid, window)
+        else:
+            _assert_border_check(report, closure, params, grid, window)
+    clear_certification_cache()
     results: dict[int, list] = {}
 
     def worker(n):
@@ -223,9 +281,67 @@ def test_slab_loop_equals_reference(grid, plain, cold_caches):
                 params = SMParams(s, m)
                 for target, ref in ((f, f), (GradientPower(f, 2.5), _old_gradient_closure(f, 2.5))):
                     got = check(target, params, grid, window)
-                    assert got == _reference_check(ref, params, grid, window, plain), (desc, s, m)
+                    if target.homogeneity is None:
+                        assert got == _reference_check(ref, params, grid, window, plain), (desc, s, m)
+                    else:
+                        _assert_border_check(got, ref, params, grid, window, plain)
                     verdicts.add(got.passed)
     assert verdicts == {True, False}
+
+
+HOMOGENEOUS_FAMILIES = (
+    {"family": "pow", "params": (1.0, 1.5, 0.0)},
+    {"family": "pow", "params": (-2.0, 0.5, 0.0)},
+    {"family": "spiece", "params": (1.0, 0.5, 0.0, 0.5)},
+    {"family": "recip", "params": ()},
+)
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["harmonic", "plain"])
+@pytest.mark.parametrize("grid", [13, 48])
+def test_border_mesh_slabs_equal_one_pass(grid, plain, monkeypatch, cold_caches):
+    # A border mesh up to grid 64 is one slab; five (x, y) pairs per slab,
+    # with a partial last slab, run the loop's merge on border rows.
+    check = check_sm_convex if plain else check_harmonic_sm_convex
+    t_points = grid + 1 if grid % 2 == 0 else grid + 2
+    cases = [(target, SMParams(s, m), (IV.a, IV.b / m))
+             for m in M_VALUES for desc in HOMOGENEOUS_FAMILIES for s in S_VALUES
+             for f in (make_function(desc, m, IV),) for target in (f, GradientPower(f, 2.5))]
+    one_pass = [check(target, params, grid, window) for target, params, window in cases]
+    assert all(r.samples == (4 * grid - 4) * t_points for r in one_pass)
+    monkeypatch.setattr(functions, "_SLAB_POINTS", 5 * t_points)
+    assert [check(target, params, grid, window) for target, params, window in cases] == one_pass
+    assert {r.passed for r in one_pass} == {True, False}
+
+
+HOMOGENEOUS_DRAWS = st.one_of(
+    st.builds(lambda c, e: {"family": "pow", "params": (c, e, 0.0)},
+              st.floats(0.1, 3.0) | st.floats(-3.0, -0.1), st.floats(-3.0, 4.0)),
+    st.just({"family": "recip", "params": ()}),
+    st.builds(lambda b0, s: {"family": "spiece", "params": (1.0, b0, 0.0, s)},
+              st.floats(0.1, 3.0), st.floats(0.05, 1.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    desc=HOMOGENEOUS_DRAWS,
+    q=st.none() | st.floats(1.0, 3.0),
+    plain=st.booleans(),
+    grid=st.sampled_from((8, 24, 48)),
+    s=st.floats(0.0, 1.0),
+    m=st.floats(0.05, 1.0),
+    a=st.floats(0.5, 3.0),
+    ratio=st.floats(1.1, 10.0),
+)
+def test_border_mesh_agrees_with_the_full_mesh(desc, q, plain, grid, s, m, a, ratio):
+    iv = Interval(a, a * ratio)
+    f = make_function(desc, m, iv)
+    target, ref = (f, f) if q is None else (GradientPower(f, q), _old_gradient_closure(f, q))
+    assert target.homogeneity is not None
+    check = check_sm_convex if plain else check_harmonic_sm_convex
+    params, window = SMParams(s, m), (iv.a, iv.b / m)
+    _assert_border_check(check(target, params, grid, window), ref, params, grid, window, plain)
 
 
 @pytest.mark.parametrize("grid", [48, 64])
@@ -262,6 +378,40 @@ def test_the_first_nan_wins(grid):
         assert math.isnan(got.worst_margin) and math.isnan(ref.worst_margin)
         assert (got.passed, got.witness, got.samples) == (False, ref.witness, ref.samples)
     assert got.witness[0] > xs[_slab_rows(grid) - 1]
+
+
+# Failure paths on the border mesh.
+
+
+def test_a_window_past_the_domain_raises_the_full_mesh_message():
+    f = FunctionSpec.power(1.0, 2.0, 0.0, 1.0, 3.0)
+    assert f.homogeneity == (1.0, 2.0)
+    # combined points reach m * lo = 0.5; x reaches 4.0.  A bare callable
+    # keeps the full mesh.
+    for params, window in ((SMParams(0.5, 0.5), (1.0, 3.0)), (SMParams(1.0, 1.0), (1.0, 4.0))):
+        with pytest.raises(DomainError) as full:
+            check_harmonic_sm_convex(lambda v: f(v), params, 24, window)
+        for target in (f, GradientPower(f, 2.0)):
+            with pytest.raises(DomainError) as border:
+                check_harmonic_sm_convex(target, params, 24, window)
+            assert str(border.value) == str(full.value)
+
+
+def test_s_zero_keeps_its_diagnostic_on_the_border_mesh():
+    f = FunctionSpec.power(1.0, 2.0, 0.0, 0.5, 4.0)
+    for target in (f, GradientPower(f, 1.5)):
+        report = check_harmonic_sm_convex(target, SMParams(0.0, 1.0), 16, (1.0, 2.0))
+        assert report.samples == (4 * 16 - 4) * 17
+        assert report.diagnostics == ("s=0 is outside the definitional range (0,1]; theorem-driver extension",)
+
+
+def test_an_uncertified_gradient_raises_the_full_mesh_message():
+    # the message was pinned from the full-mesh check
+    f = FunctionSpec.power(1.0, 1.5, 0.0, 0.05, 50.0)
+    with pytest.raises(CertificationError) as exc:
+        verify_bound("II2", f, SMParams(0.5, 0.8, 1.0), Interval(1.0, 2.0))
+    assert str(exc.value) == ("|(pow(1,1.5,0))'|^1.0 is not harmonically (0.5,0.8)-convex on [1.0, 2.5] "
+                              "(worst margin 2.240e-01 at (1.0, 2.5, 0.0))")
 
 
 # Independent references for the grid check.  For s = m = 1, c x^e with c > 0
@@ -307,7 +457,8 @@ def test_gradient_verdicts_agree_between_grids_48_and_64(cold_caches):
 
 
 # The slow lane (`python -m pytest -m slow`): audits of every distinct
-# certification the default sweep runs, 2,592 of |f'|^q and 648 of f.
+# certification the default sweep runs, 2,592 of |f'|^q and 648 of f,
+# against the full mesh and against a dense reference of the reduced problem.
 
 
 @pytest.fixture(scope="module")
@@ -339,13 +490,66 @@ def default_sweep_certifications():
 
 @pytest.mark.slow
 def test_every_default_sweep_certification_equals_the_reference(default_sweep_certifications):
+    # Every default certification is homogeneous and runs on the border mesh.
+    # Verdicts equal the full mesh's; so do worst margin and witness, except
+    # where a passing s = m = 1 check's worst margin is rounding noise (g = 0
+    # along t = 0 and t = 1), which stays within the slack at its witness.
     kinds = Counter()
     for target, params, grid, window, plain, report in default_sweep_certifications:
         gradient = isinstance(target, GradientPower)
         kinds["gradient" if gradient else "function"] += 1
-        ref = _old_gradient_closure(target.f, target.q) if gradient else target
-        assert report == _reference_check(ref, params, grid, window, plain), (target, params, window)
-    assert kinds == {"gradient": 2592, "function": 648}
+        ref_g = _old_gradient_closure(target.f, target.q) if gradient else target
+        mesh = _reference_mesh(ref_g, params, grid, window, plain)
+        ref = _reference_report(mesh, params)
+        assert report.passed == ref.passed, (target, params, window)
+        assert report.samples == (4 * grid - 4) * mesh[3].shape[2]
+        if (report.worst_margin, report.witness) != (ref.worst_margin, ref.witness):
+            assert report.passed and params.s == params.m == 1.0, (target, params, window)
+            index = _border_index(report.witness, grid, window)
+            assert report.worst_margin == mesh[3][index]
+            assert abs(report.worst_margin) <= mesh[4][index]
+            kinds["noise"] += 1
+    assert kinds == {"gradient": 2592, "function": 648, "noise": 190}
+
+
+DENSE_POINTS = 1001
+
+
+def _dense_verdict(e, sign, s, m, ratio, plain):
+    """Whether sign * g(r, t) <= 0 on a dense (r, t) mesh, up to 64 ulps of the
+    terms' scale, written from the reduced problem: with y = r x either
+    combination of x and y is x p(r, t), so the certified margin of c x^e is
+    c x^e g(r, t) with g = p^e - t^s - m (1-t)^s r^e, for r in
+    [1/ratio, ratio] and t in [0, 1]."""
+    t = np.linspace(0.0, 1.0, DENSE_POINTS)[None, :]
+    for r in np.array_split(np.geomspace(1.0 / ratio, ratio, DENSE_POINTS)[:, None], 4):
+        if plain:
+            p = t + m * (1.0 - t) * r
+        else:
+            p = np.where(t == 1.0, 1.0, np.where(t == 0.0, m * r, m * r / (m * t * r + (1.0 - t))))
+        pe, weighted = p**e, t**s + m * (1.0 - t) ** s * r**e
+        if np.any(sign * (pe - weighted) > 64.0 * np.finfo(float).eps * (pe + weighted)):
+            return False
+    return True
+
+
+@pytest.mark.slow
+def test_default_sweep_verdicts_equal_a_dense_reference(default_sweep_certifications):
+    # Every certification of c x^e (or |f'|^q of it) on a window of ratio R is
+    # the sign question of g on [1/R, R] x [0, 1]: one verdict per
+    # (e, sign c, s, m, R, combination), whatever the window's position.
+    problems = {}
+    for target, params, grid, window, plain, report in default_sweep_certifications:
+        c, e = target.homogeneity
+        key = (e, float(np.sign(c)), params.s, params.m, round(window[1] / window[0], 12), plain)
+        problems.setdefault(key, set()).add(report.passed)
+    assert len(problems) == 432
+    assert all(len(verdicts) == 1 for verdicts in problems.values())
+    verdicts = Counter()
+    for key, (passed,) in problems.items():
+        assert _dense_verdict(*key) == passed, key
+        verdicts[passed] += 1
+    assert set(verdicts) == {True, False}
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hhkit.errors import DomainError, InconclusiveError, ParameterError
 from hhkit.functions import (
     FunctionSpec,
+    GradientPower,
     SMParams,
     check_harmonic_sm_convex,
     check_prop1_implication,
@@ -185,9 +186,25 @@ class TestConvexityCheckers:
         assert report.passed
 
     def test_square_is_harmonically_convex(self):
+        # x^2 is homogeneous: only the 4*64 - 4 border (x, y) pairs are evaluated
         report = check_harmonic_sm_convex(spec_power(), SMParams(1.0, 1.0), window=(1.0, 4.0))
         assert report.passed
+        assert report.samples == (4 * 64 - 4) * 65
+
+    def test_shifted_square_is_checked_on_the_full_mesh(self):
+        report = check_harmonic_sm_convex(spec_power(1.0, 2.0, 1.0), SMParams(1.0, 1.0), window=(1.0, 4.0))
+        assert report.passed
         assert report.samples == 64 * 64 * 65
+
+    def test_homogeneity(self):
+        assert spec_power(-2.0, 1.5, 0.0).homogeneity == (-2.0, 1.5)
+        assert FunctionSpec.reciprocal(*WIDE).homogeneity == (1.0, -1.0)
+        assert FunctionSpec.spiece(1.0, 2.0, 0.0, 0.5, *WIDE).homogeneity == (2.0, 0.5)
+        assert GradientPower(spec_power(-2.0, 1.5, 0.0), 2.0).homogeneity == (9.0, 1.0)
+        for f in (spec_power(1.0, 2.0, 1.0), FunctionSpec.spiece(1.0, 2.0, 0.5, 0.5, *WIDE),
+                  FunctionSpec.affine(1.0, 0.0, *WIDE), FunctionSpec.exponential(0.5, *WIDE)):
+            assert f.homogeneity is None
+            assert GradientPower(f, 2.0).homogeneity is None
 
     def test_concave_fails_with_witness(self):
         report = check_harmonic_sm_convex(spec_power(-1.0), SMParams(1.0, 1.0), window=(1.0, 4.0))

@@ -153,7 +153,9 @@ class TestReportRendering:
 
 
 # Pinned before the shared-mesh grid check landed; a change to these bytes is
-# a behaviour change and must be declared as one.
+# a behaviour change and must be declared as one.  The JSON was re-pinned when
+# homogeneous targets moved to the border mesh: the cert_worst_margin of
+# passing s = m = 1 certifications, rounding noise, moved.
 PINNED_SWEEP = SweepConfig(
     theorems=("HH", "HarmHH", "II1", "I1", "I2", "FS1", "FS2", "II2", "II3", "II4"),
     families=({"family": "pow", "params": (1.0, 1.5, 0.0)}, {"family": "pow", "params": (1.0, 2.0, 0.0)}),
@@ -165,7 +167,7 @@ PINNED_SWEEP = SweepConfig(
     grid=24,
     seed=7,
 )
-PINNED_JSON_SHA256 = "bcc95b3b337ebf02db74d511dfc60522878944d06a4540a5dedb841315e696f2"
+PINNED_JSON_SHA256 = "cb8777286c460179caa79e039d5438e1ece03e9dc968f8b12b37d6266fc176da"
 PINNED_CSV_SHA256 = "8cb63ceb10a1d75b65775f66dbc33f41e84652498116934a4accc45e9308599b"
 
 
