@@ -172,11 +172,14 @@ def _cmd_sweep(args) -> tuple[int, str]:
         cfg = SweepConfig.from_json(fh.read())
     result = harness.run_sweep(cfg)
     harness.write_report_json(result, args.json_out)
-    harness.write_report_csv(result, args.csv_out)
     bad = [f for f in result.findings if f.kind in ("BoundViolation", "EvaluationError")]
     code = 1 if bad else 0
-    if args.format == "csv":  # the CSV report itself
-        return code, harness.render_report_csv(result)
+    if args.format == "csv":  # the CSV report itself, rendered once for the file and stdout
+        report = harness.render_report_csv(result)
+        with open(args.csv_out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report)
+        return code, report
+    harness.write_report_csv(result, args.csv_out)
     s = result.summary
     text = [
         f"instances={s['instances_evaluated']} skipped={s['instances_skipped']} "
@@ -263,7 +266,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
-    except (ToleranceNotMetError, ConvergenceError) as exc:
+    except (ToleranceNotMetError, ConvergenceError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(document)

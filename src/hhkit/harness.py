@@ -14,7 +14,8 @@ import io
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds
 from .bounds import (
@@ -547,19 +548,6 @@ def build_adjudication_report(
 # ---------------------------------------------------------------------------
 
 
-def _quantize(obj):
-    """Round floats to 15 significant digits (by value, so json prints them so)."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return float(format(float(obj), ".15g"))
-    if isinstance(obj, dict):
-        return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
-    return obj
-
-
 def _fmt15(value) -> str:
     if value is None:
         return ""
@@ -570,37 +558,108 @@ def _fmt15(value) -> str:
     return str(value)
 
 
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, whose line is indented by ``indent``,
+    to ``out``: ``json.dumps(..., indent=2, sort_keys=True)`` of ``value`` with
+    every float rounded to 15 significant digits.  Dict keys must be str; an
+    object with a ``to_dict()`` method is written as that dict."""
+    if isinstance(value, float):
+        value = float(format(value, ".15g"))
+        if value - value == 0.0:  # finite
+            out.append(float.__repr__(value))
+        else:
+            out.append("NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head = "[\n" + inner
+        for item in value:
+            out.append(head)
+            _encode(item, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(head + _quote(key) + ": ")
+            _encode(item, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif hasattr(value, "to_dict"):
+        _encode(value.to_dict(), indent, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_chunks(doc: dict):
-    """``doc`` stamped with the schema version and quantized, as JSON text chunks."""
-    return _JSON.iterencode(_quantize({"schema_version": SCHEMA_VERSION, **doc}))
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """``doc`` stamped with the schema version, as JSON text with a final
+    newline: one chunk per element of each top-level list, so a long list of
+    records is encoded, and turned into dicts, one element at a time."""
+    out: list[str] = []
+    head = "{\n  "
+    for key, value in sorted({"schema_version": SCHEMA_VERSION, **doc}.items()):
+        out.append(head + _quote(key) + ": ")
+        head = ",\n  "
+        if isinstance(value, (list, tuple)) and value:
+            item_head = "[\n    "
+            for item in value:
+                out.append(item_head)
+                _encode(item, "    ", out)
+                item_head = ",\n    "
+                yield "".join(out)
+                out.clear()
+            out.append("\n  ]")
+        else:
+            _encode(value, "  ", out)
+    out.append("\n}\n")
+    yield "".join(out)
 
 
 def render_json(doc: dict) -> str:
     """The JSON form of every hhkit document: ``schema_version`` added, floats
     at 15 significant digits, keys sorted, two-space indent."""
-    return "".join(_json_chunks(doc)) + "\n"
+    return "".join(_json_chunks(doc))
+
+
+def _write_csv(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt15(v) for v in row] for row in rows)
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The CSV form of every hhkit table: one header line, then each row's
     values at 15 significant digits (None as an empty field)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt15(v) for v in row] for row in rows)
+    _write_csv(buf, header, rows)
     return buf.getvalue()
 
 
 def _report_doc(result: SweepResult) -> dict:
+    """The sweep report; the writer turns the config, each record and each
+    finding into a dict only when it reaches it."""
     return {
-        "config": result.config.to_dict(),
+        "config": result.config,
         "summary": result.summary,
-        "records": [r.to_dict() for r in result.records],
+        "records": result.records,
         "skipped": result.skipped,
-        "findings": [f.to_dict() for f in result.findings],
+        "findings": result.findings,
     }
 
 
@@ -611,18 +670,25 @@ def render_report_json(result: SweepResult) -> str:
 CSV_FIELDS = ("theorem", "a", "b", "s", "m", "q", "family", "lhs", "rhs", "margin", "satisfied")
 
 
+def _report_rows(result: SweepResult) -> Iterator[list]:
+    for rec in result.records:
+        row = rec.to_dict()
+        yield [row[k] for k in CSV_FIELDS]
+
+
 def render_report_csv(result: SweepResult) -> str:
-    rows = (r.to_dict() for r in result.records)
-    return render_csv(CSV_FIELDS, ([row[k] for k in CSV_FIELDS] for row in rows))
+    return render_csv(CSV_FIELDS, _report_rows(result))
 
 
 def write_report_json(result: SweepResult, path: str) -> None:
-    """Stream the report to ``path``; the bytes equal ``render_report_json``."""
+    """Stream the report to ``path``, record by record; the bytes equal
+    ``render_report_json``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_json_chunks(_report_doc(result)))
-        fh.write("\n")
 
 
 def write_report_csv(result: SweepResult, path: str) -> None:
+    """Stream the CSV report to ``path``, row by row; the bytes equal
+    ``render_report_csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report_csv(result))
+        _write_csv(fh, CSV_FIELDS, _report_rows(result))

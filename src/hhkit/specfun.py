@@ -51,7 +51,11 @@ _EULER_QUADSPEC = QuadSpec(abs_tol=1e-15, rel_tol=1e-12)
 
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
+    """Natural log of the Gamma function for x > 0.
+
+    Raises OverflowError, as ``math.lgamma`` does, when the value does not fit
+    in a double (x above ~2.5e305).
+    """
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     if x < 0.5:
@@ -62,14 +66,25 @@ def ln_gamma(x: float) -> float:
     for i, c in enumerate(_LANCZOS[1:], start=1):
         acc += c / (xm1 + i)
     t = xm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+    value = _HALF_LOG_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+    if not math.isfinite(value):
+        raise OverflowError(f"ln_gamma({x!r}) overflows a double")
+    return value
 
 
 def beta(x: float, y: float) -> float:
-    """Euler Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0."""
+    """Euler Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0.
+
+    Raises OverflowError when B(x, y), or a log-Gamma it is built from, does
+    not fit in a double.
+    """
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"beta requires x, y > 0, got ({x}, {y})")
-    return math.exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y))
+    log_b = ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y)
+    try:
+        return math.exp(log_b)
+    except OverflowError:
+        raise OverflowError(f"beta({x!r}, {y!r}) = exp({log_b!r}) overflows a double") from None
 
 
 @dataclass(frozen=True)

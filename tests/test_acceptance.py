@@ -3,8 +3,10 @@ pass/fail line (visible with ``pytest -s``).  The default sweep is shared by
 the criteria that consume it and re-run from scratch for the determinism check.
 """
 
+import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from hhkit.harness import (
     render_report_csv,
     render_report_json,
     run_sweep,
+    write_report_csv,
+    write_report_json,
 )
 from hhkit.specfun import Hyp2F1Args, hyp2f1_euler, hyp2f1_series
 
@@ -212,3 +216,32 @@ def test_criterion_8_sweep_determinism(default_sweep):
         json_same and csv_same,
         f"two default-sweep runs byte-identical: json={json_same}, csv={csv_same}",
     )
+
+
+# The default sweep's report bytes, as written since homogeneous targets moved
+# to the border mesh.  A change to them is a behaviour change and must be
+# declared as one.
+DEFAULT_JSON_SHA256 = "45874f7ce9416bf1e64b6358f75a4221a51b4d75e58f0a2d1115f9c754f418e4"
+DEFAULT_CSV_SHA256 = "ed350f2630e828acea6b6ba4402ba275277e0523e0a558a39bad6007e300581f"
+
+
+def test_default_sweep_report_digests(default_sweep, tmp_path):
+    _, result, _ = default_sweep
+    json_path, csv_path = tmp_path / "sweep_report.json", tmp_path / "sweep_report.csv"
+    write_report_json(result, str(json_path))
+    write_report_csv(result, str(csv_path))
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == DEFAULT_JSON_SHA256
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256
+
+
+def test_default_sweep_json_report_is_streamed(default_sweep, tmp_path):
+    # Encoding all 8,568 records at once peaks at ~11 MiB; streaming them one
+    # at a time stays well under 1 MiB.
+    _, result, _ = default_sweep
+    tracemalloc.start()
+    try:
+        write_report_json(result, str(tmp_path / "sweep_report.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB while writing the JSON report"

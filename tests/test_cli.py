@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hhkit import quadrature
+from hhkit import harness, quadrature
 from hhkit.cli import main
 
 
@@ -51,6 +51,16 @@ class TestSpecfunCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("numerical failure: 2F1 series did not converge within 1000000 terms")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--fn", "beta", "--x", "1e-320", "--y", "1e-320"), "beta(1e-320, 1e-320) = exp("),
+        (("--fn", "lngamma", "--x", "1e308", "--format", "json"), "ln_gamma(1e+308) overflows a double"),
+    ])
+    def test_overflow_is_a_numerical_failure(self, capsys, argv, message):
+        code, out, err = run(capsys, "specfun", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: " + message)
 
 
 class TestCoeffsCommand:
@@ -198,6 +208,21 @@ class TestSweepCommand:
         run(capsys, "sweep", "--config", str(config_path), "--json", str(paths[2]), "--csv", str(paths[3]))
         assert paths[0].read_bytes() == paths[2].read_bytes()
         assert paths[1].read_bytes() == paths[3].read_bytes()
+
+    def test_csv_format_renders_the_report_once(self, capsys, tmp_path, config_path, monkeypatch):
+        calls = []
+        for name in ("render_report_csv", "write_report_csv"):
+            def counted(*args, _real=getattr(harness, name)):
+                calls.append(_real.__name__)
+                return _real(*args)
+            monkeypatch.setattr(harness, name, counted)
+        cout = tmp_path / "r.csv"
+        code, out, _ = run(capsys, "sweep", "--config", str(config_path), "--json", str(tmp_path / "r.json"),
+                           "--csv", str(cout), "--format", "csv")
+        assert code == 0
+        assert out.startswith("theorem,a,b,s,m,q,family")
+        assert cout.read_bytes() == out.encode("utf-8")
+        assert len(calls) == 1, calls
 
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.json"))

@@ -1,7 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhkit import bounds, harness
 from hhkit.bounds import Interval
@@ -13,6 +16,7 @@ from hhkit.harness import (
     check_reductions,
     default_sweep_config,
     make_function,
+    render_json,
     render_report_csv,
     render_report_json,
     run_sweep,
@@ -187,6 +191,58 @@ class TestPinnedReports:
         path = tmp_path / "r.json"
         write_report_json(res, str(path))
         assert path.read_bytes() == render_report_json(res).encode("utf-8")
+
+
+def _quantize_reference(obj):
+    """Reference for the JSON writer: a copy of ``obj`` with every float
+    rounded to 15 significant digits by value, for ``json.dumps`` to print."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return float(format(float(obj), ".15g"))
+    if isinstance(obj, dict):
+        return {k: _quantize_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_quantize_reference(v) for v in obj]
+    return obj
+
+
+def _render_json_reference(doc: dict) -> str:
+    return json.dumps(_quantize_reference({"schema_version": 1, **doc}), indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5, 1e-4, 1e15,
+                123456789012345678.0, 0.1 + 0.2, float("nan"), float("inf"), float("-inf"))
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(width=32),
+                    st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()).map(np.float64))
+_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+    def test_equals_json_dumps_of_the_rounded_document(self, doc):
+        assert render_json(doc) == _render_json_reference(doc)
+
+    def test_edge_values(self):
+        doc = {"floats": list(_EDGE_FLOATS), "np": [np.float64(v) for v in _EDGE_FLOATS],
+               "flags": (True, False, None, 0, 1, -(2**70)), "empty": [[], (), {}],
+               "text": ["caf\u00e9", "\u0000\u001f\t\n\"\\", "\U0001d11e", ""], "\u00fc": {"": {}}}
+        assert render_json(doc) == _render_json_reference(doc)
+
+    def test_unsupported_value_raises_type_error(self):
+        with pytest.raises(TypeError):
+            render_json({"x": {1, 2}})
 
 
 class TestDeterminism:
