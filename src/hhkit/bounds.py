@@ -69,8 +69,8 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a < self.b:
-            raise DomainError(f"interval requires 0 < a < b, got ({self.a}, {self.b})")
+        if not 0.0 < self.a < self.b < math.inf:
+            raise DomainError(f"interval requires finite 0 < a < b, got ({self.a}, {self.b})")
 
     @property
     def z(self) -> float:

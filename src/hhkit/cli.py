@@ -168,7 +168,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 def _cmd_sweep(args) -> tuple[int, str]:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "rb") as fh:
         cfg = SweepConfig.from_json(fh.read())
     result = harness.run_sweep(cfg)
     harness.write_report_json(result, args.json_out)
@@ -257,10 +257,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, document = dispatch(args)
-    except (DomainError, ParameterError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DomainError, ParameterError, OSError) as exc:  # OSError: a path named on the command line
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:

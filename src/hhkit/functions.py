@@ -50,10 +50,6 @@ __all__ = [
 
 CHECK_SLACK = 1e-12
 _SLACK_SCALE = 64.0 * np.finfo(float).eps  # the relative slack: 64 ulps of the local value scale
-# Points per slab of the grid check's row stage: at grid 48 six x rows of a
-# full mesh, whose two buffers stay in L2 between passes; at grid 24, and for
-# a border mesh up to grid 64, the whole mesh.
-_SLAB_POINTS = 2**14
 _DOMAIN_SLACK = 1e-9  # relative; absorbs rounding of combined points at window edges
 
 FAMILIES = ("pow", "spiece", "recip", "affine", "exp")
@@ -230,8 +226,8 @@ class SMParams:
             raise ParameterError(f"s must lie in [0, 1], got {self.s}")
         if not 0.0 < self.m <= 1.0:
             raise ParameterError(f"m must lie in (0, 1], got {self.m}")
-        if self.q < 1.0:
-            raise ParameterError(f"q must be >= 1, got {self.q}")
+        if not 1.0 <= self.q < math.inf:
+            raise ParameterError(f"q must be a finite number >= 1, got {self.q}")
 
     @property
     def p(self) -> Optional[float]:
@@ -346,59 +342,38 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
     x, y, t, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
                                   None if window is None else tuple(window))
     if gradient:
-        fx, fy = fx**f.q, fy**f.q
+        fx, fy, fpts = fx**f.q, fy**f.q, fpts**f.q
     lhs_w = t**params.s * fx
     rhs_w = params.m * (1.0 - t) ** params.s * fy
+    # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, written in
+    # place into two buffers of one block (glibc keeps its pages for the next
+    # check; two full-mesh blocks were page-faulted afresh on every call).
+    # The order of operations fixes every float of the reports, so keep it.
     shape = np.broadcast_shapes(np.shape(fpts), lhs_w.shape, rhs_w.shape)
-    weights = (lhs_w, rhs_w) if gradient else (lhs_w, rhs_w, np.abs(lhs_w), np.abs(rhs_w))
-    # a bare callable may return a scalar; slabs slice the first axis
-    fpts = np.broadcast_to(fpts, shape)
-    lhs_w, rhs_w, *abs_w = (np.broadcast_to(w, shape[:1] + w.shape[1:]) for w in weights)
-    # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, one slab of
-    # first-axis rows at a time in two per-call buffers that stay in cache;
-    # the order of operations fixes every float of the reports, so keep it.
-    row_points = math.prod(shape[1:])
-    rows = min(shape[0], max(1, _SLAB_POINTS // row_points))
-    total = np.empty((rows,) + shape[1:])
-    margin = np.empty_like(total)
-    best = None
-    for r0 in range(0, shape[0], rows):
-        n = min(rows, shape[0] - r0)
-        slab = slice(r0, r0 + n)
-        tot, mar = total[:n], margin[:n]
-        fb = fpts[slab]
-        if gradient:
-            fb = fb**f.q
-        np.add(lhs_w[slab], rhs_w[slab], out=tot)
-        np.subtract(fb, tot, out=mar)
-        # 1e-12 absolute slack at the equality rows, widened with the local
-        # value scale: rounding in f and the weighted sum grows with the
-        # magnitudes.  Every gradient term is >= 0, so there
-        # |lhs_w| + |rhs_w| is the sum already in ``tot``, bit for bit.
-        if gradient:
-            tot += fb
-        else:
-            np.add(abs_w[0][slab], abs_w[1][slab], out=tot)
-            tot += np.abs(fb)
-        np.multiply(_SLACK_SCALE, tot, out=tot)
-        np.maximum(CHECK_SLACK, tot, out=tot)
-        np.subtract(mar, tot, out=tot)
-        flat = int(np.argmax(tot))
-        excess = float(tot.flat[flat])
-        # The first maximum wins, and a NaN beats everything, as in one
-        # argmax over the whole mesh.
-        if best is None or excess > best[0] or math.isnan(excess):
-            best = (excess, float(mar.flat[flat]), np.unravel_index(r0 * row_points + flat, shape))
-        if math.isnan(excess):
-            break
-    excess, worst, index = best
+    total, margin = np.empty((2,) + shape)
+    np.add(lhs_w, rhs_w, out=total)
+    np.subtract(fpts, total, out=margin)
+    # 1e-12 absolute slack at the equality rows, widened with the local value
+    # scale: rounding in f and the weighted sum grows with the magnitudes.
+    # Every gradient term is >= 0, so there |lhs_w| + |rhs_w| is the sum
+    # already in ``total``, bit for bit.
+    if gradient:
+        total += fpts
+    else:
+        np.add(np.abs(lhs_w), np.abs(rhs_w), out=total)
+        total += np.abs(fpts)
+    np.multiply(_SLACK_SCALE, total, out=total)
+    np.maximum(CHECK_SLACK, total, out=total)
+    excess = np.subtract(margin, total, out=total)
+    # the first maximum, or the first NaN
+    index = np.unravel_index(int(np.argmax(excess)), shape)
     witness = tuple(float(np.broadcast_to(v, shape)[index]) for v in (x, y, t))
     diagnostics = []
     if params.s == 0.0:
         diagnostics.append("s=0 is outside the definitional range (0,1]; theorem-driver extension")
     return CheckReport(
-        passed=excess <= 0.0,
-        worst_margin=worst,
+        passed=float(excess[index]) <= 0.0,
+        worst_margin=float(margin[index]),
         witness=witness,
         samples=math.prod(shape),
         diagnostics=tuple(diagnostics),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -100,11 +101,11 @@ class SweepConfig:
         for t in self.theorems:
             bounds.theorem_row(t)
         for v in self.ratios:
-            if v <= 1.0:
-                raise ParameterError(f"interval ratios must exceed 1, got {v}")
+            if not 1.0 < v < math.inf:
+                raise ParameterError(f"interval ratios must be finite and exceed 1, got {v}")
         for v in self.a_values:
-            if v <= 0.0:
-                raise ParameterError(f"a values must be positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ParameterError(f"a values must be finite and positive, got {v}")
         for s in self.s_grid:
             if not 0.0 <= s <= 1.0:
                 raise ParameterError(f"s grid values must lie in [0, 1], got {s}")
@@ -112,8 +113,8 @@ class SweepConfig:
             if not 0.0 < m <= 1.0:
                 raise ParameterError(f"m grid values must lie in (0, 1], got {m}")
         for q in self.q_grid:
-            if q < 1.0:
-                raise ParameterError(f"q grid values must be >= 1, got {q}")
+            if not 1.0 <= q < math.inf:
+                raise ParameterError(f"q grid values must be finite and >= 1, got {q}")
         check_grid(self.grid)
         for fam in self.families:
             # instantiating on a probe interval surfaces bad names/arity at
@@ -135,24 +136,36 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        return cls(
-            theorems=tuple(data["theorems"]),
-            families=tuple(
-                {"family": str(fam["family"]), "params": tuple(float(p) for p in fam["params"])}
-                for fam in data["families"]
-            ),
-            a_values=tuple(float(v) for v in data["a_values"]),
-            ratios=tuple(float(v) for v in data["ratios"]),
-            s_grid=tuple(float(v) for v in data["s_grid"]),
-            m_grid=tuple(float(v) for v in data["m_grid"]),
-            q_grid=tuple(float(v) for v in data["q_grid"]),
-            grid=int(data.get("grid", 48)),
-            seed=int(data.get("seed", 0)),
-        )
+        """The config of a JSON document; ParameterError for a missing key or
+        a value of the wrong type."""
+        try:
+            fields = dict(
+                theorems=tuple(data["theorems"]),
+                families=tuple(
+                    {"family": str(fam["family"]), "params": tuple(float(p) for p in fam["params"])}
+                    for fam in data["families"]
+                ),
+                a_values=tuple(float(v) for v in data["a_values"]),
+                ratios=tuple(float(v) for v in data["ratios"]),
+                s_grid=tuple(float(v) for v in data["s_grid"]),
+                m_grid=tuple(float(v) for v in data["m_grid"]),
+                q_grid=tuple(float(v) for v in data["q_grid"]),
+                grid=int(data.get("grid", 48)),
+                seed=int(data.get("seed", 0)),
+            )
+        except KeyError as exc:
+            raise ParameterError(f"sweep config lacks the key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"malformed sweep config: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
-    def from_json(cls, text: str) -> "SweepConfig":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "SweepConfig":
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            raise ParameterError(f"sweep config is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def default_sweep_config() -> SweepConfig:

@@ -57,6 +57,12 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(0.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(1.0, float("inf")), (float("nan"), 2.0), (1.0, float("nan")),
+                                      (float("inf"), float("inf"))])
+    def test_endpoints_must_be_finite(self, a, b):
+        with pytest.raises(DomainError, match="finite"):
+            Interval(a, b)
+
 
 class TestCoeffLambda:
     def test_lambda1_printed_matches_oracle(self):

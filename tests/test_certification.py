@@ -1,6 +1,7 @@
-"""The shared-mesh, slab-by-slab grid check against a from-scratch full-mesh
+"""The shared-mesh, one-pass grid check against a from-scratch full-mesh
 reference (homogeneous targets on the border mesh: same verdicts, witnesses on
-the border), and the certification caches' bounds."""
+the border), its first-maximum and first-NaN witnesses, and the certification
+caches' bounds."""
 
 import math
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhkit import bounds, functions
+from hhkit import bounds, functions, harness
 from hhkit.bounds import (
     CERT_CACHE_SIZE,
     Interval,
@@ -205,7 +206,7 @@ def test_certification_caches_stay_bounded(cold_caches):
         assert info.currsize == CERT_CACHE_SIZE
 
 
-@pytest.mark.parametrize("grid", [16, 48])  # one slab, eight slabs
+@pytest.mark.parametrize("grid", [16, 48])  # a small mesh and the sweep's grid
 def test_threads_sharing_meshes_get_the_serial_reports(grid, cold_caches):
     # More threads than cores and a short switch interval, all reading the
     # same few cached meshes while rows evict and rebuild them.  Shifted
@@ -248,11 +249,22 @@ def test_threads_sharing_meshes_get_the_serial_reports(grid, cold_caches):
         assert all(report == expected[i] for i, report in got)
 
 
-# The row stage runs one slab of x rows at a time.  These grids give one slab
-# (9 and 13 are odd, so 0.5 joins the t mesh; 24 is the search grid), eight
-# (the sweep's 48) and 22 with a partial last slab (64, `hhkit verify`).
-SLAB_COUNTS = {9: 1, 13: 1, 24: 1, 48: 8, 64: 22}
-SLAB_FAMILIES = (
+def test_every_workload_family_is_homogeneous():
+    # The sweep and the search certify only these families; homogeneous ones
+    # run on the border mesh, so the row stage is one small pass.
+    for desc in (*default_sweep_config().families, *harness._SEARCH_FAMILIES):
+        f = make_function(desc, 1.0, IV)
+        for target in (f, GradientPower(f, 2.0)):
+            assert target.homogeneity is not None, (
+                f"{f.label} is not homogeneous: its certifications run on the full mesh, which puts the "
+                "full-mesh cost of the grid check back on a workload; see the row-stage paragraph of "
+                "README.md ('What is inside')")
+
+
+# 9 and 13 are odd, so 0.5 joins the t mesh; 24 is the search grid, 48 the
+# sweep's and 64 that of `hhkit verify`.
+REFERENCE_GRIDS = (9, 13, 24, 48, 64)
+REFERENCE_FAMILIES = (
     {"family": "pow", "params": (1.0, 1.5, 0.0)},
     {"family": "pow", "params": (-2.0, 0.5, 1.0)},  # negative on the window
     {"family": "affine", "params": (2.0, -3.0)},  # changes sign
@@ -262,20 +274,14 @@ SLAB_FAMILIES = (
 )
 
 
-def _slab_rows(grid):
-    t_points = grid + 1 if grid % 2 == 0 else grid + 2
-    return min(grid, max(1, functions._SLAB_POINTS // (grid * t_points)))
-
-
 @pytest.mark.parametrize("plain", [False, True], ids=["harmonic", "plain"])
-@pytest.mark.parametrize("grid", sorted(SLAB_COUNTS))
-def test_slab_loop_equals_reference(grid, plain, cold_caches):
-    assert math.ceil(grid / _slab_rows(grid)) == SLAB_COUNTS[grid]
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_row_stage_equals_reference(grid, plain, cold_caches):
     check = check_sm_convex if plain else check_harmonic_sm_convex
     verdicts = set()
     for m in M_VALUES:
         window = (IV.a, IV.b / m)
-        for desc in SLAB_FAMILIES:
+        for desc in REFERENCE_FAMILIES:
             f = make_function(desc, m, IV)
             for s in S_VALUES:
                 params = SMParams(s, m)
@@ -287,31 +293,6 @@ def test_slab_loop_equals_reference(grid, plain, cold_caches):
                         _assert_border_check(got, ref, params, grid, window, plain)
                     verdicts.add(got.passed)
     assert verdicts == {True, False}
-
-
-HOMOGENEOUS_FAMILIES = (
-    {"family": "pow", "params": (1.0, 1.5, 0.0)},
-    {"family": "pow", "params": (-2.0, 0.5, 0.0)},
-    {"family": "spiece", "params": (1.0, 0.5, 0.0, 0.5)},
-    {"family": "recip", "params": ()},
-)
-
-
-@pytest.mark.parametrize("plain", [False, True], ids=["harmonic", "plain"])
-@pytest.mark.parametrize("grid", [13, 48])
-def test_border_mesh_slabs_equal_one_pass(grid, plain, monkeypatch, cold_caches):
-    # A border mesh up to grid 64 is one slab; five (x, y) pairs per slab,
-    # with a partial last slab, run the loop's merge on border rows.
-    check = check_sm_convex if plain else check_harmonic_sm_convex
-    t_points = grid + 1 if grid % 2 == 0 else grid + 2
-    cases = [(target, SMParams(s, m), (IV.a, IV.b / m))
-             for m in M_VALUES for desc in HOMOGENEOUS_FAMILIES for s in S_VALUES
-             for f in (make_function(desc, m, IV),) for target in (f, GradientPower(f, 2.5))]
-    one_pass = [check(target, params, grid, window) for target, params, window in cases]
-    assert all(r.samples == (4 * grid - 4) * t_points for r in one_pass)
-    monkeypatch.setattr(functions, "_SLAB_POINTS", 5 * t_points)
-    assert [check(target, params, grid, window) for target, params, window in cases] == one_pass
-    assert {r.passed for r in one_pass} == {True, False}
 
 
 HOMOGENEOUS_DRAWS = st.one_of(
@@ -345,9 +326,9 @@ def test_border_mesh_agrees_with_the_full_mesh(desc, q, plain, grid, s, m, a, ra
 
 
 @pytest.mark.parametrize("grid", [48, 64])
-def test_a_tie_across_slabs_keeps_the_first_point(grid):
+def test_a_tie_keeps_the_first_point(grid):
     # every (x, y) row of a constant function has the same margins in t, so
-    # each slab holds the maximum; the whole-mesh argmax takes the first
+    # the maximum recurs in every row; the argmax takes the first
     f = FunctionSpec.affine(0.0, 1.0, 0.5, 4.0)
     window = (1.0, 2.0)
     for target, ref in ((f, f), (GradientPower(f, 2.0), _old_gradient_closure(f, 2.0))):
@@ -361,8 +342,9 @@ def test_a_tie_across_slabs_keeps_the_first_point(grid):
 def test_the_first_nan_wins(grid):
     lo, hi, m = 1.0, 4.0, 0.5
     xs = np.geomspace(lo, hi, grid)
-    # NaN in a band between two mesh nodes: only combined points of later x
-    # rows fall into it, so slab 0 is finite and a later slab's NaN must win
+    # NaN in a band between two mesh nodes.  A combined point lies between
+    # m y <= 2 and x, so only the x rows from xs[-7] on reach the band: the
+    # rows before them are finite, and a late row's NaN must win
     gap = xs[-7] - xs[-8]
     band = (xs[-8] + 0.25 * gap, xs[-7] - 0.25 * gap)
 
@@ -377,7 +359,7 @@ def test_the_first_nan_wins(grid):
         ref = _reference_check(g, SMParams(0.5, m), grid, (lo, hi))
         assert math.isnan(got.worst_margin) and math.isnan(ref.worst_margin)
         assert (got.passed, got.witness, got.samples) == (False, ref.witness, ref.samples)
-    assert got.witness[0] > xs[_slab_rows(grid) - 1]
+    assert got.witness[0] == xs[-7]
 
 
 # Failure paths on the border mesh.

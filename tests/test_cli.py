@@ -93,6 +93,11 @@ class TestCoeffsCommand:
         assert code == 2
         assert "--a/--b" in err and "0 < a < b" in err
 
+    def test_infinite_endpoint_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--set", "lambda", "--a", "1", "--b", "inf", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "usage error: interval requires finite 0 < a < b, got (1.0, inf)\n"
+
     def test_missing_set_parameter(self, capsys):
         code, _, err = run(capsys, "coeffs", "--set", "mu", "--a", "1", "--b", "2")
         assert code == 2
@@ -133,6 +138,18 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--theorem", "II1", "--family", "pow", "--a", "3", "--b", "2")
         assert code == 2
         assert "--a/--b" in err and "0 < a < b" in err
+
+    @pytest.mark.parametrize("theorem, flag, value, message", [
+        ("II2", "--q", "nan", "q must be a finite number >= 1, got nan"),
+        ("II2", "--q", "inf", "q must be a finite number >= 1, got inf"),
+        ("II1", "--b", "inf", "interval requires finite 0 < a < b, got (1.0, inf)"),
+    ])
+    def test_non_finite_input_is_a_usage_error(self, capsys, theorem, flag, value, message):
+        argv = {"--a": "1", "--b": "2", "--q": "1", flag: value}
+        code, out, err = run(capsys, "verify", "--theorem", theorem, "--family", "pow",
+                             *(item for pair in argv.items() for item in pair))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {message}\n"
 
     def test_parameter_range_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "II4", "--family", "pow", "--q", "1",
@@ -227,6 +244,33 @@ class TestSweepCommand:
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_directory_as_config_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sweep", "--config", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: [Errno 21] Is a directory")
+
+    def test_unwritable_report_path_is_a_usage_error(self, capsys, tmp_path, config_path):
+        code, out, err = run(capsys, "sweep", "--config", str(config_path), "--json", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: [Errno 21] Is a directory")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"theorems": ["II1"]', "sweep config is not valid JSON: Expecting ',' delimiter"),
+        ('{"theorems": ["II1"]}', "sweep config lacks the key 'families'"),
+        ('{"theorems": ["II1"], "families": [{"family": "pow", "params": ["two"]}]}',
+         "malformed sweep config: could not convert string to float: 'two'"),
+        ('{"theorems": ["II1"], "families": [], "a_values": [1.0], "ratios": [NaN], "s_grid": [1.0], '
+         '"m_grid": [1.0], "q_grid": [1.0]}', "interval ratios must be finite and exceed 1, got nan"),
+    ])
+    def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "sweep", "--config", str(path), "--json", str(tmp_path / "r.json"),
+                             "--csv", str(tmp_path / "r.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {message}")
+        assert not (tmp_path / "r.json").exists()
 
     def test_tolerance_not_met_becomes_evaluation_error(self, capsys, tmp_path, monkeypatch):
         # The real integrator under a tolerance no depth-1 bisection can meet:

@@ -173,6 +173,11 @@ class TestSMParams:
         with pytest.raises(ParameterError):
             SMParams(0.5, 1.0, 0.5)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
+    def test_q_must_be_finite(self, q):
+        with pytest.raises(ParameterError, match="finite"):
+            SMParams(0.5, 1.0, q)
+
     def test_s_zero_accepted_but_flagged(self):
         params = SMParams(0.0, 1.0)
         assert not params.s_in_definition_range

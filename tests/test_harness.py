@@ -58,6 +58,39 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             single_instance_config(m_grid=(0.0,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("ratios", float("nan")), ("ratios", float("inf")),
+        ("a_values", float("nan")), ("a_values", float("inf")),
+        ("q_grid", float("nan")), ("q_grid", float("inf")),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            single_instance_config(**{field: (value,)})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"theorems": ["II1"]', "sweep config is not valid JSON"),
+        (b'{"theorems": ["\xff"]}', "sweep config is not valid JSON: 'utf-8' codec"),
+        ("[1, 2]", "malformed sweep config"),
+    ])
+    def test_malformed_json_is_a_parameter_error(self, text, message):
+        with pytest.raises(ParameterError, match=message):
+            SweepConfig.from_json(text)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"ratios": None}, "sweep config lacks the key 'ratios'"),
+        ({"families": [{"family": "pow"}]}, "sweep config lacks the key 'params'"),
+        ({"a_values": ["one"]}, "malformed sweep config: could not convert string to float: 'one'"),
+        ({"grid": "dense"}, "malformed sweep config"),
+        ({"grid": float("inf")}, "malformed sweep config: cannot convert float infinity to integer"),
+        ({"q_grid": 2.0}, "malformed sweep config"),
+    ])
+    def test_malformed_fields_are_parameter_errors(self, change, message):
+        data = single_instance_config().to_dict()
+        data.update(change)
+        data = {k: v for k, v in data.items() if v is not None}
+        with pytest.raises(ParameterError, match=message):
+            SweepConfig.from_dict(data)
+
     def test_bad_family_rejected_at_parse_time(self):
         with pytest.raises(DomainError):
             single_instance_config(families=({"family": "cosine", "params": ()},))
