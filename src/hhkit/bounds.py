@@ -208,8 +208,8 @@ def coeff_mu(q: float, iv: Interval) -> CoefficientSet:
     int (1-t)(...)^(-2q) dt.  The hypergeometric labels are adjudicated against
     the oracles; see the reduction report for the observed pairing.
     """
-    if not q > 1.0:
-        raise ParameterError(f"mu coefficients require q > 1, got {q}")
+    if not 1.0 < q < math.inf:
+        raise ParameterError(f"mu coefficients require a finite q > 1, got {q}")
     a, b = iv.a, iv.b
     z = iv.z
     denom = 2.0 * (b - a) ** 2 * (1.0 - q) * (1.0 - 2.0 * q)
@@ -268,8 +268,8 @@ def coeff_rho(s: float, r: float, iv: Interval) -> CoefficientSet:
     """
     if not 0.0 <= s <= 1.0:
         raise ParameterError(f"rho coefficients require s in [0, 1], got {s}")
-    if r < 1.0:
-        raise ParameterError(f"rho coefficients require r >= 1, got {r}")
+    if not 1.0 <= r < math.inf:
+        raise ParameterError(f"rho coefficients require a finite r >= 1, got {r}")
     a, b = iv.a, iv.b
     z = iv.z
     z_half = 0.5 * z
@@ -301,8 +301,8 @@ def coeff_nu(s: float, q: float, iv: Interval) -> CoefficientSet:
     """Printed Holder-route coefficients nu1, nu2 for q > 1 (kernels without |1-2t|)."""
     if not 0.0 <= s <= 1.0:
         raise ParameterError(f"nu coefficients require s in [0, 1], got {s}")
-    if not q > 1.0:
-        raise ParameterError(f"nu coefficients require q > 1, got {q}")
+    if not 1.0 < q < math.inf:
+        raise ParameterError(f"nu coefficients require a finite q > 1, got {q}")
     a, b = iv.a, iv.b
     z = iv.z
     b2q = b ** (2.0 * q)

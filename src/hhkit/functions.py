@@ -82,8 +82,8 @@ class FunctionSpec:
                 f"domain must satisfy 0 < lo < hi, got ({self.domain_lo}, {self.domain_hi})"
             )
         n_expected = {"pow": 3, "spiece": 4, "recip": 0, "affine": 2, "exp": 1}[self.family]
-        if len(self.params) != n_expected:
-            raise DomainError(f"{self.family} takes {n_expected} parameters, got {self.params}")
+        if len(self.params) != n_expected or not all(map(math.isfinite, self.params)):
+            raise DomainError(f"{self.family} takes {n_expected} finite parameters, got {self.params}")
         if self.family == "spiece":
             a0, b0, c0, _ = self.params
             if b0 < 0.0 or not 0.0 <= c0 <= a0:

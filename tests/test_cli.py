@@ -93,10 +93,18 @@ class TestCoeffsCommand:
         assert code == 2
         assert "--a/--b" in err and "0 < a < b" in err
 
-    def test_infinite_endpoint_is_a_usage_error(self, capsys):
-        code, out, err = run(capsys, "coeffs", "--set", "lambda", "--a", "1", "--b", "inf", "--format", "json")
+    @pytest.mark.parametrize("argv, message", [
+        (("--set", "lambda", "--a", "1", "--b", "inf"), "interval requires finite 0 < a < b, got (1.0, inf)"),
+        (("--set", "mu", "--a", "1", "--b", "2", "--q", "inf"), "mu coefficients require a finite q > 1, got inf"),
+        (("--set", "nu", "--a", "1", "--b", "2", "--s", "0.5", "--q", "inf"),
+         "nu coefficients require a finite q > 1, got inf"),
+        (("--set", "rho", "--a", "1", "--b", "2", "--s", "0.5", "--q", "nan"),
+         "rho coefficients require a finite r >= 1, got nan"),
+    ], ids=["lambda-b-inf", "mu-q-inf", "nu-q-inf", "rho-q-nan"])
+    def test_non_finite_input_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "coeffs", *argv, "--format", "json")
         assert (code, out) == (2, "")
-        assert err == "usage error: interval requires finite 0 < a < b, got (1.0, inf)\n"
+        assert err == f"usage error: {message}\n"
 
     def test_missing_set_parameter(self, capsys):
         code, _, err = run(capsys, "coeffs", "--set", "mu", "--a", "1", "--b", "2")
@@ -143,7 +151,9 @@ class TestVerifyCommand:
         ("II2", "--q", "nan", "q must be a finite number >= 1, got nan"),
         ("II2", "--q", "inf", "q must be a finite number >= 1, got inf"),
         ("II1", "--b", "inf", "interval requires finite 0 < a < b, got (1.0, inf)"),
-    ])
+        ("II1", "--exp", "inf", "pow takes 3 finite parameters, got (1.0, inf, 0.0)"),
+        ("II1", "--coeff", "nan", "pow takes 3 finite parameters, got (nan, 2.0, 0.0)"),
+    ], ids=["q-nan", "q-inf", "b-inf", "exp-inf", "coeff-nan"])
     def test_non_finite_input_is_a_usage_error(self, capsys, theorem, flag, value, message):
         argv = {"--a": "1", "--b": "2", "--q": "1", flag: value}
         code, out, err = run(capsys, "verify", "--theorem", theorem, "--family", "pow",
@@ -262,7 +272,7 @@ class TestSweepCommand:
          "malformed sweep config: could not convert string to float: 'two'"),
         ('{"theorems": ["II1"], "families": [], "a_values": [1.0], "ratios": [NaN], "s_grid": [1.0], '
          '"m_grid": [1.0], "q_grid": [1.0]}', "interval ratios must be finite and exceed 1, got nan"),
-    ])
+    ], ids=["invalid-json", "missing-key", "non-numeric", "nan-ratio"])
     def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -325,3 +335,8 @@ class TestReductionsCommand:
         doc = json.loads(out)
         assert doc["findings"]
         assert all(f["payload"]["level"] == "printed" for f in doc["findings"])
+
+    def test_non_finite_q_grid_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "reductions", "--a", "1", "--b", "2", "--s-grid", "0.5", "--q-grid", "nan")
+        assert (code, out) == (2, "")
+        assert err == "usage error: rho coefficients require a finite r >= 1, got nan\n"

@@ -71,7 +71,7 @@ class TestSweepConfig:
         ('{"theorems": ["II1"]', "sweep config is not valid JSON"),
         (b'{"theorems": ["\xff"]}', "sweep config is not valid JSON: 'utf-8' codec"),
         ("[1, 2]", "malformed sweep config"),
-    ])
+    ], ids=["truncated", "not-utf8", "not-an-object"])
     def test_malformed_json_is_a_parameter_error(self, text, message):
         with pytest.raises(ParameterError, match=message):
             SweepConfig.from_json(text)
@@ -83,7 +83,7 @@ class TestSweepConfig:
         ({"grid": "dense"}, "malformed sweep config"),
         ({"grid": float("inf")}, "malformed sweep config: cannot convert float infinity to integer"),
         ({"q_grid": 2.0}, "malformed sweep config"),
-    ])
+    ], ids=["missing-ratios", "missing-params", "non-numeric-a", "text-grid", "infinite-grid", "scalar-q-grid"])
     def test_malformed_fields_are_parameter_errors(self, change, message):
         data = single_instance_config().to_dict()
         data.update(change)
