@@ -10,6 +10,7 @@ CSV are the stable output contracts, text is human-oriented.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -170,7 +171,21 @@ def _cmd_verify(args) -> tuple[int, str]:
 def _cmd_sweep(args) -> tuple[int, str]:
     with open(args.config, "rb") as fh:
         cfg = SweepConfig.from_json(fh.read())
-    result = harness.run_sweep(cfg)
+    # Open both report paths before the sweep, so that a bad one fails at
+    # once; on any failure up to the end of the sweep, remove the report
+    # files this call created.
+    created = []
+    try:
+        for path in (args.json_out, args.csv_out):
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        result = harness.run_sweep(cfg)
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     harness.write_report_json(result, args.json_out)
     bad = [f for f in result.findings if f.kind in ("BoundViolation", "EvaluationError")]
     code = 1 if bad else 0

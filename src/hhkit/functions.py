@@ -19,6 +19,23 @@ same points: verdicts and failing reports are the full mesh's.  Where g = 0 a
 margin is rounding noise, so a passing check's worst margin may differ there,
 within the slack.  Bare callables, ``exp``, ``affine``, shifted ``pow`` and
 ``spiece`` with c0 != 0 keep the full mesh.
+
+A homogeneous target is certified once per reduced problem.  With lo the
+window's left end and lambda = |c| lo^e, the check of c x^e on [lo, hi] is
+lambda times the check of sign(c) x^e on the canonical window [1, R], R =
+hi / lo, at every point, apart from rounding and the absolute 1e-12 slack,
+which does not scale.  So one cached entry per (e, sign c, s, m, R, grid,
+combination) holds the canonical border check's worst margin and witness
+and its peak: the largest margin beyond half the relative slack (64 ulps of
+the value scale).  The instance passes when lambda * peak <= 1e-12 / 2, and
+then reports the canonical worst margin times lambda at the witness (lo x,
+lo y, t).  A point the instance's own check would fail clears half of both
+slacks in the canonical check, so no such instance passes; every other
+instance runs its own border check, which gives its verdict and its report,
+so a failing report is the border check's, bit for bit.  A function and a
+gradient with the same exponent (e for c x^e, (e - 1) q for |f'|^q) share
+an entry.  A window whose combined points [m lo, hi] come within rounding of
+the edge of the domain, and scales beyond exp(+-200), keep the own check.
 """
 
 from __future__ import annotations
@@ -273,6 +290,20 @@ class GradientPower:
 FuncLike = Union[FunctionSpec, GradientPower, Callable]
 
 
+@lru_cache(maxsize=8)
+def _mesh_axes(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t mesh of one density and the (i, j) index pairs of the border of
+    its x,y mesh, in row-major order (arrays read-only)."""
+    # t mesh must contain the exact endpoints and the midpoint 1/2 (equality rows)
+    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
+    i, j = np.divmod(np.arange(grid * grid), grid)
+    edge = (i == 0) | (i == grid - 1) | (j == 0) | (j == grid - 1)
+    axes = ts, i[edge], j[edge]
+    for arr in axes:
+        arr.flags.writeable = False
+    return axes
+
+
 def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]], border: bool = False):
     """The x, y, t mesh, broadcastable to (grid, grid, t points); with
     ``border`` only its border (x, y) pairs, in row-major order, as columns
@@ -285,12 +316,9 @@ def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]], border:
     if not 0.0 < lo < hi:
         raise DomainError(f"window must satisfy 0 < lo < hi, got {window}")
     xs = np.geomspace(lo, hi, grid)
-    # t mesh must contain the exact endpoints and the midpoint 1/2 (equality rows)
-    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
+    ts, i, j = _mesh_axes(grid)
     if border:
-        i, j = np.divmod(np.arange(grid * grid), grid)
-        edge = (i == 0) | (i == grid - 1) | (j == 0) | (j == grid - 1)
-        return xs[i[edge], None], xs[j[edge], None], ts[None, :]
+        return xs[i, None], xs[j, None], ts[None, :]
     return xs[:, None, None], xs[None, :, None], ts[None, None, :]
 
 
@@ -330,21 +358,22 @@ def _shared_mesh_stage(f: FunctionSpec, gradient: bool, combiner, m: float, grid
 
 
 def clear_mesh_cache() -> None:
+    """Empty the mesh cache and the cache of reduced problems."""
     _shared_mesh_stage.cache_clear()
+    _reduced_rows.cache_clear()
 
 
-def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> CheckReport:
-    gradient = isinstance(f, GradientPower)
-    source = f.f if gradient else f
-    # Only a FunctionSpec fixes its values by its fields; bare callables are
-    # evaluated afresh on every check.
-    stage = _shared_mesh_stage if isinstance(source, FunctionSpec) else _mesh_stage
-    x, y, t, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
-                                  None if window is None else tuple(window))
-    if gradient:
-        fx, fy, fpts = fx**f.q, fy**f.q, fpts**f.q
-    lhs_w = t**params.s * fx
-    rhs_w = params.m * (1.0 - t) ** params.s * fy
+def _diagnostics(s: float) -> tuple[str, ...]:
+    return ("s=0 is outside the definitional range (0,1]; theorem-driver extension",) if s == 0.0 else ()
+
+
+def _row_stage(x, y, t, fx, fy, fpts, s: float, m: float, nonnegative: bool, probe: bool = False):
+    """The report of one (s, m) row on a mesh and, with ``probe``, its peak:
+    the largest margin beyond half the relative slack, NaN if a margin is
+    NaN, -inf if none is beyond.  ``nonnegative`` says that every value is
+    >= 0."""
+    lhs_w = t**s * fx
+    rhs_w = m * (1.0 - t) ** s * fy
     # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, written in
     # place into two buffers of one block (glibc keeps its pages for the next
     # check; two full-mesh blocks were page-faulted afresh on every call).
@@ -355,29 +384,106 @@ def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
     np.subtract(fpts, total, out=margin)
     # 1e-12 absolute slack at the equality rows, widened with the local value
     # scale: rounding in f and the weighted sum grows with the magnitudes.
-    # Every gradient term is >= 0, so there |lhs_w| + |rhs_w| is the sum
-    # already in ``total``, bit for bit.
-    if gradient:
+    # Where every term is >= 0, |lhs_w| + |rhs_w| is the sum already in
+    # ``total``, bit for bit.
+    if nonnegative:
         total += fpts
     else:
         np.add(np.abs(lhs_w), np.abs(rhs_w), out=total)
         total += np.abs(fpts)
+    peak = None
+    if probe:
+        beyond = ~(margin <= 0.5 * _SLACK_SCALE * total)  # NaN counts as beyond
+        peak = float(np.max(margin, where=beyond, initial=-np.inf))
     np.multiply(_SLACK_SCALE, total, out=total)
     np.maximum(CHECK_SLACK, total, out=total)
     excess = np.subtract(margin, total, out=total)
     # the first maximum, or the first NaN
     index = np.unravel_index(int(np.argmax(excess)), shape)
     witness = tuple(float(np.broadcast_to(v, shape)[index]) for v in (x, y, t))
-    diagnostics = []
-    if params.s == 0.0:
-        diagnostics.append("s=0 is outside the definitional range (0,1]; theorem-driver extension")
-    return CheckReport(
+    report = CheckReport(
         passed=float(excess[index]) <= 0.0,
         worst_margin=float(margin[index]),
         witness=witness,
         samples=math.prod(shape),
-        diagnostics=tuple(diagnostics),
+        diagnostics=_diagnostics(s),
     )
+    return report, peak
+
+
+def _mesh_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> CheckReport:
+    """The grid check on the target's own mesh: the border mesh for a
+    homogeneous target, the full mesh otherwise."""
+    gradient = isinstance(f, GradientPower)
+    source = f.f if gradient else f
+    # Only a FunctionSpec fixes its values by its fields; bare callables are
+    # evaluated afresh on every check.
+    stage = _shared_mesh_stage if isinstance(source, FunctionSpec) else _mesh_stage
+    x, y, t, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
+                                  None if window is None else tuple(window))
+    if gradient:
+        fx, fy, fpts = fx**f.q, fy**f.q, fpts**f.q
+    return _row_stage(x, y, t, fx, fy, fpts, params.s, params.m, gradient)[0]
+
+
+# Combined points lie in [m lo, hi] up to a few ulps of rounding; a window
+# within this relative distance of its domain's edge keeps its own check.
+_POINT_ROUNDING = 1e-12
+# The reduced path keeps every value of the instance and of its reduced
+# problem, and every coefficient, within exp(+-200) (about 1e+-87), so that
+# rescaling neither overflows nor reaches subnormal numbers.
+_LOG_RANGE = 200.0
+
+
+# One entry per reduced problem, a tuple of five floats.  The default sweep
+# has 432 problems; a random search repeats none, so the bound only caps it.
+@lru_cache(maxsize=512)
+def _reduced_rows(e: float, sign: float, s: float, m: float, ratio: float, grid: int,
+                  combiner) -> tuple[float, float, float, float, float]:
+    """(peak, worst margin, witness) of the border check of sign * x**e on
+    the canonical window [1, ratio]."""
+    xs = np.geomspace(1.0, ratio, grid)
+    ts, i, j = _mesh_axes(grid)
+    x, y, t = xs[i, None], xs[j, None], ts[None, :]
+    fx, fy, fpts = (sign * v**e for v in (x, y, combiner(x, y, t, m)))
+    report, peak = _row_stage(x, y, t, fx, fy, fpts, s, m, sign > 0.0, probe=True)
+    return (peak, report.worst_margin, *report.witness)
+
+
+def _reduced_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> Optional[CheckReport]:
+    """The report of a homogeneous target from its reduced problem, or None
+    where the target's own mesh check must decide (module docstring)."""
+    gradient = isinstance(f, GradientPower)
+    source = f.f if gradient else f
+    h = source.homogeneity if isinstance(source, FunctionSpec) else None
+    if h is None:
+        return None
+    c, e = h
+    if gradient:
+        c, e, power = abs(c * e), (e - 1.0) * f.q, f.q
+    else:
+        power = 1.0
+    lo, hi = (source.domain_lo, source.domain_hi) if window is None else map(float, window)
+    m = params.m
+    # The own check raises the DomainError, with the range it found.
+    if not (0.0 < lo < hi and source.domain_lo * (1.0 - _DOMAIN_SLACK) <= m * lo * (1.0 - _POINT_ROUNDING)
+            and hi * (1.0 + _POINT_ROUNDING) <= source.domain_hi * (1.0 + _DOMAIN_SLACK)):
+        return None
+    ratio = hi / lo
+    if c == 0.0 or not (abs(power * math.log(abs(c))) + abs(e) * (abs(math.log(lo)) + math.log(ratio / m))
+                        < _LOG_RANGE):
+        return None
+    peak, worst, x, y, t = _reduced_rows(e, math.copysign(1.0, c), params.s, m, ratio, grid, combiner)
+    scale = abs(c) ** power * lo**e
+    if not scale * peak <= 0.5 * CHECK_SLACK:  # it may fail at this scale (or peak is NaN)
+        return None
+    ts, i, _ = _mesh_axes(grid)
+    return CheckReport(True, scale * worst, (lo * x, lo * y, t), i.size * ts.size, _diagnostics(params.s))
+
+
+def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> CheckReport:
+    report = _reduced_check(f, params, grid, window, combiner)
+    return _mesh_check(f, params, grid, window, combiner) if report is None else report
 
 
 def check_harmonic_sm_convex(

@@ -85,6 +85,32 @@ def check_grid(grid: int) -> None:
         raise ParameterError(f"certification grid density must be >= 8, got {grid}")
 
 
+# Readers of one sweep-config field each; a TypeError or ValueError becomes a
+# ParameterError in ``SweepConfig.from_dict``.
+def _items(container: dict, key: str):
+    """A list field; TypeError for anything else (a string would be split)."""
+    value = container[key]
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _reals(container: dict, key: str) -> tuple[float, ...]:
+    """A list of numbers as floats; TypeError for a boolean."""
+    values = _items(container, key)
+    if any(isinstance(v, bool) for v in values):
+        raise TypeError(f"{key} must hold numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+def _integer(value, key: str) -> int:
+    """An integer field; TypeError for anything that would lose its value as
+    an int (a fraction, a boolean, text)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     theorems: tuple[str, ...]
@@ -137,21 +163,23 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
         """The config of a JSON document; ParameterError for a missing key or
-        a value of the wrong type."""
+        a value of the wrong type: a list field that is not a list, a
+        boolean where a number belongs, or a grid or seed that is not an
+        integer."""
         try:
             fields = dict(
-                theorems=tuple(data["theorems"]),
+                theorems=tuple(_items(data, "theorems")),
                 families=tuple(
-                    {"family": str(fam["family"]), "params": tuple(float(p) for p in fam["params"])}
-                    for fam in data["families"]
+                    {"family": str(fam["family"]), "params": _reals(fam, "params")}
+                    for fam in _items(data, "families")
                 ),
-                a_values=tuple(float(v) for v in data["a_values"]),
-                ratios=tuple(float(v) for v in data["ratios"]),
-                s_grid=tuple(float(v) for v in data["s_grid"]),
-                m_grid=tuple(float(v) for v in data["m_grid"]),
-                q_grid=tuple(float(v) for v in data["q_grid"]),
-                grid=int(data.get("grid", 48)),
-                seed=int(data.get("seed", 0)),
+                a_values=_reals(data, "a_values"),
+                ratios=_reals(data, "ratios"),
+                s_grid=_reals(data, "s_grid"),
+                m_grid=_reals(data, "m_grid"),
+                q_grid=_reals(data, "q_grid"),
+                grid=_integer(data.get("grid", 48), "grid"),
+                seed=_integer(data.get("seed", 0), "seed"),
             )
         except KeyError as exc:
             raise ParameterError(f"sweep config lacks the key {exc}") from exc

@@ -72,15 +72,46 @@ def ln_gamma(x: float) -> float:
     return value
 
 
+# From this argument on, ``beta`` takes ln Gamma(x) - ln Gamma(x + y) from
+# Stirling's series instead of subtracting two log-Gammas of size ~x ln x.
+_STIRLING_MIN = 100.0
+
+
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2): four terms of
+    Stirling's series, within 1e-21 for z >= _STIRLING_MIN (0 at z = inf)."""
+    r = 1.0 / z
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
+
+
+def _ln_beta_large(x: float, y: float) -> float:
+    """ln B(x, y) for x >= max(y, _STIRLING_MIN), with ln(x + y) written as
+    ln x + log1p(y / x), so that nothing cancels and x + y never multiplies
+    a logarithm (it may overflow)."""
+    lx, l1p = math.log(x), math.log1p(y / x)
+    # y - (x + y - 1/2) log1p(y / x), two terms of size y that cancel to O(y^2 / x)
+    rest = y - (x - 0.5) * l1p - y * l1p + _stirling_tail(x) - _stirling_tail(x + y)
+    if y < _STIRLING_MIN:
+        return ln_gamma(y) - y * lx + rest
+    # ln Gamma(y) from the series too: (y - 1/2) ln y - y ln x, rearranged
+    return _HALF_LOG_2PI - 0.5 * lx + (y - 0.5) * math.log(y / x) + _stirling_tail(y) + rest - y
+
+
 def beta(x: float, y: float) -> float:
     """Euler Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0.
 
-    Raises OverflowError when B(x, y), or a log-Gamma it is built from, does
-    not fit in a double.
+    Below 100 in both arguments it is exp(ln Gamma(x) + ln Gamma(y) -
+    ln Gamma(x + y)); from there on the log-Gamma difference comes from
+    Stirling's series (``_ln_beta_large``).  Raises OverflowError when
+    B(x, y), or a log-Gamma it is built from, does not fit in a double.
     """
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"beta requires x, y > 0, got ({x}, {y})")
-    log_b = ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y)
+    if max(x, y) >= _STIRLING_MIN:
+        log_b = _ln_beta_large(max(x, y), min(x, y))
+    else:
+        log_b = ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y)
     try:
         return math.exp(log_b)
     except OverflowError:

@@ -1,7 +1,8 @@
 """The shared-mesh, one-pass grid check against a from-scratch full-mesh
 reference (homogeneous targets on the border mesh: same verdicts, witnesses on
-the border), its first-maximum and first-NaN witnesses, and the certification
-caches' bounds."""
+the border), the reduced-problem path against the target's own border check
+(same verdicts, the border check's failing reports), its first-maximum and
+first-NaN witnesses, and the certification caches' bounds."""
 
 import math
 import sys
@@ -102,11 +103,11 @@ def _border_index(witness, grid, window):
     return i, j, k
 
 
-def _assert_border_check(got, g, params, grid, window, plain=False):
+def _assert_border_check(got, g, params, grid, window, plain=False, mesh=None):
     """A border-mesh report against the full-mesh reference: the same verdict,
     a witness on the mesh border whose full-formula margin is the report's
     worst margin bit for bit, and (4 grid - 4) x-y pairs evaluated."""
-    mesh = _reference_mesh(g, params, grid, window, plain)
+    mesh = _reference_mesh(g, params, grid, window, plain) if mesh is None else mesh
     ref = _reference_report(mesh, params)
     margins = mesh[3]
     margin = float(margins[_border_index(got.witness, grid, window)])
@@ -114,6 +115,41 @@ def _assert_border_check(got, g, params, grid, window, plain=False):
     assert got.worst_margin == margin or (math.isnan(got.worst_margin) and math.isnan(margin))
     assert got.samples == (4 * grid - 4) * margins.shape[2]
     assert got.diagnostics == ref.diagnostics
+    return ref
+
+
+def _own_check(target, params, grid, window, plain=False):
+    """The target's own mesh check, which the reduced path stands in for."""
+    combiner = functions._linear_combine if plain else harmonic_combine
+    return functions._mesh_check(target, params, grid, window, combiner)
+
+
+def _assert_reduced_report(got, own, mesh, grid, window):
+    """A report of the reduced path against the target's own border check
+    ``own`` and the full-mesh reference ``mesh``: the same verdict; a failing
+    report is the border check's; a passing one has a witness at a border
+    point of the instance's mesh and reports the instance's margin there, up
+    to its slack."""
+    assert got.passed == own.passed
+    if not got.passed:
+        assert got == own
+        return
+    xs, ts = _mesh_axes(grid, window)
+    (i,), (j,) = (np.flatnonzero(np.isclose(xs, w, rtol=1e-12, atol=0.0)) for w in got.witness[:2])
+    (k,) = np.flatnonzero(ts == got.witness[2])
+    assert {i, j} & {0, grid - 1}, got.witness
+    _, _, _, margin, slack = mesh
+    assert abs(got.worst_margin - margin[i, j, k]) <= slack[i, j, k], (got, margin[i, j, k])
+    assert (got.samples, got.diagnostics) == (own.samples, own.diagnostics)
+
+
+def _assert_reduced_check(got, target, g, params, grid, window, plain=False):
+    """A homogeneous target's report against its own border check, and that
+    border check against the full-mesh reference; returns the reference."""
+    mesh = _reference_mesh(g, params, grid, window, plain)
+    own = _own_check(target, params, grid, window, plain)
+    ref = _assert_border_check(own, g, params, grid, window, plain, mesh)
+    _assert_reduced_report(got, own, mesh, grid, window)
     return ref
 
 
@@ -140,13 +176,13 @@ def test_mesh_path_equals_reference(grid, cold_caches):
             window = (IV.a, IV.b / m)
             for s in S_VALUES:
                 got = certify_function(f, SMParams(s, m), window, grid)
-                ref = _assert_border_check(got, f, SMParams(s, m), grid, window)
+                ref = _assert_reduced_check(got, f, f, SMParams(s, m), grid, window)
                 reports.append((got, ref))
                 for q in Q_VALUES:
                     params = SMParams(s, m, q)
                     got = certify_gradient(f, params, window, grid)
                     old = _old_gradient_closure(f, q)
-                    ref = _assert_border_check(got, old, params, grid, window)
+                    ref = _assert_reduced_check(got, GradientPower(f, q), old, params, grid, window)
                     # a bare callable has no homogeneity: it keeps the full mesh
                     assert check_harmonic_sm_convex(old, SMParams(s, m), grid, window) == ref
                     reports.append((got, ref))
@@ -159,7 +195,8 @@ def test_mesh_path_equals_reference(grid, cold_caches):
 
 
 def test_cached_mesh_arrays_are_read_only(cold_caches):
-    f = make_function({"family": "pow", "params": (1.0, 2.0, 0.0)}, 0.5, IV)
+    # a shifted power is not homogeneous, so it is checked on its own mesh
+    f = make_function({"family": "pow", "params": (1.0, 2.0, 1.0)}, 0.5, IV)
     window = (IV.a, IV.b / 0.5)
     certify_gradient(f, SMParams(0.5, 0.5, 2.0), window, 24)
     before = functions._shared_mesh_stage.cache_info()
@@ -172,20 +209,24 @@ def test_cached_mesh_arrays_are_read_only(cold_caches):
 
 
 def test_rows_of_one_mesh_share_it(cold_caches):
-    f = make_function({"family": "pow", "params": (1.0, 3.0, 0.0)}, 1.0, IV)
+    f = make_function({"family": "pow", "params": (1.0, 3.0, 1.0)}, 1.0, IV)
     for s in S_VALUES:
         for q in Q_VALUES:
             certify_gradient(f, SMParams(s, 1.0, q), (IV.a, IV.b), 24)
     info = functions._shared_mesh_stage.cache_info()
     assert (info.misses, info.hits) == (1, len(S_VALUES) * len(Q_VALUES) - 1)
+    assert functions._reduced_rows.cache_info().currsize == 0
 
 
 def test_clear_certification_cache_clears_the_mesh_cache(cold_caches):
-    f = make_function({"family": "pow", "params": (1.0, 2.0, 0.0)}, 1.0, IV)
-    certify_function(f, SMParams(1.0, 1.0), (IV.a, IV.b), 24)
+    for shift in (0.0, 1.0):
+        f = make_function({"family": "pow", "params": (1.0, 2.0, shift)}, 1.0, IV)
+        certify_function(f, SMParams(1.0, 1.0), (IV.a, IV.b), 24)
     assert functions._shared_mesh_stage.cache_info().currsize == 1
+    assert functions._reduced_rows.cache_info().currsize == 1
     clear_certification_cache()
     assert functions._shared_mesh_stage.cache_info().currsize == 0
+    assert functions._reduced_rows.cache_info().currsize == 0
     assert certify_function.cache_info().currsize == 0
 
 
@@ -224,7 +265,7 @@ def test_threads_sharing_meshes_get_the_serial_reports(grid, cold_caches):
         if f.homogeneity is None:
             assert report == _reference_check(closure, params, grid, window)
         else:
-            _assert_border_check(report, closure, params, grid, window)
+            _assert_reduced_check(report, GradientPower(f, q), closure, params, grid, window)
     clear_certification_cache()
     results: dict[int, list] = {}
 
@@ -290,7 +331,7 @@ def test_row_stage_equals_reference(grid, plain, cold_caches):
                     if target.homogeneity is None:
                         assert got == _reference_check(ref, params, grid, window, plain), (desc, s, m)
                     else:
-                        _assert_border_check(got, ref, params, grid, window, plain)
+                        _assert_reduced_check(got, target, ref, params, grid, window, plain)
                     verdicts.add(got.passed)
     assert verdicts == {True, False}
 
@@ -320,9 +361,41 @@ def test_border_mesh_agrees_with_the_full_mesh(desc, q, plain, grid, s, m, a, ra
     f = make_function(desc, m, iv)
     target, ref = (f, f) if q is None else (GradientPower(f, q), _old_gradient_closure(f, q))
     assert target.homogeneity is not None
+    params, window = SMParams(s, m), (iv.a, iv.b / m)
+    _assert_border_check(_own_check(target, params, grid, window, plain), ref, params, grid, window, plain)
+
+
+# c down to 1e-9 and windows from 1e-3 up put the margins of failing reduced
+# problems below the 1e-12 absolute slack, so the floor decides some verdicts.
+SCALED_DRAWS = st.one_of(
+    st.builds(lambda c, e: {"family": "pow", "params": (c, e, 0.0)},
+              st.floats(1e-9, 3.0) | st.floats(-3.0, -1e-9), st.floats(-3.0, 4.0)),
+    st.just({"family": "recip", "params": ()}),
+    st.builds(lambda b0, s: {"family": "spiece", "params": (1.0, b0, 0.0, s)},
+              st.floats(1e-9, 3.0), st.floats(0.05, 1.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    desc=SCALED_DRAWS,
+    q=st.none() | st.floats(1.0, 3.0),
+    plain=st.booleans(),
+    grid=st.sampled_from((8, 24, 48)),
+    s=st.floats(0.0, 1.0),
+    m=st.floats(0.05, 1.0),
+    a=st.floats(1e-3, 50.0),
+    ratio=st.floats(1.1, 10.0),
+)
+def test_reduced_path_agrees_with_the_border_check(desc, q, plain, grid, s, m, a, ratio):
+    iv = Interval(a, a * ratio)
+    f = make_function(desc, m, iv)
+    target, ref = (f, f) if q is None else (GradientPower(f, q), _old_gradient_closure(f, q))
     check = check_sm_convex if plain else check_harmonic_sm_convex
     params, window = SMParams(s, m), (iv.a, iv.b / m)
-    _assert_border_check(check(target, params, grid, window), ref, params, grid, window, plain)
+    got = check(target, params, grid, window)
+    own = _own_check(target, params, grid, window, plain)
+    _assert_reduced_report(got, own, _reference_mesh(ref, params, grid, window, plain), grid, window)
 
 
 @pytest.mark.parametrize("grid", [48, 64])
@@ -420,6 +493,60 @@ def test_grid_check_matches_the_power_closed_form(p, window):
         assert got == _closed_form_convex((p - 1.0) * q), q
 
 
+def test_the_default_sweep_solves_432_reduced_problems(cold_caches):
+    # 3,240 distinct certifications, all homogeneous, are 432 reduced
+    # problems; only the 432 failing ones run their own border check, for
+    # their report
+    summary = run_sweep(default_sweep_config()).summary
+    assert (summary["instances_evaluated"], summary["instances_skipped"], summary["findings"]) == (8568, 1152, 0)
+    reduced = functions._reduced_rows.cache_info()
+    assert (reduced.misses, reduced.hits) == (432, 2808)
+    mesh = functions._shared_mesh_stage.cache_info()
+    assert mesh.hits + mesh.misses == 432
+
+
+def test_one_exponent_is_one_reduced_problem(cold_caches):
+    # x^2 on [1, 3] and [2, 6], and |(x^3)'|^1 = 3 x^2 on [1, 3]: one problem
+    # with entries of five floats
+    params = SMParams(0.5, 0.8, 1.0)
+    square, cube = (FunctionSpec.power(1.0, e, 0.0, 0.5, 8.0) for e in (2.0, 3.0))
+    for target, window in ((square, (1.0, 3.0)), (square, (2.0, 6.0)), (GradientPower(cube, 1.0), (1.0, 3.0))):
+        got = check_harmonic_sm_convex(target, params, 24, window)
+        assert got.passed == _own_check(target, params, 24, window).passed
+    info = functions._reduced_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    entry = functions._reduced_rows(2.0, 1.0, 0.5, 0.8, 3.0, 24, harmonic_combine)
+    assert len(entry) == 5 and all(type(v) is float for v in entry)
+
+
+def test_the_absolute_slack_decides_at_small_scales(cold_caches):
+    # x^-0.5 is not harmonically (1,1)-convex (the closed form above).  Scaled
+    # by 1e-13 its margins stay under the 1e-12 absolute slack and it passes;
+    # scaled by 1e-6 it fails.  All three are one reduced problem.
+    unit, window = SMParams(1.0, 1.0), (1.0, 4.0)
+    verdicts = []
+    for c in (1e-13, 1e-6, 1.0):
+        f = FunctionSpec.power(c, -0.5, 0.0, 0.5, 8.0)
+        got = check_harmonic_sm_convex(f, unit, 48, window)
+        own = _own_check(f, unit, 48, window)
+        assert got.passed == own.passed
+        if not got.passed:
+            assert got == own
+        verdicts.append(got.passed)
+    assert verdicts == [True, False, False]
+    assert functions._reduced_rows.cache_info().misses == 1
+
+
+def test_extreme_scales_keep_their_own_check(cold_caches):
+    # values near 1e-200 or 1e+120 would leave the range where rescaling is
+    # exact enough, so these targets are checked on their own border mesh
+    for f in (FunctionSpec.power(1e-200, 2.0, 0.0, 0.5, 8.0), FunctionSpec.power(1.0, 200.0, 0.0, 0.5, 8.0)):
+        for target in (f, GradientPower(f, 1.5)):
+            got = check_harmonic_sm_convex(target, SMParams(0.5, 1.0), 24, (1.0, 4.0))
+            assert got == _own_check(target, SMParams(0.5, 1.0), 24, (1.0, 4.0))
+    assert functions._reduced_rows.cache_info().currsize == 0
+
+
 def test_gradient_verdicts_agree_between_grids_48_and_64(cold_caches):
     # pow exponent 1.5 at a = 1 over the default ratios and (s, m, q): the
     # sweep certifies on grid 48, `hhkit verify` on grid 64
@@ -472,10 +599,13 @@ def default_sweep_certifications():
 
 @pytest.mark.slow
 def test_every_default_sweep_certification_equals_the_reference(default_sweep_certifications):
-    # Every default certification is homogeneous and runs on the border mesh.
-    # Verdicts equal the full mesh's; so do worst margin and witness, except
-    # where a passing s = m = 1 check's worst margin is rounding noise (g = 0
-    # along t = 0 and t = 1), which stays within the slack at its witness.
+    # Every default certification is homogeneous.  Its own border check gives
+    # the full mesh's verdict, and the full mesh's worst margin and witness
+    # except where a passing s = m = 1 check's worst margin is rounding noise
+    # (g = 0 along t = 0 and t = 1), which stays within the slack at its
+    # witness.  The sweep's report, from the reduced problem, has the border
+    # check's verdict; a failing one is the border check's report, and a
+    # passing one reports the instance's margin at its witness, up to the slack.
     kinds = Counter()
     for target, params, grid, window, plain, report in default_sweep_certifications:
         gradient = isinstance(target, GradientPower)
@@ -483,15 +613,19 @@ def test_every_default_sweep_certification_equals_the_reference(default_sweep_ce
         ref_g = _old_gradient_closure(target.f, target.q) if gradient else target
         mesh = _reference_mesh(ref_g, params, grid, window, plain)
         ref = _reference_report(mesh, params)
-        assert report.passed == ref.passed, (target, params, window)
-        assert report.samples == (4 * grid - 4) * mesh[3].shape[2]
-        if (report.worst_margin, report.witness) != (ref.worst_margin, ref.witness):
-            assert report.passed and params.s == params.m == 1.0, (target, params, window)
-            index = _border_index(report.witness, grid, window)
-            assert report.worst_margin == mesh[3][index]
-            assert abs(report.worst_margin) <= mesh[4][index]
+        own = _own_check(target, params, grid, window, plain)
+        assert own.passed == ref.passed, (target, params, window)
+        assert own.samples == (4 * grid - 4) * mesh[3].shape[2]
+        if (own.worst_margin, own.witness) != (ref.worst_margin, ref.witness):
+            assert own.passed and params.s == params.m == 1.0, (target, params, window)
+            index = _border_index(own.witness, grid, window)
+            assert own.worst_margin == mesh[3][index]
+            assert abs(own.worst_margin) <= mesh[4][index]
             kinds["noise"] += 1
-    assert kinds == {"gradient": 2592, "function": 648, "noise": 190}
+        _assert_reduced_report(report, own, mesh, grid, window)
+        kinds["failing"] += not report.passed
+        kinds["rescaled"] += report.passed and report != own
+    assert kinds == {"gradient": 2592, "function": 648, "noise": 190, "failing": 432, "rescaled": 169}
 
 
 DENSE_POINTS = 1001

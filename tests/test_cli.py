@@ -4,6 +4,7 @@ import pytest
 
 from hhkit import harness, quadrature
 from hhkit.cli import main
+from hhkit.errors import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -51,6 +52,12 @@ class TestSpecfunCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("numerical failure: 2F1 series did not converge within 1000000 terms")
+
+    @pytest.mark.parametrize("x, y, value", [("1e17", "2", 1e-34), ("1e306", "1", 1e-306), ("1e308", "1e308", 0.0)])
+    def test_beta_of_a_large_argument(self, capsys, x, y, value):
+        code, out, err = run(capsys, "specfun", "--fn", "beta", "--x", x, "--y", y, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(value, rel=1e-13)
 
     @pytest.mark.parametrize("argv, message", [
         (("--fn", "beta", "--x", "1e-320", "--y", "1e-320"), "beta(1e-320, 1e-320) = exp("),
@@ -260,10 +267,43 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: [Errno 21] Is a directory")
 
-    def test_unwritable_report_path_is_a_usage_error(self, capsys, tmp_path, config_path):
-        code, out, err = run(capsys, "sweep", "--config", str(config_path), "--json", str(tmp_path))
-        assert (code, out) == (2, "")
-        assert err.startswith("usage error: [Errno 21] Is a directory")
+    def test_unwritable_report_path_is_a_usage_error(self, capsys, tmp_path, config_path, monkeypatch):
+        # Both report paths are opened before the sweep: a bad one fails at
+        # once, and no report file is left behind.
+        def never(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_sweep", never)
+        monkeypatch.chdir(tmp_path)  # where the default --csv would go
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        good_json, good_csv = str(reports / "r.json"), str(reports / "r.csv")
+        for argv in (["--json", str(tmp_path)],
+                     ["--json", str(tmp_path), "--csv", good_csv],
+                     ["--json", good_json, "--csv", str(tmp_path)],
+                     ["--json", good_json, "--csv", str(reports / "missing" / "r.csv")]):
+            code, out, err = run(capsys, "sweep", "--config", str(config_path), *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage error: [Errno 21] Is a directory"
+                                  if str(tmp_path) in argv else "usage error: [Errno 2] No such file"), err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "reports"]
+            assert list(reports.iterdir()) == []
+        # a report that was there before keeps its bytes
+        (reports / "r.json").write_text("earlier report")
+        code, _, _ = run(capsys, "sweep", "--config", str(config_path), "--json", good_json, "--csv", str(tmp_path))
+        assert code == 2
+        assert [p.name for p in reports.iterdir()] == ["r.json"]
+        assert (reports / "r.json").read_text() == "earlier report"
+
+    def test_a_failed_sweep_leaves_no_report_file(self, capsys, tmp_path, config_path, monkeypatch):
+        def fails(cfg):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(harness, "run_sweep", fails)
+        code, out, err = run(capsys, "sweep", "--config", str(config_path), "--json", str(tmp_path / "r.json"),
+                             "--csv", str(tmp_path / "r.csv"))
+        assert (code, out, err) == (1, "", "numerical failure: no convergence\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("text, message", [
         ('{"theorems": ["II1"]', "sweep config is not valid JSON: Expecting ',' delimiter"),
@@ -272,7 +312,11 @@ class TestSweepCommand:
          "malformed sweep config: could not convert string to float: 'two'"),
         ('{"theorems": ["II1"], "families": [], "a_values": [1.0], "ratios": [NaN], "s_grid": [1.0], '
          '"m_grid": [1.0], "q_grid": [1.0]}', "interval ratios must be finite and exceed 1, got nan"),
-    ], ids=["invalid-json", "missing-key", "non-numeric", "nan-ratio"])
+        ('{"theorems": ["II1"], "families": [], "a_values": [1.0], "ratios": [2.0], "s_grid": [1.0], '
+         '"m_grid": [1.0], "q_grid": [1.0], "grid": 48.9}', "malformed sweep config: grid must be an integer, got 48.9"),
+        ('{"theorems": "II1", "families": [], "a_values": [1.0], "ratios": [2.0], "s_grid": [1.0], '
+         '"m_grid": [1.0], "q_grid": [1.0]}', "malformed sweep config: theorems must be a list, got 'II1'"),
+    ], ids=["invalid-json", "missing-key", "non-numeric", "nan-ratio", "fractional-grid", "string-theorems"])
     def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)

@@ -83,13 +83,25 @@ class TestSweepConfig:
         ({"grid": "dense"}, "malformed sweep config"),
         ({"grid": float("inf")}, "malformed sweep config: cannot convert float infinity to integer"),
         ({"q_grid": 2.0}, "malformed sweep config"),
-    ], ids=["missing-ratios", "missing-params", "non-numeric-a", "text-grid", "infinite-grid", "scalar-q-grid"])
+        ({"grid": 48.9}, "malformed sweep config: grid must be an integer, got 48.9"),
+        ({"seed": True}, "malformed sweep config: seed must be an integer, got True"),
+        ({"theorems": "II1"}, "malformed sweep config: theorems must be a list, got 'II1'"),
+        ({"families": [{"family": "pow", "params": "123"}]}, "malformed sweep config: params must be a list"),
+        ({"s_grid": [True]}, "malformed sweep config: s_grid must hold numbers"),
+    ], ids=["missing-ratios", "missing-params", "non-numeric-a", "text-grid", "infinite-grid", "scalar-q-grid",
+            "fractional-grid", "boolean-seed", "string-theorems", "string-params", "boolean-s"])
     def test_malformed_fields_are_parameter_errors(self, change, message):
         data = single_instance_config().to_dict()
         data.update(change)
         data = {k: v for k, v in data.items() if v is not None}
         with pytest.raises(ParameterError, match=message):
             SweepConfig.from_dict(data)
+
+    def test_integral_numbers_are_integers(self):
+        data = {**single_instance_config().to_dict(), "grid": 32.0, "seed": 1.0}
+        cfg = SweepConfig.from_dict(data)
+        assert (cfg.grid, cfg.seed) == (32, 1)
+        assert type(cfg.grid) is int and cfg == single_instance_config()
 
     def test_bad_family_rejected_at_parse_time(self):
         with pytest.raises(DomainError):
@@ -192,7 +204,9 @@ class TestReportRendering:
 # Pinned before the shared-mesh grid check landed; a change to these bytes is
 # a behaviour change and must be declared as one.  The JSON was re-pinned when
 # homogeneous targets moved to the border mesh: the cert_worst_margin of
-# passing s = m = 1 certifications, rounding noise, moved.
+# passing s = m = 1 certifications, rounding noise, moved, and again when
+# homogeneous targets came to be certified once per reduced problem (passing
+# certifications report its worst margin, scaled).
 PINNED_SWEEP = SweepConfig(
     theorems=("HH", "HarmHH", "II1", "I1", "I2", "FS1", "FS2", "II2", "II3", "II4"),
     families=({"family": "pow", "params": (1.0, 1.5, 0.0)}, {"family": "pow", "params": (1.0, 2.0, 0.0)}),
@@ -204,7 +218,7 @@ PINNED_SWEEP = SweepConfig(
     grid=24,
     seed=7,
 )
-PINNED_JSON_SHA256 = "cb8777286c460179caa79e039d5438e1ece03e9dc968f8b12b37d6266fc176da"
+PINNED_JSON_SHA256 = "bfb2dc4cc98f0378f0e8de96544b1f07200c72a3ce7dddf5a0cc8e291883f6d7"
 PINNED_CSV_SHA256 = "8cb63ceb10a1d75b65775f66dbc33f41e84652498116934a4accc45e9308599b"
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -69,6 +70,46 @@ class TestBeta:
     )
     def test_symmetry(self, x, y):
         assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-13)
+
+
+def _mp_beta(x, y):
+    """B(x, y) at 400 digits, enough to resolve ln Gamma of arguments up to
+    1e308 (at 60 digits mpmath returns 1.0 for B(1e306, 1)), and the relative
+    tolerance of a double evaluation: exp turns an absolute error of a few
+    ulps of ln B, or of the ln Gamma(min(x, y)) it is built from, into that
+    relative error."""
+    with mpmath.workdps(400):
+        value = mpmath.beta(mpmath.mpf(x), mpmath.mpf(y))
+        terms = abs(mpmath.log(value)) + abs(mpmath.loggamma(min(x, y))) + 1
+    return float(value), 4.0 * np.finfo(float).eps * float(terms)
+
+
+class TestLargeArgumentBeta:
+    # The log-Gamma difference of a large argument comes from Stirling's
+    # series; before, beta(1e10, 2.5) was off by 7e-6 and beta(1e13, 2.5) by 5%.
+    @pytest.mark.parametrize("x, y", [
+        (1e10, 2.5), (1e13, 2.5), (2.5, 1e13), (1e17, 2.0), (1e306, 1.0), (100.0, 100.0), (100.0, 1e-3),
+        (150.0, 99.9), (1e5, 300.0), (99.9, 0.5),
+    ])
+    def test_against_mpmath(self, x, y):
+        value, rel = _mp_beta(x, y)
+        assert beta(x, y) == pytest.approx(value, rel=rel)
+
+    def test_named_cases(self):
+        # before: 1.0, OverflowError and OverflowError
+        assert beta(1e17, 2.0) == pytest.approx(1e-34, rel=1e-14)
+        assert beta(1e306, 1.0) == pytest.approx(1e-306, rel=1e-14)
+        assert beta(1e308, 1e308) == 0.0
+        assert _mp_beta(1e6, 1e6)[0] == 0.0 == beta(1e6, 1e6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_x=st.floats(2.0, 300.0), share=st.floats(1e-6, 1.0))
+    def test_random_large_arguments(self, log_x, share):
+        x = 10.0**log_x
+        y = max(1e-3, share * x)
+        value, rel = _mp_beta(x, y)
+        assert beta(x, y) == pytest.approx(value, rel=rel, abs=1e-300)
+        assert beta(y, x) == beta(x, y)
 
 
 class TestHyp2F1Args:
