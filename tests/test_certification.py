@@ -519,22 +519,23 @@ def test_one_exponent_is_one_reduced_problem(cold_caches):
     assert len(entry) == 5 and all(type(v) is float for v in entry)
 
 
-def test_the_absolute_slack_decides_at_small_scales(cold_caches):
+def test_the_scale_decides_verdicts_near_the_absolute_slack(cold_caches):
     # x^-0.5 is not harmonically (1,1)-convex (the closed form above).  Scaled
     # by 1e-13 its margins stay under the 1e-12 absolute slack and it passes;
-    # scaled by 1e-6 it fails.  All three are one reduced problem.
+    # scaled by 1e-6 it fails.  x^(-1e-12) misses by 2.3e-13, under the
+    # slack, and passes, while 1e3 x^(-1e-12) fails.  Two reduced problems.
     unit, window = SMParams(1.0, 1.0), (1.0, 4.0)
     verdicts = []
-    for c in (1e-13, 1e-6, 1.0):
-        f = FunctionSpec.power(c, -0.5, 0.0, 0.5, 8.0)
+    for c, e in ((1e-13, -0.5), (1e-6, -0.5), (1.0, -0.5), (1.0, -1e-12), (1e3, -1e-12)):
+        f = FunctionSpec.power(c, e, 0.0, 0.5, 8.0)
         got = check_harmonic_sm_convex(f, unit, 48, window)
         own = _own_check(f, unit, 48, window)
         assert got.passed == own.passed
         if not got.passed:
             assert got == own
         verdicts.append(got.passed)
-    assert verdicts == [True, False, False]
-    assert functions._reduced_rows.cache_info().misses == 1
+    assert verdicts == [True, False, False, True, False]
+    assert functions._reduced_rows.cache_info().misses == 2
 
 
 def test_extreme_scales_keep_their_own_check(cold_caches):
