@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ToleranceNotMetError,
 )
-from .functions import FAMILIES, FunctionSpec, SMParams
+from .functions import FAMILIES, FAMILY_ROWS, FunctionSpec, SMParams, check_grid
 from .harness import CSV_FIELDS, SweepConfig, _fmt15, render_csv, render_json
 from .specfun import Hyp2F1Args, beta, hyp2f1_euler, hyp2f1_series, ln_gamma
 
@@ -122,13 +122,8 @@ def _interval(args) -> Interval:
 
 
 def _build_function(args, m: float, iv: Interval) -> FunctionSpec:
-    params = {
-        "pow": (args.coeff, args.exp, args.shift),
-        "spiece": (args.a0, args.b0, args.c0, args.s if args.sexp is None else args.sexp),
-        "recip": (),
-        "affine": (args.slope, args.intercept),
-        "exp": (args.scale,),
-    }[args.family]
+    params = tuple(args.s if name == "sexp" and args.sexp is None else getattr(args, name)
+                   for name in FAMILY_ROWS[args.family].params)
     return harness.make_function({"family": args.family, "params": params}, m, iv)
 
 
@@ -149,7 +144,7 @@ def _cmd_coeffs(args) -> tuple[int, str]:
 
 def _cmd_verify(args) -> tuple[int, str]:
     iv = _interval(args)
-    harness.check_grid(args.grid)
+    check_grid(args.grid)
     params = SMParams(args.s, args.m, args.q)
     f = _build_function(args, params.m, iv)
 

@@ -1,10 +1,15 @@
 """Curated differentiable function families and convexity-definition checkers.
 
+One table, ``FAMILY_ROWS``, holds one row per family: its parameter names in
+order (the flags of ``hhkit verify``), value, derivative and power form (c, e)
+when the formula is c x^e.  Every consumer reads it, so adding a family means
+adding a row.  ``spiece`` is b0 x^sexp + c0 on x > 0 (a0 is metadata).
+
 Convexity certification is grid-based: a candidate passes when the defining
 inequality holds (within a slack of max(1e-12, 64 ulps of the local value
-scale)) on a log-spaced x,y mesh crossed with a t mesh containing
-{0, 1/2, 1}.  The report carries the worst margin and its witness, so
-failures are reproducible.
+scale)) on a log-spaced x,y mesh of ``grid`` >= 8 points a side crossed with
+a t mesh containing {0, 1/2, 1}.  The report carries the worst margin and its
+witness, so failures are reproducible.
 
 Homogeneous targets, c x^e on the window, are checked on the border of the
 x,y mesh only: ``pow`` with shift 0, ``recip``, ``spiece`` with c0 = 0, and
@@ -51,9 +56,12 @@ from .errors import DomainError, InconclusiveError, ParameterError
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_ROWS",
+    "Family",
     "FunctionSpec",
     "SMParams",
     "CheckReport",
+    "check_grid",
     "GradientPower",
     "eval_fn",
     "deriv",
@@ -69,22 +77,40 @@ CHECK_SLACK = 1e-12
 _SLACK_SCALE = 64.0 * np.finfo(float).eps  # the relative slack: 64 ulps of the local value scale
 _DOMAIN_SLACK = 1e-9  # relative; absorbs rounding of combined points at window edges
 
-FAMILIES = ("pow", "spiece", "recip", "affine", "exp")
+
+@dataclass(frozen=True)
+class Family:
+    """One family row; value, deriv and power take the params tuple."""
+
+    name: str
+    params: tuple[str, ...]
+    value: Callable
+    deriv: Callable
+    power: Callable = lambda p: None
+
+
+def _exp_value(p, x):
+    return np.exp(p[0] * x) if isinstance(x, np.ndarray) else math.exp(p[0] * x)
+
+
+FAMILY_ROWS: dict[str, Family] = {row.name: row for row in (
+    Family("pow", ("coeff", "exp", "shift"), lambda p, x: p[0] * x**p[1] + p[2],
+           lambda p, x: p[0] * p[1] * x ** (p[1] - 1.0), lambda p: (p[0], p[1]) if p[2] == 0.0 else None),
+    Family("spiece", ("a0", "b0", "c0", "sexp"), lambda p, x: p[1] * x**p[3] + p[2],
+           lambda p, x: p[1] * p[3] * x ** (p[3] - 1.0), lambda p: (p[1], p[3]) if p[2] == 0.0 else None),
+    Family("recip", (), lambda p, x: 1.0 / x, lambda p, x: -1.0 / (x * x), lambda p: (1.0, -1.0)),
+    Family("affine", ("slope", "intercept"), lambda p, x: p[0] * x + p[1],
+           lambda p, x: p[0] * np.ones_like(x) if isinstance(x, np.ndarray) else p[0]),
+    Family("exp", ("scale",), _exp_value, lambda p, x: p[0] * _exp_value(p, x)),
+)}
+
+FAMILIES = tuple(FAMILY_ROWS)
 
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """One member of the curated families, with an explicit analysis window.
-
-    family/params:
-      pow    (coeff, exponent, shift)   coeff * x**exponent + shift
-      spiece (a0, b0, c0, s)            b0 * x**s + c0 on x > 0 (the value a0 at
-                                         x = 0 is metadata only; windows are
-                                         open subsets of (0, inf))
-      recip  ()                         1 / x
-      affine (slope, intercept)         slope * x + intercept
-      exp    (scale,)                   exp(scale * x)
-    """
+    """One member of the curated families (a ``FAMILY_ROWS`` row and its
+    params, in the row's order), with an explicit analysis window."""
 
     family: str
     params: tuple[float, ...]
@@ -92,13 +118,13 @@ class FunctionSpec:
     domain_hi: float
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_ROWS:
             raise DomainError(f"unknown family {self.family!r}; one of {FAMILIES}")
         if not 0.0 < self.domain_lo < self.domain_hi:
             raise DomainError(
                 f"domain must satisfy 0 < lo < hi, got ({self.domain_lo}, {self.domain_hi})"
             )
-        n_expected = {"pow": 3, "spiece": 4, "recip": 0, "affine": 2, "exp": 1}[self.family]
+        n_expected = len(FAMILY_ROWS[self.family].params)
         if len(self.params) != n_expected or not all(map(math.isfinite, self.params)):
             raise DomainError(f"{self.family} takes {n_expected} finite parameters, got {self.params}")
         if self.family == "spiece":
@@ -136,13 +162,7 @@ class FunctionSpec:
     @property
     def homogeneity(self) -> Optional[tuple[float, float]]:
         """(c, e) when the formula is c * x**e, else None."""
-        if self.family == "pow" and self.params[2] == 0.0:
-            return self.params[0], self.params[1]
-        if self.family == "spiece" and self.params[2] == 0.0:
-            return self.params[1], self.params[3]
-        if self.family == "recip":
-            return 1.0, -1.0
-        return None
+        return FAMILY_ROWS[self.family].power(self.params)
 
     def __call__(self, x):
         return eval_fn(self, x)
@@ -165,37 +185,13 @@ def _check_domain(f: FunctionSpec, x) -> None:
 def eval_fn(f: FunctionSpec, x):
     """Evaluate ``f`` at ``x`` (scalar or ndarray) with domain checking."""
     _check_domain(f, x)
-    if f.family == "pow":
-        c, e, sh = f.params
-        return c * x**e + sh
-    if f.family == "spiece":
-        _, b0, c0, s = f.params
-        return b0 * x**s + c0
-    if f.family == "recip":
-        return 1.0 / x
-    if f.family == "affine":
-        sl, ic = f.params
-        return sl * x + ic
-    sc = f.params[0]
-    return np.exp(sc * x) if isinstance(x, np.ndarray) else math.exp(sc * x)
+    return FAMILY_ROWS[f.family].value(f.params, x)
 
 
 def deriv(f: FunctionSpec, x):
     """Exact derivative of the family formula at ``x``."""
     _check_domain(f, x)
-    if f.family == "pow":
-        c, e, _ = f.params
-        return c * e * x ** (e - 1.0)
-    if f.family == "spiece":
-        _, b0, _, s = f.params
-        return b0 * s * x ** (s - 1.0)
-    if f.family == "recip":
-        return -1.0 / (x * x)
-    if f.family == "affine":
-        sl, _ = f.params
-        return sl * np.ones_like(x) if isinstance(x, np.ndarray) else sl
-    sc = f.params[0]
-    return sc * (np.exp(sc * x) if isinstance(x, np.ndarray) else math.exp(sc * x))
+    return FAMILY_ROWS[f.family].deriv(f.params, x)
 
 
 def harmonic_combine(x, y, t, m: float = 1.0):
@@ -290,10 +286,18 @@ class GradientPower:
 FuncLike = Union[FunctionSpec, GradientPower, Callable]
 
 
+def check_grid(grid: int) -> None:
+    """Reject a certification grid density below 8 (a mesh too coarse to certify)."""
+    if grid < 8:
+        raise ParameterError(f"certification grid density must be >= 8, got {grid}")
+
+
 @lru_cache(maxsize=8)
 def _mesh_axes(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The t mesh of one density and the (i, j) index pairs of the border of
-    its x,y mesh, in row-major order (arrays read-only)."""
+    its x,y mesh, in row-major order (arrays read-only).  Every mesh starts
+    here, so here the density is checked."""
+    check_grid(grid)
     # t mesh must contain the exact endpoints and the midpoint 1/2 (equality rows)
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
     i, j = np.divmod(np.arange(grid * grid), grid)
@@ -315,8 +319,8 @@ def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]], border:
     lo, hi = window
     if not 0.0 < lo < hi:
         raise DomainError(f"window must satisfy 0 < lo < hi, got {window}")
-    xs = np.geomspace(lo, hi, grid)
     ts, i, j = _mesh_axes(grid)
+    xs = np.geomspace(lo, hi, grid)
     if border:
         return xs[i, None], xs[j, None], ts[None, :]
     return xs[:, None, None], xs[None, :, None], ts[None, None, :]
@@ -442,8 +446,8 @@ def _reduced_rows(e: float, sign: float, s: float, m: float, ratio: float, grid:
                   combiner) -> tuple[float, float, float, float, float]:
     """(peak, worst margin, witness) of the border check of sign * x**e on
     the canonical window [1, ratio]."""
-    xs = np.geomspace(1.0, ratio, grid)
     ts, i, j = _mesh_axes(grid)
+    xs = np.geomspace(1.0, ratio, grid)
     x, y, t = xs[i, None], xs[j, None], ts[None, :]
     fx, fy, fpts = (sign * v**e for v in (x, y, combiner(x, y, t, m)))
     report, peak = _row_stage(x, y, t, fx, fy, fpts, s, m, sign > 0.0, probe=True)
@@ -531,14 +535,11 @@ def compose_g(f: FuncLike, a: float, b: float, m: float) -> Callable:
 
 
 def _sampled_slopes(f: FuncLike, window: Optional[tuple[float, float]], n: int = 257) -> np.ndarray:
+    """Slopes on the window, which only a FunctionSpec may leave out (``_mesh``
+    has rejected the rest)."""
+    xs = np.geomspace(*((f.domain_lo, f.domain_hi) if window is None else window), n)
     if isinstance(f, FunctionSpec):
-        lo, hi = window or (f.domain_lo, f.domain_hi)
-        xs = np.geomspace(lo, hi, n)
         return np.asarray(deriv(f, xs), dtype=float)
-    if window is None:
-        raise DomainError("a sampling window is required when f is a bare callable")
-    lo, hi = window
-    xs = np.geomspace(lo, hi, n)
     h = xs * 1e-7
     return (np.asarray(f(xs + h)) - np.asarray(f(xs - h))) / (2.0 * h)
 

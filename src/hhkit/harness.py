@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds
 from .bounds import (
-    TOL_ACCEPT,
     CoefficientSet,
     Interval,
     VerificationRecord,
@@ -32,7 +31,7 @@ from .bounds import (
     kernel_oracle_identities,
 )
 from .errors import CertificationError, DomainError, ParameterError
-from .functions import FunctionSpec, SMParams
+from .functions import FAMILIES, FunctionSpec, SMParams, check_grid
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -79,12 +78,6 @@ class Finding:
         }
 
 
-def check_grid(grid: int) -> None:
-    """Reject a certification grid density below 8 (a mesh too coarse to certify)."""
-    if grid < 8:
-        raise ParameterError(f"certification grid density must be >= 8, got {grid}")
-
-
 # Readers of one sweep-config field each; a TypeError or ValueError becomes a
 # ParameterError in ``SweepConfig.from_dict``.
 def _items(container: dict, key: str):
@@ -96,11 +89,18 @@ def _items(container: dict, key: str):
 
 
 def _reals(container: dict, key: str) -> tuple[float, ...]:
-    """A list of numbers as floats; TypeError for a boolean."""
+    """A list of numbers as floats; TypeError for anything but an int or a float."""
     values = _items(container, key)
-    if any(isinstance(v, bool) for v in values):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise TypeError(f"{key} must hold numbers, got {values!r}")
     return tuple(float(v) for v in values)
+
+
+def _family(fam: dict) -> str:
+    """A family name; TypeError for anything but the name of a table row."""
+    if not isinstance(fam["family"], str) or fam["family"] not in FAMILIES:
+        raise TypeError(f"family must be one of {FAMILIES}, got {fam['family']!r}")
+    return fam["family"]
 
 
 def _integer(value, key: str) -> int:
@@ -164,13 +164,13 @@ class SweepConfig:
     def from_dict(cls, data: dict) -> "SweepConfig":
         """The config of a JSON document; ParameterError for a missing key or
         a value of the wrong type: a list field that is not a list, a
-        boolean where a number belongs, or a grid or seed that is not an
-        integer."""
+        boolean or text where a number belongs, a family that is not the
+        name of a family row, or a grid or seed that is not an integer."""
         try:
             fields = dict(
                 theorems=tuple(_items(data, "theorems")),
                 families=tuple(
-                    {"family": str(fam["family"]), "params": _reals(fam, "params")}
+                    {"family": _family(fam), "params": _reals(fam, "params")}
                     for fam in _items(data, "families")
                 ),
                 a_values=_reals(data, "a_values"),
@@ -370,7 +370,7 @@ def _shrink(theorem: str, fam: dict, point: dict, grid: int, enforce: bool) -> d
             candidate = dict(current)
             candidate[name] = trial
             rec = _search_instance(theorem, fam, candidate, grid, enforce)
-            if rec is not None and rec.margin < -TOL_ACCEPT:
+            if rec is not None and not rec.satisfied:
                 lo_bad = trial
             else:
                 hi_good = trial
@@ -422,15 +422,17 @@ def search_counterexample(
         rec = _search_instance(theorem, fam, point, grid, enforce_certification)
         if rec is None:
             continue
-        if rec.margin < -TOL_ACCEPT and (worst is None or rec.margin < worst[0]):
-            worst = (rec.margin, dict(fam), point)
+        # a NaN margin is a violation (the record's verdict) and ranks worst
+        rank = -math.inf if math.isnan(rec.margin) else rec.margin
+        if not rec.satisfied and (worst is None or rank < worst[0]):
+            worst = (rank, dict(fam), point)
     if worst is None:
         return None
-    margin, fam, point = worst
+    _, fam, point = worst
     worst_rec = _search_instance(theorem, fam, point, grid, enforce_certification, companion=True)
     boundary = _shrink(theorem, fam, point, grid, enforce_certification)
     boundary_rec = _search_instance(theorem, fam, boundary, grid, enforce_certification, companion=True)
-    if boundary_rec is None or boundary_rec.margin >= -TOL_ACCEPT:
+    if boundary_rec is None or boundary_rec.satisfied:
         boundary, boundary_rec = point, worst_rec
     return Finding(
         kind="BoundViolation",

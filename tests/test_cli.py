@@ -3,8 +3,10 @@ import json
 import pytest
 
 from hhkit import harness, quadrature
-from hhkit.cli import main
+from hhkit.bounds import Interval
+from hhkit.cli import _build_function, build_parser, main
 from hhkit.errors import ConvergenceError
+from hhkit.functions import FAMILIES
 
 
 def run(capsys, *argv):
@@ -206,6 +208,37 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+def _params_by_family(args):
+    """The per-family parameter order the family table replaced."""
+    return {
+        "pow": (args.coeff, args.exp, args.shift),
+        "spiece": (args.a0, args.b0, args.c0, args.s if args.sexp is None else args.sexp),
+        "recip": (),
+        "affine": (args.slope, args.intercept),
+        "exp": (args.scale,),
+    }[args.family]
+
+
+class TestBuildFunction:
+    ALL_FLAGS = ["--coeff", "1.5", "--exp", "2.5", "--shift", "0.25", "--slope", "-2", "--intercept", "3",
+                 "--scale", "0.5", "--a0", "2", "--b0", "1.25", "--c0", "0.5"]
+
+    @pytest.mark.parametrize("flags", [[], ALL_FLAGS, [*ALL_FLAGS, "--sexp", "0.3"]],
+                             ids=["defaults", "every-flag", "explicit-sexp"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_params_follow_the_family_row(self, family, flags):
+        args = build_parser().parse_args(["verify", "--theorem", "II1", "--family", family, "--a", "1", "--b", "2",
+                                          "--s", "0.75", "--m", "0.8", *flags])
+        iv = Interval(1.0, 2.0)
+        expected = harness.make_function({"family": family, "params": _params_by_family(args)}, 0.8, iv)
+        assert _build_function(args, 0.8, iv) == expected
+
+    def test_sexp_defaults_to_s(self):
+        args = build_parser().parse_args(["verify", "--theorem", "II1", "--family", "spiece", "--a", "1",
+                                          "--b", "2", "--s", "0.75"])
+        assert _build_function(args, 1.0, Interval(1.0, 2.0)).params == (1.0, 1.0, 0.0, 0.75)
+
+
 class TestSweepCommand:
     @pytest.fixture
     def config_path(self, tmp_path):
@@ -309,14 +342,19 @@ class TestSweepCommand:
         ('{"theorems": ["II1"]', "sweep config is not valid JSON: Expecting ',' delimiter"),
         ('{"theorems": ["II1"]}', "sweep config lacks the key 'families'"),
         ('{"theorems": ["II1"], "families": [{"family": "pow", "params": ["two"]}]}',
-         "malformed sweep config: could not convert string to float: 'two'"),
+         "malformed sweep config: params must hold numbers, got ['two']"),
+        ('{"theorems": ["II1"], "families": [{"family": "pow", "params": ["1", "2", "0"]}]}',
+         "malformed sweep config: params must hold numbers, got ['1', '2', '0']"),
+        ('{"theorems": ["II1"], "families": [{"family": 7, "params": [1, 2, 0]}]}',
+         "malformed sweep config: family must be one of ('pow', 'spiece', 'recip', 'affine', 'exp'), got 7"),
         ('{"theorems": ["II1"], "families": [], "a_values": [1.0], "ratios": [NaN], "s_grid": [1.0], '
          '"m_grid": [1.0], "q_grid": [1.0]}', "interval ratios must be finite and exceed 1, got nan"),
         ('{"theorems": ["II1"], "families": [], "a_values": [1.0], "ratios": [2.0], "s_grid": [1.0], '
          '"m_grid": [1.0], "q_grid": [1.0], "grid": 48.9}', "malformed sweep config: grid must be an integer, got 48.9"),
         ('{"theorems": "II1", "families": [], "a_values": [1.0], "ratios": [2.0], "s_grid": [1.0], '
          '"m_grid": [1.0], "q_grid": [1.0]}', "malformed sweep config: theorems must be a list, got 'II1'"),
-    ], ids=["invalid-json", "missing-key", "non-numeric", "nan-ratio", "fractional-grid", "string-theorems"])
+    ], ids=["invalid-json", "missing-key", "non-numeric", "numeric-string-params", "integer-family", "nan-ratio",
+            "fractional-grid", "string-theorems"])
     def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhkit.errors import DomainError, InconclusiveError, ParameterError
+from hhkit.cli import build_parser
 from hhkit.functions import (
+    FAMILIES,
+    FAMILY_ROWS,
     FunctionSpec,
     GradientPower,
     SMParams,
@@ -22,6 +27,72 @@ WIDE = (0.05, 50.0)
 
 def spec_power(coeff=1.0, exponent=2.0, shift=0.0):
     return FunctionSpec.power(coeff, exponent, shift, *WIDE)
+
+
+# Each family's formulas, written out as the table must evaluate them: the
+# same operations in the same order, so the same bits.
+def _written_out(family, p):
+    if family == "pow":
+        c, e, sh = p
+        return (lambda x: c * x**e + sh), (lambda x: c * e * x ** (e - 1.0))
+    if family == "spiece":
+        _, b0, c0, s = p
+        return (lambda x: b0 * x**s + c0), (lambda x: b0 * s * x ** (s - 1.0))
+    if family == "recip":
+        return (lambda x: 1.0 / x), (lambda x: -1.0 / (x * x))
+    if family == "affine":
+        sl, ic = p
+        return (lambda x: sl * x + ic), (lambda x: sl * np.ones_like(x) if isinstance(x, np.ndarray) else sl)
+    sc = p[0]
+    return ((lambda x: np.exp(sc * x) if isinstance(x, np.ndarray) else math.exp(sc * x)),
+            (lambda x: sc * (np.exp(sc * x) if isinstance(x, np.ndarray) else math.exp(sc * x))))
+
+
+TABLE_CASES = [
+    FunctionSpec.power(-0.7, 2.3, 0.4, *WIDE),
+    FunctionSpec.power(1.3, 0.5, 0.0, *WIDE),
+    FunctionSpec.power(2.0, -1.0, 0.0, *WIDE),
+    FunctionSpec.spiece(2.0, 1.25, 0.5, 0.3, *WIDE),
+    FunctionSpec.reciprocal(*WIDE),
+    FunctionSpec.affine(-2.5, 3.0, *WIDE),
+    FunctionSpec.exponential(0.37, *WIDE),
+]
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("f", TABLE_CASES, ids=lambda f: f.label)
+    # x**-1.0 and x**-2.0 round differently from 1.0/x and 1.0/(x*x) at
+    # 5.956929058920964 and 29.87170519566488
+    @pytest.mark.parametrize("x", [0.07, 1.0, 1.7, 5.956929058920964, 29.87170519566488,
+                                   np.geomspace(0.06, 45.0, 15), np.random.default_rng(3).uniform(0.05, 50.0, 15)],
+                             ids=["0.07", "1", "1.7", "5.96", "29.9", "geom15", "random15"])
+    def test_rows_match_the_written_out_formulas_bit_for_bit(self, f, x):
+        value, slope = _written_out(f.family, f.params)
+        assert _same_bits(eval_fn(f, x), value(x))
+        assert _same_bits(deriv(f, x), slope(x))
+        assert isinstance(eval_fn(f, x), np.ndarray) == isinstance(x, np.ndarray)
+
+    def test_every_family_has_a_row(self):
+        assert FAMILIES == ("pow", "spiece", "recip", "affine", "exp") == tuple(FAMILY_ROWS)
+        assert all(name == row.name for name, row in FAMILY_ROWS.items())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_parameter_name_is_a_verify_flag(self, family):
+        names = FAMILY_ROWS[family].params
+        argv = ["verify", "--theorem", "II1", "--family", family, "--a", "1", "--b", "2"]
+        for k, name in enumerate(names):
+            argv += ["--" + name, str(0.125 * (k + 1))]
+        args = build_parser().parse_args(argv)
+        assert [getattr(args, name) for name in names] == [0.125 * (k + 1) for k in range(len(names))]
+
+    def test_arity_comes_from_the_row(self):
+        for family, row in FAMILY_ROWS.items():
+            with pytest.raises(DomainError, match=f"{family} takes {len(row.params)} finite parameters"):
+                FunctionSpec(family, (1.0,) * (len(row.params) + 1), *WIDE)
 
 
 class TestEvalAndDeriv:
@@ -272,6 +343,38 @@ class TestConvexityCheckers:
         # m < 1 pulls combined points down to m * lo < domain_lo
         with pytest.raises(DomainError):
             check_harmonic_sm_convex(f, SMParams(1.0, 0.5), window=(1.0, 4.0))
+
+
+class TestGridDensity:
+    """Every mesh checks its density: below 8 is a ParameterError, whichever
+    path (reduced problem, border or full mesh) the target takes."""
+
+    TARGETS = [spec_power(), spec_power(shift=1.0), FunctionSpec.exponential(0.5, *WIDE)]
+
+    @pytest.mark.parametrize("check", [check_harmonic_sm_convex, check_sm_convex, check_prop1_implication])
+    @pytest.mark.parametrize("grid", [0, 1, 7])
+    @pytest.mark.parametrize("f", TARGETS, ids=lambda f: f.label)
+    def test_grid_below_eight_is_a_parameter_error(self, check, grid, f):
+        with pytest.raises(ParameterError, match=f"^certification grid density must be >= 8, got {grid}$"):
+            check(f, SMParams(1.0, 0.8), grid=grid, window=(1.0, 2.0))
+
+    @pytest.mark.parametrize("grid", [0, 1, 7])
+    def test_gradient_and_bare_callable_targets(self, grid):
+        with pytest.raises(ParameterError, match="grid density"):
+            check_harmonic_sm_convex(GradientPower(spec_power(), 2.0), SMParams(1.0, 0.8), grid=grid,
+                                     window=(1.0, 2.0))
+        with pytest.raises(ParameterError, match="grid density"):
+            check_harmonic_sm_convex(lambda x: x * x, SMParams(1.0, 1.0), grid=grid, window=(1.0, 2.0))
+
+    def test_verify_theorem_rejects_grid_zero(self):
+        from hhkit.bounds import Interval, verify_theorem
+
+        f = FunctionSpec.power(1.0, 2.0, 0.0, 0.5, 4.0)
+        with pytest.raises(ParameterError, match="got 0$"):
+            verify_theorem("II2", f, SMParams(0.5, 0.8, 2.0), Interval(1.0, 2.0), grid=0)
+
+    def test_grid_eight_passes(self):
+        assert check_harmonic_sm_convex(spec_power(), SMParams(1.0, 1.0), grid=8).passed
 
 
 class TestComposeG:

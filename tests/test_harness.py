@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hhkit import bounds, harness
 from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ParameterError
+from hhkit.functions import SMParams
 from hhkit.harness import (
     SweepConfig,
     _instance_plan,
@@ -79,7 +82,13 @@ class TestSweepConfig:
     @pytest.mark.parametrize("change, message", [
         ({"ratios": None}, "sweep config lacks the key 'ratios'"),
         ({"families": [{"family": "pow"}]}, "sweep config lacks the key 'params'"),
-        ({"a_values": ["one"]}, "malformed sweep config: could not convert string to float: 'one'"),
+        ({"a_values": ["one"]}, r"malformed sweep config: a_values must hold numbers, got \['one'\]"),
+        ({"a_values": ["1.5"]}, r"malformed sweep config: a_values must hold numbers, got \['1.5'\]"),
+        ({"families": [{"family": "pow", "params": ["1", "2", "0"]}]},
+         r"malformed sweep config: params must hold numbers, got \['1', '2', '0'\]"),
+        ({"families": [{"family": 7, "params": [1, 2, 0]}]}, "malformed sweep config: family must be one of .*, got 7$"),
+        ({"families": [{"family": "cosine", "params": []}]},
+         "malformed sweep config: family must be one of .*, got 'cosine'$"),
         ({"grid": "dense"}, "malformed sweep config"),
         ({"grid": float("inf")}, "malformed sweep config: cannot convert float infinity to integer"),
         ({"q_grid": 2.0}, "malformed sweep config"),
@@ -88,7 +97,8 @@ class TestSweepConfig:
         ({"theorems": "II1"}, "malformed sweep config: theorems must be a list, got 'II1'"),
         ({"families": [{"family": "pow", "params": "123"}]}, "malformed sweep config: params must be a list"),
         ({"s_grid": [True]}, "malformed sweep config: s_grid must hold numbers"),
-    ], ids=["missing-ratios", "missing-params", "non-numeric-a", "text-grid", "infinite-grid", "scalar-q-grid",
+    ], ids=["missing-ratios", "missing-params", "non-numeric-a", "numeric-string-a", "numeric-string-params",
+            "integer-family", "unknown-family", "text-grid", "infinite-grid", "scalar-q-grid",
             "fractional-grid", "boolean-seed", "string-theorems", "string-params", "boolean-s"])
     def test_malformed_fields_are_parameter_errors(self, change, message):
         data = single_instance_config().to_dict()
@@ -462,6 +472,57 @@ class TestShrink:
         )
         assert finding is not None
         assert finding.payload["boundary_parameters"]["q"] == finding.payload["worst_parameters"]["q"]
+
+
+def _stub_record(point, margin):
+    """The record bounds builds for a margin of ``margin`` (lhs 0), so its
+    verdict is the record's own rule."""
+    iv = Interval(point["a"], point["a"] * point["ratio"])
+    params = SMParams(point["s"], point["m"], point["q"])
+    return bounds._record("II1", iv, params, "pow(1,2,0)", 0.0, margin, ())
+
+
+class TestSearchReadsTheRecordVerdict:
+    """The sweep, the search and the shrink all take a record's verdict from
+    ``rec.satisfied``; a NaN margin is a violation in each of them."""
+
+    def test_nan_margin_is_not_satisfied(self):
+        point = {"a": 1.0, "ratio": 2.0, "s": 1.0, "m": 1.0, "q": 1.0}
+        assert not _stub_record(point, math.nan).satisfied
+        assert _stub_record(point, -0.5 * bounds.TOL_ACCEPT).satisfied
+
+    def test_sweep_counts_a_nan_margin_as_a_violation(self, monkeypatch):
+        def stub(theorem, f, params, iv, **kwargs):
+            return _stub_record({"a": iv.a, "ratio": iv.b / iv.a, "s": 1.0, "m": 1.0, "q": 1.0}, math.nan)
+
+        monkeypatch.setattr(bounds, "verify_theorem", stub)
+        res = run_sweep(single_instance_config())
+        assert [f.kind for f in res.findings] == ["BoundViolation"]
+        assert res.summary["violations"] == 1
+
+    def test_search_reports_a_nan_margin_and_ranks_it_worst(self, monkeypatch):
+        # NaN above s = 0.6, a finite violation -s below it
+        def stub(theorem, fam, point, grid, enforce, companion=False):
+            return _stub_record(point, math.nan if point["s"] > 0.6 else -point["s"])
+
+        monkeypatch.setattr(harness, "_search_instance", stub)
+        # seed 0 draws s = 0.44 first and s = 0.92 second
+        finding = search_counterexample("II1", budget=20, seed=0)
+        assert finding is not None
+        assert math.isnan(finding.payload["worst_record"]["margin"])
+        assert finding.payload["worst_parameters"]["s"] > 0.6
+
+    def test_shrink_stops_on_the_record_verdict(self, monkeypatch):
+        # every margin is -1, but the record passes for m > 0.75: the shrink
+        # must follow the verdict, not re-derive one from the margin
+        def stub(theorem, fam, point, grid, enforce, companion=False):
+            rec = _stub_record(point, -1.0)
+            return dataclasses.replace(rec, satisfied=point["m"] > 0.75)
+
+        monkeypatch.setattr(harness, "_search_instance", stub)
+        point = {"a": 1.0, "ratio": 1.05, "s": 1.0, "m": 0.5, "q": 1.0}
+        boundary = harness._shrink("II1", AFFINE_ONLY[0], point, 24, True)
+        assert 0.75 - 1e-6 < boundary["m"] <= 0.75
 
 
 BUILDERS = ("coeff_lambda", "coeff_mu", "coeff_C", "coeff_rho", "coeff_nu")
