@@ -12,12 +12,18 @@ report was re-pinned again when homogeneous targets came to be certified once
 per reduced problem: passing certifications report the reduced problem's worst
 margin, scaled, so noise values moved.
 
+``reductions-default-grids`` and the slow-lane adjudication digests were
+pinned before each interval's integrals came to run in one batch: they cover
+the default grids (s = 0.25 and 0.75, q = 1.5 and 3), which the other
+reductions cases do not.
+
 The uncertified searches pin what the CLI cannot reach: the order of the
 random draws, the per-theorem overrides and the shrink toward the boundary.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -70,6 +76,7 @@ CASES = {
     **{f"reductions-{fmt}": ["reductions", "--a", "1", "--b", "2.5", "--s-grid", "0", "0.5", "1",
                              "--q-grid", "1", "2", "--format", fmt]
        for fmt in ("json", "csv", "text")},
+    "reductions-default-grids": ["reductions", "--a", "0.7", "--b", "5.3", "--format", "json"],
     "coeffs-lambda": ["coeffs", "--set", "lambda", "--a", "1", "--b", "2", "--format", "json"],
     "coeffs-mu": ["coeffs", "--set", "mu", "--q", "2", "--a", "1", "--b", "2", "--format", "json"],
     "coeffs-c": ["coeffs", "--set", "c", "--s", "0.5", "--a", "1", "--b", "2", "--format", "json"],
@@ -129,6 +136,7 @@ GOLDEN = {
     "reductions-json": (0, "0a8d00cfe900ece711d1762361513859175fc966f06ff60a19b124b99532ae10", EMPTY),
     "reductions-csv": (0, "895026e9561dbf86fb2d6a32fbbb8706005a18804796963a287ec7b7871b5271", EMPTY),
     "reductions-text": (0, "2349aa53edafa746c2817d29062cbd100c282a2e77cf6d4e16fd61292ccffe6f", EMPTY),
+    "reductions-default-grids": (0, "dc6564569687cb889cdfd8f27b639bddedf39ee41b380a59cea812c7cbeb9406", EMPTY),
     "coeffs-lambda": (0, "ebc51c0d318c665507b6d9c8d4c8ba88493dfe89998710f2180e1954cb8365a6", EMPTY),
     "coeffs-mu": (0, "a8dacbea989ebc9c02e201e4a6e68680613ab0ad9c23a83e8ca832543f6fd95b", EMPTY),
     "coeffs-c": (0, "09ca65cb9e9868d77dca2e1f17e30dbd5ae72a2dc9090d56ad033abc7123d40f", EMPTY),
@@ -239,3 +247,48 @@ def test_uncertified_search_is_pinned(theorem):
                                     m_range=(0.1, 0.6), enforce_certification=False)
     doc = None if finding is None else finding.to_dict()
     assert _sha(json.dumps(doc, sort_keys=True)) == UNCERTIFIED_SEARCH[theorem]
+
+
+# The 25 intervals of the benchmark's adjudicate-grid workload at seed 1, drawn
+# as that workload draws them, with the sha256 of each interval's JSON report.
+ADJUDICATE_SEED_1 = (
+    "0990ff2ebdfd46a81dde4779a36e73a1520262b9d330c07803835fd5b00c8210",
+    "4def8db84bf3d7bdfb741d07f145a707dc3136c89726cbd21c8c0ee0c91a6bab",
+    "708a14354a5424250f6469a0396284410aec1c50e49a1974ecae5f3562cee79a",
+    "18f8e1e92966ea1016fd30bf6ed79c9437fe5b686453338f3bb0808d8ea99ebe",
+    "e8b267cd09bfcc7bc863cac9c9477e21c7d552f074cca2fdaad1f97baa413941",
+    "bc47dfe0966f443cc68cce1424b629e677d7b5926650479716e8a2da267b4006",
+    "ba3e69cb887fcc09779c2981f6f9d597b3f519383806a9072aab03e0309232b6",
+    "cfd7087dd1d00cfce5b48b6935e4422efb7d2745317fcdf6283f2b31181c5c4c",
+    "c4c44a8fa23253caeff7ba1056e3a8576f163fe4fb4aeef4ca042cd591d9d3f3",
+    "e6d49c819cabb2d6f143b48142c45fe657bb18e495c0b3c76f38ec135a17516a",
+    "c17799c2558810f216b83934cae5df0a58539a818d1dd052be2fb0605cbb5804",
+    "da20b5f0e69a80efdb83c81061952e30085da997b711ca22560580fdbf4af9e6",
+    "fe5b7f14e4ae51f5521f8a820cfe038b8f62737fa0387d51f263a0e12438122d",
+    "254f5b085d37b099b87f24913c5fe34ed7c6b499a3f73972e8c9df873ad2847a",
+    "c8698c1e220dbd8e0189e7819b7528cc209ff7019c44878512496e825c4e7342",
+    "4070d95eafcc5a7601024e55319568e1ca10ebc7686b8238d3b04173da2fc139",
+    "d645c28ca7d90ab7745ee61af9484544520390b5b5e3dd243e7759ac9c407d73",
+    "3fb1fe6358bef0f0e66f7220f1dc6dd0dc8c8a021745faafb2eea5f100154769",
+    "bcf3cc639772d3697d3747a98ae64bd999c8e39e20d7952663815875cb3f6c87",
+    "8c31af8184c5cefe77280c7a64de025730a93c7db7ac6aa67787eac89c0ff38d",
+    "b91e1b58e72319e069257f38b3256aaee17d863b08d21c9e8a95fe8983e7bee0",
+    "8ae36ea01b5e614bba21234a88a90fcfd0a813c3be26f22354ff9dc3876e79e9",
+    "2c940916281b29958029495f87c28f926ae2c8d02201441ff80900d6078c5f00",
+    "fb7af8cbbaa84aaf02396cf9e7a41313c562bd9f5a64b45b752e7036012649f4",
+    "29e384d960c44b37ab90cc4f8822717a0ffd5bbc9281aa79fc24501731cf5a04",
+)
+
+
+@pytest.mark.slow
+def test_adjudicate_grid_reports_are_pinned(capsys):
+    rng = random.Random("adjudicate-grid:1")
+    digests = []
+    for _ in ADJUDICATE_SEED_1:
+        a = rng.uniform(0.5, 3.0)
+        b = a * rng.uniform(1.1, 10.0)
+        code = main(["reductions", "--a", repr(a), "--b", repr(b), "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        digests.append(_sha(captured.out))
+    assert tuple(digests) == ADJUDICATE_SEED_1
