@@ -10,9 +10,10 @@ alongside so deviations document the source, not the implementation.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from functools import lru_cache, partial, wraps
+from typing import Callable, Iterator, Optional
 
 from .errors import CertificationError, DomainError, ParameterError
 from .functions import (
@@ -26,9 +27,17 @@ from .functions import (
     deriv,
     eval_fn,
 )
-from .quadrature import DEFAULT_QUADSPEC, TIGHT_QUADSPEC, QuadSpec, harmonic_mean_integral, integrate, kernel_K
-from .quadrature import _WEIGHT_FNS
-from .specfun import Hyp2F1Args, beta, hyp2f1_euler
+from .quadrature import (
+    DEFAULT_QUADSPEC,
+    TIGHT_QUADSPEC,
+    QuadSpec,
+    harmonic_mean_integral,
+    integrate,
+    integrate_many,
+    kernel_K,
+)
+from .quadrature import _kernel_job
+from .specfun import Hyp2F1Args, _euler_jobs, _hyp2f1_from_integral, beta, hyp2f1_euler
 
 __all__ = [
     "TOL_ACCEPT",
@@ -56,6 +65,7 @@ __all__ = [
     "certify_plain",
     "clear_certification_cache",
     "kernel_oracle_identities",
+    "batched",
 ]
 
 TOL_ACCEPT = 1e-9
@@ -162,14 +172,91 @@ def _record(theorem, iv, params, family, lhs, rhs, diagnostics) -> VerificationR
 # Bounded so that random search cannot grow it without limit.
 F21_CACHE_SIZE = 1024
 
+# The 2F1 terms and kernels of a ``batched`` block.  While its plan runs,
+# ``_planned`` maps each key looked up to the integrate_many jobs that compute
+# it and the function of their values that gives it; then ``_served`` maps
+# each key to its value, for the lookups of the block.
+_planned: Optional[dict[tuple, tuple]] = None
+_served: dict[tuple, float] = {}
+
+
+def _lookup(key: tuple, plan: Callable[[], tuple], compute: Callable[[], float]) -> float:
+    """The value of the 2F1 term or kernel ``key``: ``compute()``, unless a
+    ``batched`` block serves it.  While a plan runs, the key is noted with
+    ``plan()`` (the jobs and their combination, built after the checks that
+    ``compute()`` would make), and the value is a placeholder."""
+    if _planned is not None:
+        if key not in _planned:
+            _planned[key] = plan()
+        return 1.0
+    value = _served.get(key)
+    return compute() if value is None else value
+
+
+@contextmanager
+def batched(plan: Callable[[], object]) -> Iterator[None]:
+    """Integrate every 2F1 term and kernel that ``plan()`` looks up in one
+    ``integrate_many`` call, and serve them to the lookups inside the block.
+
+    ``plan()`` runs first, with each lookup noting its key and returning a
+    placeholder, and with the coefficient builders uncached, so that no
+    placeholder reaches a cache; it should look up what the block will.  Its
+    errors, and those of the batch, are raised before the block runs.
+    """
+    global _planned, _served
+    _planned = {}
+    try:
+        plan()
+        planned = _planned
+    finally:
+        _planned = None
+    values = integrate_many([job for jobs, _ in planned.values() for job in jobs])
+    start = 0
+    for key, (jobs, combine) in planned.items():
+        _served[key] = combine(*values[start:start + len(jobs)])
+        start += len(jobs)
+    try:
+        yield
+    finally:
+        _served = {}
+
 
 def _f21(a: float, b: float, c: float, z: float) -> float:
-    return _f21_cached(float(a), float(b), float(c), float(z))
+    key = (float(a), float(b), float(c), float(z))
+
+    def plan() -> tuple:
+        args = Hyp2F1Args(*key)
+        return _euler_jobs(args), lambda left, right: _hyp2f1_from_integral(args, left + right)
+
+    return _lookup(("2F1", *key), plan, lambda: _f21_cached(*key))
 
 
 @lru_cache(maxsize=F21_CACHE_SIZE)
 def _f21_cached(a: float, b: float, c: float, z: float) -> float:
     return hyp2f1_euler(Hyp2F1Args(a, b, c, z))
+
+
+def _same(value: float) -> float:
+    return value
+
+
+def _kernel(weight: str, s: float, r: float, a: float, b: float) -> float:
+    """``kernel_K(weight, s, r, a, b)``, as the builders look it up."""
+    return _lookup(("K", weight, s, r, a, b), lambda: ((_kernel_job(weight, s, r, a, b),), _same),
+                   lambda: kernel_K(weight, s, r, a, b))
+
+
+def _coefficient_cache(body: Callable[..., CoefficientSet]) -> Callable[..., CoefficientSet]:
+    """``lru_cache(maxsize=2048)`` of a coefficient builder, bypassed while a
+    ``batched`` plan runs: the set it builds then holds placeholders."""
+    cached = lru_cache(maxsize=2048)(body)
+
+    @wraps(body)
+    def builder(*args):
+        return body(*args) if _planned is not None else cached(*args)
+
+    builder.cache_info, builder.cache_clear = cached.cache_info, cached.cache_clear
+    return builder
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +265,7 @@ def _f21_cached(a: float, b: float, c: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2048)
+@_coefficient_cache
 def coeff_lambda(iv: Interval) -> CoefficientSet:
     """The elementary-log coefficient triple of the q >= 1 harmonically convex bound.
 
@@ -192,14 +279,14 @@ def coeff_lambda(iv: Interval) -> CoefficientSet:
     lam2 = -1.0 / (b * (b - a)) + (3.0 * a + b) / (b - a) ** 3 * log_term
     lam3 = 1.0 / (a * (b - a)) + (3.0 * a + b) / (b - a) ** 3 * log_term
     oracles = (
-        kernel_K("W1", 0.0, 1.0, a, b),
-        kernel_K("W1", 1.0, 1.0, a, b),
-        kernel_K("W2", 1.0, 1.0, a, b),
+        _kernel("W1", 0.0, 1.0, a, b),
+        _kernel("W1", 1.0, 1.0, a, b),
+        _kernel("W2", 1.0, 1.0, a, b),
     )
     return _coeff_set("Lambda", ("lambda1", "lambda2", "lambda3"), (lam1, lam2, lam3), oracles)
 
 
-@lru_cache(maxsize=2048)
+@_coefficient_cache
 def coeff_mu(q: float, iv: Interval) -> CoefficientSet:
     """Both printed forms of the Holder-route coefficients for q > 1.
 
@@ -217,8 +304,8 @@ def coeff_mu(q: float, iv: Interval) -> CoefficientSet:
     mu2_elem = (b ** (2.0 - 2.0 * q) - a ** (1.0 - 2.0 * q) * ((b - a) * (1.0 - 2.0 * q) + b)) / denom
     mu1_hyp = 1.0 / (2.0 * b ** (2.0 * q)) * _f21(2.0 * q, 2.0, 3.0, z)
     mu2_hyp = 1.0 / (2.0 * b ** (2.0 * q)) * _f21(2.0 * q, 1.0, 3.0, z)
-    o1 = kernel_K("N1", 1.0, q, a, b)
-    o2 = kernel_K("N2", 1.0, q, a, b)
+    o1 = _kernel("N1", 1.0, q, a, b)
+    o2 = _kernel("N2", 1.0, q, a, b)
     return _coeff_set(
         "Mu",
         ("mu1_elementary", "mu2_elementary", "mu1_hypergeometric", "mu2_hypergeometric"),
@@ -227,7 +314,7 @@ def coeff_mu(q: float, iv: Interval) -> CoefficientSet:
     )
 
 
-@lru_cache(maxsize=2048)
+@_coefficient_cache
 def coeff_C(s: float, iv: Interval) -> CoefficientSet:
     """Printed coefficient triple of the harmonically s-convex bound (q >= 1).
 
@@ -251,14 +338,14 @@ def coeff_C(s: float, iv: Interval) -> CoefficientSet:
         + 0.5 * _f21(2, 1, 3, 0.5 * z)
     )
     oracles = (
-        kernel_K("W1", 0.0, 1.0, a, b),
-        kernel_K("W1", s, 1.0, a, b),
-        kernel_K("W2", s, 1.0, a, b),
+        _kernel("W1", 0.0, 1.0, a, b),
+        _kernel("W1", s, 1.0, a, b),
+        _kernel("W2", s, 1.0, a, b),
     )
     return _coeff_set("C", ("C1", "C2", "C3"), (c1, c2, c3), oracles)
 
 
-@lru_cache(maxsize=2048)
+@_coefficient_cache
 def coeff_rho(s: float, r: float, iv: Interval) -> CoefficientSet:
     """Printed power-mean-route coefficients, exponent 2r kernels (r plays q).
 
@@ -286,8 +373,8 @@ def coeff_rho(s: float, r: float, iv: Interval) -> CoefficientSet:
         + beta(s + 2.0, 1.0) / b2q * _f21(2.0 * r, s + 2.0, s + 3.0, z)
     )
     rho2_proof = beta(s + 1.0, 2.0) / (2.0**s * b2q) * _f21(2.0 * r, s + 1.0, s + 3.0, z_half)
-    o1 = kernel_K("W1", s, r, a, b)
-    o2 = kernel_K("W2", s, r, a, b)
+    o1 = _kernel("W1", s, r, a, b)
+    o2 = _kernel("W2", s, r, a, b)
     return _coeff_set(
         "Rho",
         ("rho1", "rho2_statement", "rho2_proof"),
@@ -296,7 +383,7 @@ def coeff_rho(s: float, r: float, iv: Interval) -> CoefficientSet:
     )
 
 
-@lru_cache(maxsize=2048)
+@_coefficient_cache
 def coeff_nu(s: float, q: float, iv: Interval) -> CoefficientSet:
     """Printed Holder-route coefficients nu1, nu2 for q > 1 (kernels without |1-2t|)."""
     if not 0.0 <= s <= 1.0:
@@ -308,7 +395,7 @@ def coeff_nu(s: float, q: float, iv: Interval) -> CoefficientSet:
     b2q = b ** (2.0 * q)
     nu1 = beta(1.0, s + 1.0) / b2q * _f21(2.0 * q, 1.0, s + 2.0, z)
     nu2 = beta(s + 1.0, 1.0) / b2q * _f21(2.0 * q, s + 1.0, s + 2.0, z)
-    oracles = (kernel_K("N1", s, q, iv.a, iv.b), kernel_K("N2", s, q, iv.a, iv.b))
+    oracles = (_kernel("N1", s, q, iv.a, iv.b), _kernel("N2", s, q, iv.a, iv.b))
     return _coeff_set("Nu", ("nu1", "nu2"), (nu1, nu2), oracles)
 
 
@@ -653,16 +740,16 @@ def verify_bound(
 # ---------------------------------------------------------------------------
 
 
-# The substitution t -> 1-t maps each kernel weight onto its mirror.
-_MIRROR = {"W1": "W2", "W2": "W1", "N1": "N2", "N2": "N1"}
-
-
 def _substituted_kernel(weight: str, s: float, r: float, a: float, b: float,
                         quad: QuadSpec = DEFAULT_QUADSPEC) -> float:
     """Kernel integrals written in the t -> 1-t substituted form over (ta+(1-t)b)."""
-    wfn = _WEIGHT_FNS[_MIRROR[weight]]
-    use = quad.with_splits(0.5) if weight in ("W1", "W2") else quad
-    return integrate(lambda t: wfn(t, s) * (t * a + (1.0 - t) * b) ** (-2.0 * r), 0.0, 1.0, use)
+    job = partial(_kernel_job, weight, s, r, a, b, quad, mirrored=True)
+
+    def compute() -> float:
+        family, params, lo, hi, use = job()
+        return integrate(partial(family, *params), lo, hi, use)
+
+    return _lookup(("S", weight, s, r, a, b, quad), lambda: ((job(),), _same), compute)
 
 
 def kernel_oracle_identities(
@@ -680,7 +767,7 @@ def kernel_oracle_identities(
     a, b = iv.a, iv.b
 
     def chain(name: str, weight: str, s: float, r: float) -> tuple[str, float, float]:
-        return name, kernel_K(weight, s, r, a, b), _substituted_kernel(weight, s, r, a, b)
+        return name, _kernel(weight, s, r, a, b), _substituted_kernel(weight, s, r, a, b)
 
     rows = [chain("K1(1,1) = lambda2 oracle", "W1", 1.0, 1.0), chain("K2(1,1) = lambda3 oracle", "W2", 1.0, 1.0)]
     for s in s_grid:
@@ -689,6 +776,6 @@ def kernel_oracle_identities(
         rows += [
             chain(f"N1(1,{q}) = mu1 oracle", "N1", 1.0, q),
             chain(f"N2(1,{q}) = mu2 oracle", "N2", 1.0, q),
-            (f"rho1(0,{q}) oracle = rho2(0,{q}) oracle", kernel_K("W1", 0.0, q, a, b), kernel_K("W2", 0.0, q, a, b)),
+            (f"rho1(0,{q}) oracle = rho2(0,{q}) oracle", _kernel("W1", 0.0, q, a, b), _kernel("W2", 0.0, q, a, b)),
         ]
     return rows

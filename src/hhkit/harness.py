@@ -489,7 +489,15 @@ def check_reductions(
     produce ReductionMismatch findings when violated -- none are expected.
     Printed forms deviating from their oracle by more than 1e-8 produce
     ClosedFormDeviation findings: these document the source material.
+
+    Every 2F1 term and kernel of the interval is integrated in one batch:
+    the check runs once as the plan of ``bounds.batched``, then inside it.
     """
+    with bounds.batched(lambda: _check_reductions(iv, s_grid, q_grid)):
+        return _check_reductions(iv, s_grid, q_grid)
+
+
+def _check_reductions(iv: Interval, s_grid: Sequence[float], q_grid: Sequence[float]) -> list[Finding]:
     findings: list[Finding] = []
 
     for name, lhs, rhs in kernel_oracle_identities(iv, tuple(s_grid), tuple(q for q in q_grid if q > 1.0)):
@@ -571,9 +579,10 @@ def build_adjudication_report(
     coefficient_tables = []
     findings: list[Finding] = []
     for iv in intervals:
+        # check_reductions builds every set of the interval, so the table reads cached sets
+        findings.extend(check_reductions(iv, s_grid, q_grid))
         sets = [{**cs.to_dict(), **grid_params} for grid_params, cs in _printed_sets(iv, s_grid, q_grid)]
         coefficient_tables.append({"a": iv.a, "b": iv.b, "sets": sets})
-        findings.extend(check_reductions(iv, s_grid, q_grid))
     return {
         "schema_version": SCHEMA_VERSION,
         "intervals": [{"a": iv.a, "b": iv.b} for iv in intervals],

@@ -10,10 +10,11 @@ assumptions beyond integrability).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_QUADSPEC",
     "TIGHT_QUADSPEC",
     "integrate",
+    "integrate_many",
     "harmonic_mean_integral",
     "kernel_K",
     "KERNEL_WEIGHTS",
@@ -126,28 +128,45 @@ def _gk15(resk: float, resg: float, resabs: float, resasc: float) -> tuple[float
     return resk, err
 
 
-def _panel_sums(
-    f: Callable[[np.ndarray], np.ndarray], panels: list[tuple[float, float]]
-) -> list[tuple[float, float, float, float]]:
-    """The weighted sums (resk, resg, resabs, resasc) of each ``(lo, hi)`` panel.
+def _panel_nodes(panels: list[tuple[float, float]]) -> tuple[np.ndarray, ...]:
+    """The lo, hi and half-width arrays of ``panels``, and their nodes laid
+    end to end.
 
-    The integrand is called once, on the nodes of every panel laid end to end:
-    on 15-element arrays numpy's per-call overhead, not the arithmetic, is what
-    a panel costs.  Each panel's nodes are ``center + half * _NODES``, computed
-    elementwise exactly as a single panel would compute them.  ``np.vecdot``
-    runs one BLAS ``ddot`` per row, the same kernel and summation order as
-    ``ndarray.dot`` on one row; a batched ``(k, 15) @ (15,)`` product (``gemv``)
-    is not, and differs from ``ddot`` in the last bit on about half of random
-    rows.
+    Each panel's nodes are ``center + half * _NODES``, computed elementwise
+    exactly as a single panel would compute them.
     """
     lo, hi = np.array(panels, dtype=float).T
     half = 0.5 * (hi - lo)
-    fx = f(((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+    return lo, hi, half, ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()
+
+
+def _sums(
+    fx: np.ndarray, lo: np.ndarray, hi: np.ndarray, half: np.ndarray
+) -> list[tuple[float, float, float, float]]:
+    """The weighted sums (resk, resg, resabs, resasc) of panels ``(lo, hi)``
+    of half-width ``half``, from their integrand values ``fx``, one row of 15
+    per panel.
+
+    ``np.vecdot`` runs one BLAS ``ddot`` per row, the same kernel and
+    summation order as ``ndarray.dot`` on one row; a batched ``(k, 15) @
+    (15,)`` product (``gemv``) is not, and differs from ``ddot`` in the last
+    bit on about half of random rows.
+    """
     resk = half * np.vecdot(fx, _WGK)
     resg = half * np.vecdot(fx, _WG15)
     resabs = half * np.vecdot(np.abs(fx), _WGK)
     resasc = half * np.vecdot(np.abs(fx - (resk / (hi - lo))[:, None]), _WGK)
     return list(zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()))
+
+
+def _panel_sums(
+    f: Callable[[np.ndarray], np.ndarray], panels: list[tuple[float, float]]
+) -> list[tuple[float, float, float, float]]:
+    """The weighted sums of each ``(lo, hi)`` panel, from one call of ``f`` on
+    the nodes of every panel: on 15-element arrays numpy's per-call
+    overhead, not the arithmetic, is what a panel costs."""
+    lo, hi, half, x = _panel_nodes(panels)
+    return _sums(f(x).reshape(-1, 15), lo, hi, half)
 
 
 def _ladder(a: float, b: float, levels: int) -> list[tuple[float, float]]:
@@ -185,39 +204,27 @@ def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: QuadSpec = DEFAULT_QUADSPEC,
-) -> float:
-    """Globally adaptive integral of ``f`` over ``[lo, hi]``.
+def _adaptive(lo: float, hi: float, spec: QuadSpec, levels: int) -> Generator[list, list, float]:
+    """The globally adaptive loop of one integral, as a generator.
 
-    The interval is pre-split at ``spec.split_points``, then the worst-error
-    subinterval is bisected until the summed error estimate falls below
-    ``max(abs_tol, rel_tol * |result|)``.  Raises
-    :class:`~hhkit.errors.ToleranceNotMetError` (carrying the best estimate and
-    its bound) when every subinterval has reached ``max_depth`` or the interval
-    budget is exhausted without certifying the tolerance, and when the estimate
-    or its bound is not finite.
-
-    A bisection whose children were not evaluated yet evaluates them together
-    with the look-ahead panels of :func:`_ladder`, in one integrand call; the
-    result is the same, bit for bit, as evaluating each bisection's two
-    children when it happens.
+    It yields the ``(lo, hi)`` panels it needs, is sent their weighted sums
+    (see :func:`_sums`) in the same order, and returns the integral.  A
+    bisection whose children were not evaluated yet asks for them together
+    with the look-ahead panels of :func:`_ladder`, ``levels`` generations
+    deep; the sums of the look-ahead panels wait until a bisection asks for
+    them.  The result is the same, bit for bit, for every ``levels``.
     """
     if not lo < hi:
         raise DomainError(f"integration requires lo < hi, got [{lo}, {hi}]")
     splits = sorted({float(p) for p in spec.split_points if lo < p < hi})
     edges = [lo, *splits, hi]
-    fv = _vectorized(f)
 
     heap: list[tuple[float, int, float, float, float, float, int]] = []
     counter = 0
     total_val = 0.0
     total_err = 0.0
     panels = list(zip(edges[:-1], edges[1:]))
-    for (a, b), sums in zip(panels, _panel_sums(fv, panels)):
+    for (a, b), sums in zip(panels, (yield panels)):
         val, err = _gk15(*sums)
         total_val += val
         total_err += err
@@ -244,8 +251,8 @@ def integrate(
         mid = 0.5 * (a + b)
         left, right = ahead.pop((a, mid), None), ahead.pop((mid, b), None)
         if left is None or right is None:
-            ladder = _ladder(a, b, min(_LADDER_LEVELS, spec.max_depth - depth - 1))
-            sums = _panel_sums(fv, ladder)
+            ladder = _ladder(a, b, min(levels, spec.max_depth - depth - 1))
+            sums = yield ladder
             left, right = sums[0], sums[1]
             ahead.update(zip(ladder[2:], sums[2:]))
         (v1, e1), (v2, e2) = _gk15(*left), _gk15(*right)
@@ -268,6 +275,105 @@ def integrate(
     return total_val
 
 
+def integrate(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    spec: QuadSpec = DEFAULT_QUADSPEC,
+) -> float:
+    """Globally adaptive integral of ``f`` over ``[lo, hi]``.
+
+    The interval is pre-split at ``spec.split_points``, then the worst-error
+    subinterval is bisected until the summed error estimate falls below
+    ``max(abs_tol, rel_tol * |result|)``.  Raises
+    :class:`~hhkit.errors.ToleranceNotMetError` (carrying the best estimate and
+    its bound) when every subinterval has reached ``max_depth`` or the interval
+    budget is exhausted without certifying the tolerance, and when the estimate
+    or its bound is not finite.
+
+    Each bisection whose children were not evaluated yet evaluates them
+    together with ``_LADDER_LEVELS`` generations of look-ahead panels
+    (:func:`_ladder`), in one integrand call.
+    """
+    fv = _vectorized(f)
+    loop = _adaptive(lo, hi, spec, _LADDER_LEVELS)
+    panels = next(loop)
+    while True:
+        try:
+            panels = loop.send(_panel_sums(fv, panels))
+        except StopIteration as done:
+            return done.value
+
+
+# One integral of ``integrate_many``: ``(family, params, lo, hi, spec)``, the
+# integral of ``partial(family, *params)`` over ``[lo, hi]``.
+Job = tuple[Callable[..., np.ndarray], tuple, float, float, QuadSpec]
+
+# At most this many integrals of one ``integrate_many`` batch run at a time:
+# each round's node and parameter arrays grow with the integrals in it.
+_IN_FLIGHT = 64
+# Look-ahead generations in a batch.  A batch makes one family call a round
+# however many panels it asks for, so look-ahead saves no call, and the
+# panels it evaluates ahead are mostly never asked for.
+_BATCH_LADDER_LEVELS = 0
+
+
+def integrate_many(jobs: Sequence[Job]) -> list[float]:
+    """The integrals of ``jobs``, in lockstep: each the same, bit for bit, as
+    ``integrate(partial(family, *params), lo, hi, spec)``.
+
+    A family is called as ``family(*params, x)``; in a batch every parameter
+    is an array of ``x``'s shape that repeats each integral's value on its
+    nodes, so the family must compute elementwise and raise with
+    :func:`_pow`.  Each round, every pending panel of one family is evaluated
+    in one family call, and the weighted sums of all of them in one pass.
+    At most ``_IN_FLIGHT`` integrals run at once; a finished integral's slot
+    goes to the next job in order.  When integrals fail, the
+    ``ToleranceNotMetError`` of the first failing job in order is raised, as
+    ``integrate`` would raise it.
+    """
+    loops = [_adaptive(lo, hi, spec, _BATCH_LADDER_LEVELS) for _, _, lo, hi, spec in jobs]
+    first_asks = [next(loop) for loop in loops]
+    results: list[float] = [math.nan] * len(jobs)
+    failure: Optional[tuple[int, ToleranceNotMetError]] = None
+    waiting = iter(range(len(jobs)))
+    asks = {i: first_asks[i] for i in itertools.islice(waiting, _IN_FLIGHT)}
+    while asks:
+        by_family: dict[Callable, list[int]] = {}
+        for i in asks:
+            by_family.setdefault(jobs[i][0], []).append(i)
+        order, blocks = [], []
+        for family, members in by_family.items():
+            lo, hi, half, x = _panel_nodes([panel for i in members for panel in asks[i]])
+            nodes = [15 * len(asks[i]) for i in members]
+            params = np.repeat(np.array([jobs[i][1] for i in members], dtype=float).T, nodes, axis=1)
+            blocks.append((family(*params, x).reshape(-1, 15), lo, hi, half))
+            order += members
+        sums = _sums(*(np.concatenate(parts) for parts in zip(*blocks)))
+        start = 0
+        for i in order:
+            end = start + len(asks[i])
+            try:
+                asks[i] = loops[i].send(sums[start:end])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+                if failure is None:
+                    asks.update((j, first_asks[j]) for j in itertools.islice(waiting, 1))
+            except ToleranceNotMetError as exc:
+                del asks[i]
+                if failure is None or i < failure[0]:
+                    failure = (i, exc)
+            start = end
+        if failure is not None:
+            # Only a job before the failed one can take its place as the error.
+            for i in [i for i in asks if i > failure[0]]:
+                del asks[i]
+    if failure is not None:
+        raise failure[1]
+    return results
+
+
 def harmonic_mean_integral(
     f: Callable[[float], float],
     a: float,
@@ -285,27 +391,79 @@ def harmonic_mean_integral(
     return a * b / (b - a) * value
 
 
-# Weight factories for the kernel integrals; every coefficient family in the
-# inequalities is one of these four shapes.
-KERNEL_WEIGHTS = ("W1", "W2", "N1", "N2")
+# numpy raises an array to a scalar -1, 0.5 or 2 with reciprocal, sqrt or
+# square, which differ in the last bit from its pow on about 5% of values.
+# (A scalar 0 or 1 gives 1 or x, as pow does.)
+_FAST_POWERS = ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square))
 
-_WEIGHT_FNS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
-    "W1": lambda t, s: np.abs(1.0 - 2.0 * t) * t**s,
-    "W2": lambda t, s: np.abs(1.0 - 2.0 * t) * (1.0 - t) ** s,
-    "N1": lambda t, s: t**s,
-    "N2": lambda t, s: (1.0 - t) ** s,
-}
+
+def _pow(x: np.ndarray, e) -> np.ndarray:
+    """``x ** e`` for a scalar ``e`` or an array of ``x``'s shape, each value
+    the same, bit for bit, as ``x ** float(e_i)`` computes it: elements whose
+    exponent is one of numpy's fast scalar exponents take the fast path."""
+    out = x**e
+    if isinstance(e, np.ndarray):
+        for value, fast in _FAST_POWERS:
+            hit = e == value
+            if hit.any():
+                out[hit] = fast(x[hit])
+    return out
+
+
+# The kernel weights: every coefficient family in the inequalities is one of
+# these four shapes, (t or 1 - t)^s, times |1 - 2t| for W1/W2.  Each row is
+# (power base is 1 - t, |1 - 2t| factor).
+_WEIGHT_FORMS = {"W1": (False, True), "W2": (True, True), "N1": (False, False), "N2": (True, False)}
+KERNEL_WEIGHTS = tuple(_WEIGHT_FORMS)
+# The substitution t -> 1-t maps each kernel weight onto its mirror.
+_MIRROR = {"W1": "W2", "W2": "W1", "N1": "N2", "N2": "N1"}
+
+
+def _select(cond, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.where(cond, x, y)``, or ``x`` or ``y`` itself for a scalar ``cond``."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _kernel_integrand(flip, kink, s, r, p, q, t: np.ndarray) -> np.ndarray:
+    """The kernel integrand w(t) (t q + (1 - t) p)^(-2r), with w(t) the power s
+    of t, or of 1 - t where ``flip``, times |1 - 2t| where ``kink``."""
+    u = 1.0 - t
+    w = _pow(_select(flip, u, t), s)
+    if kink is not False:  # a scalar False needs no factor
+        w = _select(kink, np.abs(1.0 - 2.0 * t) * w, w)
+    return w * _pow(t * q + u * p, -2.0 * r)
+
+
+def _check_kernel(weight: str, s: float, r: float, a: float, b: float) -> None:
+    if weight not in _WEIGHT_FORMS:
+        raise DomainError(f"unknown kernel weight {weight!r}; one of {KERNEL_WEIGHTS}")
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"kernel exponent s must lie in [0, 1], got {s}")
+    if not r >= 1.0:
+        raise DomainError(f"kernel exponent r must be >= 1, got {r}")
+    if not 0.0 < a < b:
+        raise DomainError(f"kernel requires 0 < a < b, got ({a}, {b})")
+
+
+def _kernel_job(weight: str, s: float, r: float, a: float, b: float,
+                spec: QuadSpec = DEFAULT_QUADSPEC, mirrored: bool = False) -> Job:
+    """The integral of ``kernel_K(weight, s, r, a, b, spec)`` as a job of
+    :func:`integrate_many`, after ``kernel_K``'s checks.  ``mirrored`` writes
+    it in the t -> 1-t substituted form: the mirror weight over
+    (t a + (1 - t) b), the same value by an independent integrand."""
+    _check_kernel(weight, s, r, a, b)
+    flip, kink = _WEIGHT_FORMS[_MIRROR[weight] if mirrored else weight]
+    p, q = (b, a) if mirrored else (a, b)
+    use = spec.with_splits(0.5) if kink else spec
+    return _kernel_integrand, (flip, kink, float(s), float(r), float(p), float(q)), 0.0, 1.0, use
 
 
 @lru_cache(maxsize=16384)
 def _kernel_K_cached(weight: str, s: float, r: float, a: float, b: float, spec: QuadSpec) -> float:
-    wfn = _WEIGHT_FNS[weight]
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return wfn(t, s) * (t * b + (1.0 - t) * a) ** (-2.0 * r)
-
-    use = spec.with_splits(0.5) if weight in ("W1", "W2") else spec
-    return integrate(integrand, 0.0, 1.0, use)
+    family, params, lo, hi, use = _kernel_job(weight, s, r, a, b, spec)
+    return integrate(partial(family, *params), lo, hi, use)
 
 
 def kernel_K(
@@ -322,12 +480,5 @@ def kernel_K(
     N1 = t^s, N2 = (1-t)^s.  W1/W2 are pre-split at the ``t = 1/2`` kink.
     Results are cached; the quadrature is deterministic so caching is exact.
     """
-    if weight not in _WEIGHT_FNS:
-        raise DomainError(f"unknown kernel weight {weight!r}; one of {KERNEL_WEIGHTS}")
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"kernel exponent s must lie in [0, 1], got {s}")
-    if not r >= 1.0:
-        raise DomainError(f"kernel exponent r must be >= 1, got {r}")
-    if not 0.0 < a < b:
-        raise DomainError(f"kernel requires 0 < a < b, got ({a}, {b})")
+    _check_kernel(weight, s, r, a, b)
     return _kernel_K_cached(weight, float(s), float(r), float(a), float(b), spec)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import QuadSpec, integrate
+from .quadrature import Job, QuadSpec, _pow, _select, integrate
 
 __all__ = ["ln_gamma", "beta", "Hyp2F1Args", "hyp2f1_series", "hyp2f1_euler", "euler_integral"]
 
@@ -167,6 +168,29 @@ def hyp2f1_series(args: Hyp2F1Args) -> float:
     )
 
 
+def _euler_integrand(k, p1, p2, a, z, right, u: np.ndarray) -> np.ndarray:
+    """One half of the Euler integrand after the substitution t = u^k on the
+    left (p1, p2 = b, c - b) or 1 - t = u^k on the right (p1, p2 = c - b, b):
+    k u^(k p1 - 1) (1 - u^k)^(p2 - 1) (1 - z t)^(-a)."""
+    w = _pow(u, k)
+    v = 1.0 - w
+    return k * _pow(u, k * p1 - 1.0) * _pow(v, p2 - 1.0) * _pow(1.0 - z * _select(right, v, w), -a)
+
+
+def _euler_jobs(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> tuple[Job, Job]:
+    """The left and right halves of ``euler_integral(args, spec)`` as jobs of
+    :func:`~hhkit.quadrature.integrate_many`."""
+    a, b, c, z = args.a_param, args.b_param, args.c_param, args.z
+    cb = c - b
+    k_left = max(2, math.ceil(1.5 / b))
+    k_right = max(2, math.ceil(1.5 / cb))
+    hi_left, hi_right = 0.5 ** (1.0 / k_left), 0.5 ** (1.0 / k_right)
+    return (
+        (_euler_integrand, (k_left, b, cb, a, z, False), 0.0, hi_left, spec.with_splits(0.5 * hi_left)),
+        (_euler_integrand, (k_right, cb, b, a, z, True), 0.0, hi_right, spec.with_splits(0.5 * hi_right)),
+    )
+
+
 def euler_integral(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> float:
     """The raw Euler integral int_0^1 t^(b-1) (1-t)^(c-b-1) (1-z t)^(-a) dt.
 
@@ -180,25 +204,15 @@ def euler_integral(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> float:
     (an error estimate of 3e-16 against a true error of 3e-14 at b = 2.86,
     c - b = 2.29) and the rule stops at once.
     """
-    a, b, c, z = args.a_param, args.b_param, args.c_param, args.z
-    cb = c - b
-    k_left = max(2, math.ceil(1.5 / b))
-    k_right = max(2, math.ceil(1.5 / cb))
+    left, right = (integrate(partial(f, *params), lo, hi, use) for f, params, lo, hi, use in _euler_jobs(args, spec))
+    return left + right
 
-    def left(u: np.ndarray) -> np.ndarray:
-        t = u**k_left
-        return k_left * u ** (k_left * b - 1.0) * (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a)
 
-    def right(v: np.ndarray) -> np.ndarray:
-        t = 1.0 - v**k_right
-        return k_right * v ** (k_right * cb - 1.0) * t ** (b - 1.0) * (1.0 - z * t) ** (-a)
-
-    hi_left, hi_right = 0.5 ** (1.0 / k_left), 0.5 ** (1.0 / k_right)
-    return integrate(left, 0.0, hi_left, spec.with_splits(0.5 * hi_left)) + integrate(
-        right, 0.0, hi_right, spec.with_splits(0.5 * hi_right)
-    )
+def _hyp2f1_from_integral(args: Hyp2F1Args, integral: float) -> float:
+    """2F1 from the value of its Euler integral."""
+    return integral / beta(args.b_param, args.c_param - args.b_param)
 
 
 def hyp2f1_euler(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> float:
     """Euler-integral evaluation of 2F1 (the contractual path)."""
-    return euler_integral(args, spec) / beta(args.b_param, args.c_param - args.b_param)
+    return _hyp2f1_from_integral(args, euler_integral(args, spec))

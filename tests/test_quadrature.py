@@ -13,7 +13,6 @@ from hhkit.quadrature import (
     _EPS,
     _MAX_INTERVALS,
     _NODES,
-    _WEIGHT_FNS,
     _WG15,
     _WGK,
     KERNEL_WEIGHTS,
@@ -24,6 +23,15 @@ from hhkit.quadrature import (
     kernel_K,
 )
 from hhkit.specfun import Hyp2F1Args
+
+
+# The kernel weights written out, apart from the kernel family of quadrature.
+WEIGHT_FNS = {
+    "W1": lambda t, s: np.abs(1.0 - 2.0 * t) * t**s,
+    "W2": lambda t, s: np.abs(1.0 - 2.0 * t) * (1.0 - t) ** s,
+    "N1": lambda t, s: t**s,
+    "N2": lambda t, s: (1.0 - t) ** s,
+}
 
 
 def test_constant_integrand():
@@ -280,7 +288,7 @@ class TestBitIdentity:
         "s, r, a, b", [(0.0, 1.0, 1.0, 2.0), (0.5, 2.0, 1.0, 2.0), (0.25, 1.5, 0.5, 5.0), (1.0, 3.0, 0.7, 7.0)]
     )
     def test_kernel_integrands(self, weight, split, s, r, a, b):
-        wfn = _WEIGHT_FNS[weight]
+        wfn = WEIGHT_FNS[weight]
 
         def integrand(t):
             return wfn(t, s) * (t * b + (1.0 - t) * a) ** (-2.0 * r)
@@ -430,7 +438,7 @@ def test_ladder_stays_within_max_depth(monkeypatch):
 
 
 def _w1_kernel():
-    wfn = _WEIGHT_FNS["W1"]
+    wfn = WEIGHT_FNS["W1"]
     return (lambda t: wfn(t, 0.25) * (t * 2.0 + (1.0 - t) * 1.0) ** -2.0), 0.0, 1.0, QuadSpec(split_points=(0.5,))
 
 
