@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, wraps
 from typing import Callable, Iterator, Optional
@@ -172,12 +173,24 @@ def _record(theorem, iv, params, family, lhs, rhs, diagnostics) -> VerificationR
 # Bounded so that random search cannot grow it without limit.
 F21_CACHE_SIZE = 1024
 
-# The 2F1 terms and kernels of a ``batched`` block.  While its plan runs,
-# ``_planned`` maps each key looked up to the integrate_many jobs that compute
-# it and the function of their values that gives it; then ``_served`` maps
-# each key to its value, for the lookups of the block.
-_planned: Optional[dict[tuple, tuple]] = None
-_served: dict[tuple, float] = {}
+class _Batch:
+    """The 2F1 terms and kernels of one ``batched`` block.  While its plan
+    runs, ``planned`` maps each key looked up to the integrate_many jobs that
+    compute it and the function of their values that gives it; then
+    ``served`` maps each key to its value."""
+
+    def __init__(self) -> None:
+        self.planned: dict[tuple, tuple] = {}
+        self.served: Optional[dict[tuple, float]] = None
+
+
+# The batch of the innermost ``batched`` block, if any.
+_BATCH: ContextVar[Optional[_Batch]] = ContextVar("hhkit_bounds_batch", default=None)
+
+
+def _planning() -> bool:
+    batch = _BATCH.get()
+    return batch is not None and batch.served is None
 
 
 def _lookup(key: tuple, plan: Callable[[], tuple], compute: Callable[[], float]) -> float:
@@ -185,11 +198,14 @@ def _lookup(key: tuple, plan: Callable[[], tuple], compute: Callable[[], float])
     ``batched`` block serves it.  While a plan runs, the key is noted with
     ``plan()`` (the jobs and their combination, built after the checks that
     ``compute()`` would make), and the value is a placeholder."""
-    if _planned is not None:
-        if key not in _planned:
-            _planned[key] = plan()
+    batch = _BATCH.get()
+    if batch is None:
+        return compute()
+    if batch.served is None:
+        if key not in batch.planned:
+            batch.planned[key] = plan()
         return 1.0
-    value = _served.get(key)
+    value = batch.served.get(key)
     return compute() if value is None else value
 
 
@@ -203,22 +219,18 @@ def batched(plan: Callable[[], object]) -> Iterator[None]:
     placeholder reaches a cache; it should look up what the block will.  Its
     errors, and those of the batch, are raised before the block runs.
     """
-    global _planned, _served
-    _planned = {}
+    batch = _Batch()
+    token = _BATCH.set(batch)
     try:
         plan()
-        planned = _planned
-    finally:
-        _planned = None
-    values = integrate_many([job for jobs, _ in planned.values() for job in jobs])
-    start = 0
-    for key, (jobs, combine) in planned.items():
-        _served[key] = combine(*values[start:start + len(jobs)])
-        start += len(jobs)
-    try:
+        values = integrate_many([job for jobs, _ in batch.planned.values() for job in jobs])
+        batch.served, start = {}, 0
+        for key, (jobs, combine) in batch.planned.items():
+            batch.served[key] = combine(*values[start:start + len(jobs)])
+            start += len(jobs)
         yield
     finally:
-        _served = {}
+        _BATCH.reset(token)
 
 
 def _f21(a: float, b: float, c: float, z: float) -> float:
@@ -253,7 +265,7 @@ def _coefficient_cache(body: Callable[..., CoefficientSet]) -> Callable[..., Coe
 
     @wraps(body)
     def builder(*args):
-        return body(*args) if _planned is not None else cached(*args)
+        return body(*args) if _planning() else cached(*args)
 
     builder.cache_info, builder.cache_clear = cached.cache_info, cached.cache_clear
     return builder

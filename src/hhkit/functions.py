@@ -287,12 +287,16 @@ FuncLike = Union[FunctionSpec, GradientPower, Callable]
 
 
 def check_grid(grid: int) -> None:
-    """Reject a certification grid density below 8 (a mesh too coarse to certify)."""
+    """Reject a certification grid density that is not an integer (a bool is
+    not one), or is below 8 (a mesh too coarse to certify)."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)):
+        raise ParameterError(f"certification grid density must be an integer, got {grid!r}")
     if grid < 8:
         raise ParameterError(f"certification grid density must be >= 8, got {grid}")
 
 
-@lru_cache(maxsize=8)
+# Typed, so that 48.0 or True is checked, not served the entry of 48 or 1.
+@lru_cache(maxsize=8, typed=True)
 def _mesh_axes(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The t mesh of one density and the (i, j) index pairs of the border of
     its x,y mesh, in row-major order (arrays read-only).  Every mesh starts
@@ -486,6 +490,8 @@ def _reduced_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -
 
 
 def _grid_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> CheckReport:
+    # before the caches keyed by grid, where 48.0 would find the entry of 48
+    check_grid(grid)
     report = _reduced_check(f, params, grid, window, combiner)
     return _mesh_check(f, params, grid, window, combiner) if report is None else report
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hhkit import harness, quadrature
+from hhkit import cli, harness, quadrature
 from hhkit.bounds import Interval
 from hhkit.cli import _build_function, build_parser, main
 from hhkit.errors import ConvergenceError
@@ -13,6 +13,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        beta = ["specfun", "--fn", "beta", "--x", "1.5", "--y", "0.5", "--format", "json"]
+        first = run(capsys, *beta)
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
+        with pytest.raises(SystemExit):
+            main(["specfun", "--fn", "nope"])
+        capsys.readouterr()
+        assert run(capsys, *beta) == first
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestSpecfunCommand:

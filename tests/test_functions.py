@@ -366,6 +366,18 @@ class TestGridDensity:
         with pytest.raises(ParameterError, match="grid density"):
             check_harmonic_sm_convex(lambda x: x * x, SMParams(1.0, 1.0), grid=grid, window=(1.0, 2.0))
 
+    @pytest.mark.parametrize("check", [check_harmonic_sm_convex, check_sm_convex, check_prop1_implication])
+    @pytest.mark.parametrize("grid", [8.5, 48.0, "9", True, None])
+    @pytest.mark.parametrize("f", TARGETS, ids=lambda f: f.label)
+    def test_non_integer_grid_is_a_parameter_error(self, check, grid, f):
+        # a grid-48 check first, so that 48.0 cannot ride on its cache entries
+        check(f, SMParams(1.0, 0.8), grid=48, window=(1.0, 2.0))
+        with pytest.raises(ParameterError, match=f"^certification grid density must be an integer, got {grid!r}$"):
+            check(f, SMParams(1.0, 0.8), grid=grid, window=(1.0, 2.0))
+
+    def test_numpy_integer_grid_passes(self):
+        assert check_harmonic_sm_convex(spec_power(), SMParams(1.0, 1.0), grid=np.int64(8)).passed
+
     def test_verify_theorem_rejects_grid_zero(self):
         from hhkit.bounds import Interval, verify_theorem
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhkit import bounds, harness
+from hhkit import bounds, harness, quadrature, specfun
 from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ParameterError
 from hhkit.functions import SMParams
@@ -630,6 +630,90 @@ class TestCheckReductions:
         assert all(f.payload.get("level") == "printed" for f in remark)
         assert any("C2(1,a,b) = lambda2" in f.description for f in remark)
         assert any("mu hypergeometric labels are swapped" in f.description for f in remark)
+
+
+def _value_caches():
+    """Every cache a 2F1 term, a kernel or a coefficient set is kept in."""
+    return (quadrature._kernel_K_cached, bounds._f21_cached,
+            *(getattr(bounds, row.builder) for row in bounds.PRINTED_SETS.values()))
+
+
+@pytest.fixture
+def cold_value_caches():
+    for cache in _value_caches():
+        cache.cache_clear()
+    yield
+    for cache in _value_caches():
+        cache.cache_clear()
+
+
+class TestBatchedAdjudication:
+    """One interval's 2F1 terms and kernels are integrated in one batch."""
+
+    S_GRID, Q_GRID = (0.25, 0.5, 0.75, 1.0), (1.5, 2.0, 3.0)
+
+    def test_one_batch_and_no_single_integral(self, monkeypatch, cold_value_caches):
+        singles, batches = [], []
+        integrate, integrate_many = quadrature.integrate, quadrature.integrate_many
+
+        def single(*args, **kwargs):
+            singles.append(args)
+            return integrate(*args, **kwargs)
+
+        def many(jobs):
+            batches.append([job[0] for job in jobs])
+            return integrate_many(jobs)
+
+        for module in (quadrature, specfun, bounds):
+            monkeypatch.setattr(module, "integrate", single)
+        monkeypatch.setattr(bounds, "integrate_many", many)
+        build_adjudication_report(intervals=(Interval(1.3, 4.1),))
+        assert singles == []
+        assert len(batches) == 1
+        # 115 2F1 terms of two halves each, 63 kernels and 14 substituted kernels
+        families = [family.__name__ for family in batches[0]]
+        assert (families.count("_euler_integrand"), families.count("_kernel_integrand")) == (230, 77)
+
+    def test_planning_caches_nothing(self, cold_value_caches):
+        iv = Interval(0.9, 6.5)
+        with bounds.batched(lambda: harness._check_reductions(iv, self.S_GRID, self.Q_GRID)):
+            assert [cache.cache_info().currsize for cache in _value_caches()] == [0] * 7
+            harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
+        batched = bounds.coeff_rho(0.5, 2.0, iv), bounds.coeff_mu(3.0, iv)
+        assert bounds.coeff_rho.cache_info().currsize > 0
+        for cache in _value_caches():
+            cache.cache_clear()
+        assert (bounds.coeff_rho(0.5, 2.0, iv), bounds.coeff_mu(3.0, iv)) == batched
+
+    @pytest.mark.parametrize("lookup, direct", [
+        (lambda: bounds._kernel("W9", 0.5, 1.0, 1.0, 2.0), lambda: quadrature.kernel_K("W9", 0.5, 1.0, 1.0, 2.0)),
+        (lambda: bounds._kernel("W1", 1.5, 1.0, 1.0, 2.0), lambda: quadrature.kernel_K("W1", 1.5, 1.0, 1.0, 2.0)),
+        (lambda: bounds._kernel("N2", 0.5, 0.5, 1.0, 2.0), lambda: quadrature.kernel_K("N2", 0.5, 0.5, 1.0, 2.0)),
+        (lambda: bounds._kernel("W2", 0.5, math.nan, 1.0, 2.0),
+         lambda: quadrature.kernel_K("W2", 0.5, math.nan, 1.0, 2.0)),
+        (lambda: bounds._kernel("N1", 0.5, 1.0, 2.0, 1.0), lambda: quadrature.kernel_K("N1", 0.5, 1.0, 2.0, 1.0)),
+        (lambda: bounds._substituted_kernel("W1", -0.5, 1.0, 1.0, 2.0),
+         lambda: quadrature.kernel_K("W1", -0.5, 1.0, 1.0, 2.0)),
+        (lambda: bounds._f21(2.0, 0.0, 1.0, 0.5), lambda: bounds._f21(2.0, 0.0, 1.0, 0.5)),
+        (lambda: bounds._f21(2.0, 3.0, 2.0, 0.5), lambda: bounds._f21(2.0, 3.0, 2.0, 0.5)),
+        (lambda: bounds._f21(2.0, 1.0, 2.0, 1.0), lambda: bounds._f21(2.0, 1.0, 2.0, 1.0)),
+        (lambda: bounds._f21(2.0, 1.0, 2.0, -0.1), lambda: bounds._f21(2.0, 1.0, 2.0, -0.1)),
+    ])
+    def test_plan_lookups_make_every_check(self, lookup, direct):
+        with pytest.raises(DomainError) as unbatched:
+            direct()
+        with pytest.raises(DomainError) as planned:
+            with bounds.batched(lookup):
+                pass
+        assert str(planned.value) == str(unbatched.value)
+        assert bounds._BATCH.get() is None
+
+    def test_builder_errors_surface_as_before(self):
+        with pytest.raises(DomainError, match="kernel exponent s must lie in"):
+            check_reductions(Interval(1.0, 2.0), s_grid=(1.5,))
+        with pytest.raises(ParameterError, match="rho coefficients require"):
+            check_reductions(Interval(1.0, 2.0), s_grid=(0.5,), q_grid=(0.5,))
+        assert bounds._BATCH.get() is None
 
 
 class TestAdjudicationReport:

@@ -1,5 +1,6 @@
 import heapq
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hhkit.quadrature import (
     _vectorized,
     harmonic_mean_integral,
     integrate,
+    integrate_many,
     kernel_K,
 )
 from hhkit.specfun import Hyp2F1Args
@@ -266,19 +268,42 @@ def _ref_integrate(f, lo, hi, spec=QuadSpec()):
 
 def _recorded_integrals(monkeypatch, modules, compute):
     """The (integrand, lo, hi, spec) of every integrate call ``compute`` makes
-    through ``modules``."""
-    calls = []
+    through ``modules``, and the jobs of every integrate_many call with the
+    batch's outcome (see ``_batch_outcome``)."""
+    calls, batches = [], []
 
     def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
         calls.append((f, lo, hi, spec))
         return integrate(f, lo, hi, spec)
 
+    def record_many(jobs):
+        batches.append((list(jobs), _batch_outcome(integrate_many, jobs)))
+        return integrate_many(jobs)
+
     for module in modules:
         monkeypatch.setattr(module, "integrate", record)
+        if hasattr(module, "integrate_many"):
+            monkeypatch.setattr(module, "integrate_many", record_many)
     compute()
     monkeypatch.undo()
-    assert calls
-    return calls
+    assert calls or batches
+    return calls, batches
+
+
+def _batch_outcome(integrator, jobs):
+    """The values of a batch, or the estimate, bound and message of the
+    ToleranceNotMetError it raises."""
+    try:
+        return integrator(jobs)
+    except ToleranceNotMetError as exc:
+        return exc.estimate, exc.error_bound, str(exc)
+
+
+def _ref_batch(closures):
+    """What a batch of ``(f, lo, hi, spec)`` must give by the reference loop:
+    every value, or the failure of the first job that fails."""
+    outcomes = [_outcome(_ref_integrate, *closure) for closure in closures]
+    return next((o for o in outcomes if isinstance(o, tuple)), outcomes)
 
 
 class TestBitIdentity:
@@ -304,14 +329,14 @@ class TestBitIdentity:
     )
     def test_euler_integrands(self, monkeypatch, a, b, c, z):
         args = Hyp2F1Args(a, b, c, z)
-        calls = _recorded_integrals(monkeypatch, (specfun,), lambda: specfun.euler_integral(args))
+        calls, _ = _recorded_integrals(monkeypatch, (specfun,), lambda: specfun.euler_integral(args))
         assert len(calls) == 2  # the left and right halves
         for f, lo, hi, spec in calls:
             assert integrate(f, lo, hi, spec) == _ref_integrate(f, lo, hi, spec)
 
     @pytest.mark.parametrize("fn", [lambda x: x**2, lambda x: 1.0 / x, lambda x: np.exp(-x) * np.sin(7.0 * x)])
     def test_harmonic_mean_integrand(self, monkeypatch, fn):
-        calls = _recorded_integrals(monkeypatch, (quadrature,), lambda: harmonic_mean_integral(fn, 0.3, 3.0))
+        calls, _ = _recorded_integrals(monkeypatch, (quadrature,), lambda: harmonic_mean_integral(fn, 0.3, 3.0))
         for f, lo, hi, spec in calls:
             assert integrate(f, lo, hi, spec) == _ref_integrate(f, lo, hi, spec)
 
@@ -445,7 +470,7 @@ def _w1_kernel():
 def _euler_left_half(monkeypatch):
     # b = 0.3 < 1: the substituted left half still carries u^0.5 at u = 0.
     args = Hyp2F1Args(1.5, 0.3, 2.0, 0.7)
-    return _recorded_integrals(monkeypatch, (specfun,), lambda: specfun.euler_integral(args))[0]
+    return _recorded_integrals(monkeypatch, (specfun,), lambda: specfun.euler_integral(args))[0][0]
 
 
 @pytest.mark.parametrize("case", ["W1 kernel s=0.25", "Euler left half b=0.3"])
@@ -471,6 +496,185 @@ def test_ladder_saves_integrand_calls(monkeypatch, case):
     assert new_calls[0] < bisections
 
 
+# ---------------------------------------------------------------------------
+# Lockstep batches.  Every job of an integrate_many batch must equal the
+# reference loop on its integrand written out as a closure, whatever else
+# shares its family calls, and so must the same job integrated alone.
+# ---------------------------------------------------------------------------
+
+# Exponents where numpy's array power differs from its scalar power (-1, 0.5,
+# 2), and 0 and 1, which it also special-cases.
+EXPONENT_CLASSES = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+class TestPow:
+    @pytest.mark.parametrize("e", [*EXPONENT_CLASSES, -2.0, -0.5, 0.37, 3.0, 15.0])
+    def test_array_exponent_matches_scalar(self, e):
+        x = np.random.default_rng(7).uniform(1e-3, 3.0, 20000)
+        assert quadrature._pow(x, np.full_like(x, e)).tobytes() == (x ** float(e)).tobytes()
+
+    def test_mixed_exponents_match_scalar(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(1e-3, 3.0, 30000)
+        e = rng.choice([*EXPONENT_CLASSES, 0.37, -2.5, 3.0], x.size)
+        got = quadrature._pow(x, e)
+        for value in np.unique(e):
+            hit = e == value
+            assert got[hit].tobytes() == (x[hit] ** float(value)).tobytes(), value
+
+    @pytest.mark.parametrize("e", EXPONENT_CLASSES)
+    def test_scalar_exponent_is_plain_power(self, e):
+        x = np.random.default_rng(9).uniform(1e-3, 3.0, 1000)
+        assert quadrature._pow(x, e).tobytes() == (x**e).tobytes()
+
+
+def _kernel_case(weight, s, r, a, b, mirrored):
+    """A kernel job, and its integrand as kernel_K (or, mirrored, the
+    substituted kernel of the reduction chain) wrote it as a closure."""
+    wfn = WEIGHT_FNS[quadrature._MIRROR[weight] if mirrored else weight]
+    p, q = (b, a) if mirrored else (a, b)
+    job = quadrature._kernel_job(weight, s, r, a, b, mirrored=mirrored)
+    return job, lambda t: wfn(t, s) * (t * q + (1.0 - t) * p) ** (-2.0 * r)
+
+
+def _euler_cases(args):
+    """The two Euler-half jobs of ``args``, and the halves as euler_integral
+    wrote them as closures."""
+    a, b, c, z = args.a_param, args.b_param, args.c_param, args.z
+    cb = c - b
+    k_left = max(2, math.ceil(1.5 / b))
+    k_right = max(2, math.ceil(1.5 / cb))
+
+    def left(u):
+        t = u**k_left
+        return k_left * u ** (k_left * b - 1.0) * (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a)
+
+    def right(v):
+        t = 1.0 - v**k_right
+        return k_right * v ** (k_right * cb - 1.0) * t ** (b - 1.0) * (1.0 - z * t) ** (-a)
+
+    return list(zip(specfun._euler_jobs(args), (left, right)))
+
+
+def _closures(cases):
+    return [(closure, lo, hi, spec) for (_, _, lo, hi, spec), closure in cases]
+
+
+KERNEL_CASES = [(0.0, 1.0, 1.0, 2.0), (0.5, 2.0, 1.0, 2.0), (0.25, 1.5, 0.5, 5.0), (1.0, 3.0, 0.7, 7.0)]
+# b = 0.1 and 0.15 raise the left substitution power to 15 and 10, c - b =
+# 0.05 the right one to 30 (as in TestBitIdentity.test_euler_integrands).
+EULER_CASES = [(2.0, 0.1, 2.1, 0.9), (3.0, 0.15, 1.15, 0.5), (2.0, 1.0, 1.05, 0.9), (0.5, 2.0, 3.0, 0.0)]
+
+
+def _mixed_cases():
+    return [_kernel_case(w, *case, mirrored) for w in KERNEL_WEIGHTS for case in KERNEL_CASES
+            for mirrored in (False, True)] + [pair for case in EULER_CASES for pair in _euler_cases(Hyp2F1Args(*case))]
+
+
+def _power(p, x):
+    return quadrature._pow(x, p)
+
+
+def _nan(x):
+    return np.full_like(x, np.nan)
+
+
+class TestIntegrateMany:
+    def test_batch_matches_the_written_out_integrands(self):
+        cases = _mixed_cases()
+        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+
+    def test_each_job_alone_matches_its_written_out_integrand(self):
+        for (family, params, lo, hi, spec), closure in _mixed_cases():
+            assert integrate(partial(family, *params), lo, hi, spec) == _ref_integrate(closure, lo, hi, spec)
+
+    def test_kernel_K_and_euler_integral_integrate_their_jobs(self):
+        for weight in KERNEL_WEIGHTS:
+            for case in KERNEL_CASES:
+                (family, params, lo, hi, spec), _ = _kernel_case(weight, *case, False)
+                assert kernel_K(weight, *case) == integrate(partial(family, *params), lo, hi, spec)
+        for case in EULER_CASES:
+            args = Hyp2F1Args(*case)
+            left, right = integrate_many(specfun._euler_jobs(args))
+            assert specfun.euler_integral(args) == left + right
+
+    def test_batch_beyond_the_in_flight_cap(self):
+        rng = np.random.default_rng(31)
+        widest = [0]
+
+        def family(*args):
+            widest[0] = max(widest[0], args[-1].size)
+            return quadrature._kernel_integrand(*args)
+
+        cases = []
+        for _ in range(2 * quadrature._IN_FLIGHT + 5):
+            a = rng.uniform(0.5, 3.0)
+            weight = KERNEL_WEIGHTS[rng.integers(4)]
+            (_, params, lo, hi, spec), closure = _kernel_case(
+                weight, float(rng.choice([0.0, 0.5, 1.0, rng.random()])), 1.0 + 2.0 * rng.random(),
+                a, a * rng.uniform(1.1, 10.0), bool(rng.integers(2)))
+            cases.append(((family, params, lo, hi, spec), closure))
+        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+        # a round asks at most two panels of each integral in flight
+        assert 0 < widest[0] <= quadrature._IN_FLIGHT * 2 * 15
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        halves=st.lists(st.tuples(
+            st.one_of(st.sampled_from([1.0, 0.0, -0.5, -1.0, -2.0]), st.floats(-2.0, 8.0)),
+            st.one_of(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0]), st.floats(0.2, 4.0)),
+            st.one_of(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0]), st.floats(0.2, 4.0)),
+            st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+        ), min_size=1, max_size=4),
+        kernels=st.lists(st.tuples(
+            st.sampled_from(KERNEL_WEIGHTS),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+            st.floats(0.3, 3.0),
+            st.floats(1.05, 20.0),
+            st.booleans(),
+        ), max_size=4),
+    )
+    def test_drawn_family_parameters(self, halves, kernels):
+        # the drawn values cover every exponent class of EXPONENT_CLASSES:
+        # -a in the Euler halves, k b - 1 and c - b - 1, and s in the kernels
+        cases = [pair for a, b, cb, z in halves for pair in _euler_cases(Hyp2F1Args(a, b, b + cb, z))]
+        cases += [_kernel_case(w, s, r, a, a * ratio, m) for w, s, r, a, ratio, m in kernels]
+        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+
+    @pytest.mark.parametrize("in_flight", [1, 2, 64])
+    def test_first_failing_job_in_order_raises(self, monkeypatch, in_flight):
+        # job 1 fails at depth 6, job 3 already at depth 2: the batch must
+        # raise job 1's error, exactly as integrate raises it
+        monkeypatch.setattr(quadrature, "_IN_FLIGHT", in_flight)
+        specs = (QuadSpec(), QuadSpec(max_depth=6), QuadSpec(), QuadSpec(max_depth=2))
+        jobs = [(_power, (p,), 0.0, 1.0, spec) for p, spec in zip((0.5, -0.95, 2.0, -0.95), specs)]
+        expected = _outcome(integrate, partial(_power, -0.95), 0.0, 1.0, specs[1])
+        assert isinstance(expected, tuple)
+        assert _batch_outcome(integrate_many, jobs) == expected
+        assert _ref_batch([(partial(_power, p), lo, hi, spec) for _, (p,), lo, hi, spec in jobs]) == expected
+
+    def test_non_finite_job_raises_as_integrate_does(self):
+        jobs = [(_power, (1.0,), 0.0, 1.0, QuadSpec()), (_nan, (), 0.0, 1.0, QuadSpec())]
+        estimate, bound, message = _batch_outcome(integrate_many, jobs)
+        assert message == _outcome(integrate, _nan, 0.0, 1.0, QuadSpec())[2]
+        assert message.startswith("non-finite") and math.isnan(estimate) and math.isnan(bound)
+
+    def test_empty_interval_is_rejected_before_any_work(self):
+        calls = [0]
+
+        def family(x):
+            calls[0] += 1
+            return x
+
+        with pytest.raises(DomainError):
+            integrate_many([(family, (), 0.0, 1.0, QuadSpec()), (family, (), 1.0, 1.0, QuadSpec())])
+        assert calls[0] == 0
+
+    def test_no_jobs(self):
+        assert integrate_many([]) == []
+
+
 # Slow lane: replay every integral of an adjudication report and of two
 # searches against the reference loop.
 
@@ -485,13 +689,19 @@ def _clear_value_caches():
 
 
 def _assert_replay_bit_identical(monkeypatch, compute):
+    """Every integral ``compute`` makes, alone or in a batch, replayed
+    against the reference loop."""
     _clear_value_caches()
     try:
-        calls = _recorded_integrals(monkeypatch, _INTEGRATING_MODULES, compute)
+        calls, batches = _recorded_integrals(monkeypatch, _INTEGRATING_MODULES, compute)
     finally:
         _clear_value_caches()
     for f, lo, hi, spec in calls:
         assert _outcome(integrate, f, lo, hi, spec) == _outcome(_ref_integrate, f, lo, hi, spec)
+    for jobs, outcome in batches:
+        assert outcome == _ref_batch([(partial(family, *params), lo, hi, spec)
+                                      for family, params, lo, hi, spec in jobs])
+    return calls, batches
 
 
 @pytest.mark.slow
@@ -499,7 +709,10 @@ def test_adjudication_report_integrals_replay(monkeypatch):
     rng = np.random.default_rng(11)
     intervals = [Interval(a, a * r) for a, r in zip(rng.uniform(0.5, 3.0, 3).tolist(),
                                                      rng.uniform(1.1, 10.0, 3).tolist())]
-    _assert_replay_bit_identical(monkeypatch, lambda: harness.build_adjudication_report(intervals))
+    calls, batches = _assert_replay_bit_identical(
+        monkeypatch, lambda: harness.build_adjudication_report(intervals))
+    # one batch per interval holds every integral of the report
+    assert not calls and len(batches) == len(intervals)
 
 
 @pytest.mark.slow
