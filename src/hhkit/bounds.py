@@ -173,6 +173,7 @@ def _record(theorem, iv, params, family, lhs, rhs, diagnostics) -> VerificationR
 # Bounded so that random search cannot grow it without limit.
 F21_CACHE_SIZE = 1024
 
+
 class _Batch:
     """The 2F1 terms and kernels of one ``batched`` block.  While its plan
     runs, ``planned`` maps each key looked up to the integrate_many jobs that
@@ -264,8 +265,8 @@ def _coefficient_cache(body: Callable[..., CoefficientSet]) -> Callable[..., Coe
     cached = lru_cache(maxsize=2048)(body)
 
     @wraps(body)
-    def builder(*args):
-        return body(*args) if _planning() else cached(*args)
+    def builder(*args, **kwargs):
+        return body(*args, **kwargs) if _planning() else cached(*args, **kwargs)
 
     builder.cache_info, builder.cache_clear = cached.cache_info, cached.cache_clear
     return builder

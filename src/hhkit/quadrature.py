@@ -311,7 +311,7 @@ Job = tuple[Callable[..., np.ndarray], tuple, float, float, QuadSpec]
 
 # At most this many integrals of one ``integrate_many`` batch run at a time:
 # each round's node and parameter arrays grow with the integrals in it.
-_IN_FLIGHT = 64
+_IN_FLIGHT = 128
 # Look-ahead generations in a batch.  A batch makes one family call a round
 # however many panels it asks for, so look-ahead saves no call, and the
 # panels it evaluates ahead are mostly never asked for.

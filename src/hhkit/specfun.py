@@ -169,9 +169,9 @@ def hyp2f1_series(args: Hyp2F1Args) -> float:
 
 
 def _euler_integrand(k, p1, p2, a, z, right, u: np.ndarray) -> np.ndarray:
-    """One half of the Euler integrand after the substitution t = u^k on the
-    left (p1, p2 = b, c - b) or 1 - t = u^k on the right (p1, p2 = c - b, b):
-    k u^(k p1 - 1) (1 - u^k)^(p2 - 1) (1 - z t)^(-a)."""
+    """One half of the Euler integrand after its power substitution,
+    k u^(k p1 - 1) (1 - u^k)^(p2 - 1) (1 - z t)^(-a): t = u^k on the left
+    (p1, p2 = b, c - b), and 1 - t = u^k where ``right`` (p1, p2 = c - b, b)."""
     w = _pow(u, k)
     v = 1.0 - w
     return k * _pow(u, k * p1 - 1.0) * _pow(v, p2 - 1.0) * _pow(1.0 - z * _select(right, v, w), -a)
@@ -204,7 +204,8 @@ def euler_integral(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> float:
     (an error estimate of 3e-16 against a true error of 3e-14 at b = 2.86,
     c - b = 2.29) and the rule stops at once.
     """
-    left, right = (integrate(partial(f, *params), lo, hi, use) for f, params, lo, hi, use in _euler_jobs(args, spec))
+    left, right = (integrate(partial(family, *params), lo, hi, use)
+                   for family, params, lo, hi, use in _euler_jobs(args, spec))
     return left + right
 
 

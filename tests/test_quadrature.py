@@ -642,7 +642,7 @@ class TestIntegrateMany:
         cases += [_kernel_case(w, s, r, a, a * ratio, m) for w, s, r, a, ratio, m in kernels]
         assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
 
-    @pytest.mark.parametrize("in_flight", [1, 2, 64])
+    @pytest.mark.parametrize("in_flight", [1, 2, quadrature._IN_FLIGHT])
     def test_first_failing_job_in_order_raises(self, monkeypatch, in_flight):
         # job 1 fails at depth 6, job 3 already at depth 2: the batch must
         # raise job 1's error, exactly as integrate raises it
