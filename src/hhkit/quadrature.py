@@ -119,7 +119,7 @@ TIGHT_QUADSPEC = QuadSpec(abs_tol=1e-14, rel_tol=5e-14)
 
 def _gk15(resk: float, resg: float, resabs: float, resasc: float) -> tuple[float, float]:
     """One Kronrod-15 panel's (integral estimate, error estimate) from its four
-    weighted sums (see :func:`_panel_sums`): QUADPACK's dqk15 error formula."""
+    weighted sums (see :func:`_sums`): QUADPACK's dqk15 error formula."""
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -157,16 +157,6 @@ def _sums(
     resabs = half * np.vecdot(np.abs(fx), _WGK)
     resasc = half * np.vecdot(np.abs(fx - (resk / (hi - lo))[:, None]), _WGK)
     return list(zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()))
-
-
-def _panel_sums(
-    f: Callable[[np.ndarray], np.ndarray], panels: list[tuple[float, float]]
-) -> list[tuple[float, float, float, float]]:
-    """The weighted sums of each ``(lo, hi)`` panel, from one call of ``f`` on
-    the nodes of every panel: on 15-element arrays numpy's per-call
-    overhead, not the arithmetic, is what a panel costs."""
-    lo, hi, half, x = _panel_nodes(panels)
-    return _sums(f(x).reshape(-1, 15), lo, hi, half)
 
 
 def _ladder(a: float, b: float, levels: int) -> list[tuple[float, float]]:
@@ -293,14 +283,16 @@ def integrate(
 
     Each bisection whose children were not evaluated yet evaluates them
     together with ``_LADDER_LEVELS`` generations of look-ahead panels
-    (:func:`_ladder`), in one integrand call.
+    (:func:`_ladder`), in one integrand call: on 15-element arrays numpy's
+    per-call overhead, not the arithmetic, is what a panel costs.
     """
     fv = _vectorized(f)
     loop = _adaptive(lo, hi, spec, _LADDER_LEVELS)
     panels = next(loop)
     while True:
+        starts, ends, half, x = _panel_nodes(panels)
         try:
-            panels = loop.send(_panel_sums(fv, panels))
+            panels = loop.send(_sums(fv(x).reshape(-1, 15), starts, ends, half))
         except StopIteration as done:
             return done.value
 
