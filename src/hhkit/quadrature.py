@@ -350,8 +350,9 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             except StopIteration as done:
                 results[i] = done.value
                 del asks[i]
-                if failure is None:
-                    asks.update((j, first_asks[j]) for j in itertools.islice(waiting, 1))
+                following = next(waiting, None) if failure is None else None
+                if following is not None:
+                    asks[following] = first_asks[following]
             except ToleranceNotMetError as exc:
                 del asks[i]
                 if failure is None or i < failure[0]:
