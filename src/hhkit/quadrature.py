@@ -305,8 +305,8 @@ Job = tuple[Callable[..., np.ndarray], tuple, float, float, QuadSpec]
 # each round's node and parameter arrays grow with the integrals in it.
 _IN_FLIGHT = 128
 # Look-ahead generations in a batch.  A batch makes one family call a round
-# however many panels it asks for, so look-ahead saves no call, and the
-# panels it evaluates ahead are mostly never asked for.
+# however many panels it asks for, so look-ahead saves no call and only adds
+# panels: the adjudication batches took more CPU at 2 levels, and more at 4.
 _BATCH_LADDER_LEVELS = 0
 
 
