@@ -10,11 +10,11 @@ assumptions beyond integrability).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,10 +100,13 @@ class QuadSpec:
     split_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
+        # A NaN or infinite tolerance would pass any error bound, and certify
+        # nothing.
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError(
+                f"quadrature tolerances must be finite and positive, got {self.abs_tol!r} and {self.rel_tol!r}")
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 1:
+            raise DomainError(f"max_depth must be an integer of at least 1, got {self.max_depth!r}")
         # specs are cache keys; keep them hashable even if a list was passed
         object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
 
@@ -128,21 +131,33 @@ def _gk15(resk: float, resg: float, resabs: float, resasc: float) -> tuple[float
     return resk, err
 
 
-def _panel_nodes(panels: list[tuple[float, float]]) -> tuple[np.ndarray, ...]:
-    """The lo, hi and half-width arrays of ``panels``, and their nodes laid
-    end to end.
+def _gk15_many(
+    resk: np.ndarray, resg: np.ndarray, resabs: np.ndarray, resasc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_gk15` of many panels: their integral and error estimates, each
+    the same, bit for bit, and where the round-off floor set the error.
 
-    Each panel's nodes are ``center + half * _NODES``, computed elementwise
-    exactly as a single panel would compute them.
+    The power 1.5 is Python's float power, as in ``_gk15``: numpy's
+    ``np.power`` differs from it in the last bit on about 5% of values.
     """
-    lo, hi = np.array(panels, dtype=float).T
+    err = np.abs(resk - resg)
+    scaled = np.flatnonzero((resasc != 0.0) & (err != 0.0))
+    power = np.array([r**1.5 for r in (200.0 * err[scaled] / resasc[scaled]).tolist()])
+    err[scaled] = resasc[scaled] * np.where(power < 1.0, power, 1.0)
+    floor = _ERR_FLOOR * resabs
+    floored = (resabs > _RESABS_FLOOR) & (floor > err)
+    return resk, np.where(floored, floor, err), floored
+
+
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half-widths of panels ``(lo, hi)`` and their nodes, one row of 15
+    per panel: ``center + half * _NODES``, computed elementwise exactly as a
+    single panel would compute them."""
     half = 0.5 * (hi - lo)
-    return lo, hi, half, ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
 
 
-def _sums(
-    fx: np.ndarray, lo: np.ndarray, hi: np.ndarray, half: np.ndarray
-) -> list[tuple[float, float, float, float]]:
+def _sums(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
     """The weighted sums (resk, resg, resabs, resasc) of panels ``(lo, hi)``
     of half-width ``half``, from their integrand values ``fx``, one row of 15
     per panel.
@@ -156,7 +171,7 @@ def _sums(
     resg = half * np.vecdot(fx, _WG15)
     resabs = half * np.vecdot(np.abs(fx), _WGK)
     resasc = half * np.vecdot(np.abs(fx - (resk / (hi - lo))[:, None]), _WGK)
-    return list(zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()))
+    return resk, resg, resabs, resasc
 
 
 def _ladder(a: float, b: float, levels: int) -> list[tuple[float, float]]:
@@ -194,75 +209,28 @@ def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
-def _adaptive(lo: float, hi: float, spec: QuadSpec, levels: int) -> Generator[list, list, float]:
-    """The globally adaptive loop of one integral, as a generator.
-
-    It yields the ``(lo, hi)`` panels it needs, is sent their weighted sums
-    (see :func:`_sums`) in the same order, and returns the integral.  A
-    bisection whose children were not evaluated yet asks for them together
-    with the look-ahead panels of :func:`_ladder`, ``levels`` generations
-    deep; the sums of the look-ahead panels wait until a bisection asks for
-    them.  The result is the same, bit for bit, for every ``levels``.
-    """
+def _edges(lo: float, hi: float, spec: QuadSpec) -> list[float]:
+    """The edges of ``[lo, hi]``'s first panels: ``lo``, the split points of
+    ``spec`` inside, and ``hi``."""
     if not lo < hi:
         raise DomainError(f"integration requires lo < hi, got [{lo}, {hi}]")
-    splits = sorted({float(p) for p in spec.split_points if lo < p < hi})
-    edges = [lo, *splits, hi]
+    return [lo, *sorted({float(p) for p in spec.split_points if lo < p < hi}), hi]
 
-    heap: list[tuple[float, int, float, float, float, float, int]] = []
-    counter = 0
-    total_val = 0.0
-    total_err = 0.0
-    panels = list(zip(edges[:-1], edges[1:]))
-    for (a, b), sums in zip(panels, (yield panels)):
-        val, err = _gk15(*sums)
-        total_val += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, a, b, val, err, 0))
-        counter += 1
 
-    # Sums of look-ahead panels not yet consumed, by (lo, hi).  A sum depends
-    # only on its panel, so a panel reached again reads the same values.
-    ahead: dict[tuple[float, float], tuple[float, float, float, float]] = {}
-    n_intervals = len(edges) - 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        # Drop exhausted intervals from the refinement pool; their error stays
-        # counted, so this can only end in success or an honest failure.
-        while heap and heap[0][6] >= spec.max_depth:
-            heapq.heappop(heap)
-        if not heap or n_intervals >= _MAX_INTERVALS:
-            raise ToleranceNotMetError(
-                f"tolerance not met on [{lo}, {hi}]: estimate {total_val!r} "
-                f"with error bound {total_err!r}",
-                estimate=total_val,
-                error_bound=total_err,
-            )
-        _, _, a, b, val, err, depth = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        left, right = ahead.pop((a, mid), None), ahead.pop((mid, b), None)
-        if left is None or right is None:
-            ladder = _ladder(a, b, min(levels, spec.max_depth - depth - 1))
-            sums = yield ladder
-            left, right = sums[0], sums[1]
-            ahead.update(zip(ladder[2:], sums[2:]))
-        (v1, e1), (v2, e2) = _gk15(*left), _gk15(*right)
-        total_val += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1, depth + 1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2, depth + 1))
-        counter += 1
-        n_intervals += 1
-    # NaN compares False against the tolerance, so a non-finite sum would
-    # otherwise leave the loop as if it had converged.
-    if not (math.isfinite(total_val) and math.isfinite(total_err)):
-        raise ToleranceNotMetError(
-            f"non-finite integral on [{lo}, {hi}]: estimate {total_val!r} "
-            f"with error bound {total_err!r}",
-            estimate=total_val,
-            error_bound=total_err,
-        )
-    return total_val
+def _not_met(what: str, lo: float, hi: float, estimate: float, bound: float) -> ToleranceNotMetError:
+    return ToleranceNotMetError(
+        f"{what} on [{lo}, {hi}]: estimate {estimate!r} with error bound {bound!r}",
+        estimate=estimate,
+        error_bound=bound,
+    )
+
+
+def _evaluate(fv: Callable[[np.ndarray], np.ndarray], panels: list[tuple[float, float]]) -> list[tuple[float, ...]]:
+    """The weighted sums of ``panels``, from one call of ``fv`` on all their nodes."""
+    starts, ends = np.array(panels, dtype=float).T
+    half, x = _nodes(starts, ends)
+    sums = _sums(fv(x.ravel()).reshape(-1, 15), starts, ends, half)
+    return list(zip(*(column.tolist() for column in sums)))
 
 
 def integrate(
@@ -280,21 +248,75 @@ def integrate(
     its bound) when every subinterval has reached ``max_depth`` or the interval
     budget is exhausted without certifying the tolerance, and when the estimate
     or its bound is not finite.
+    """
+    fv = _vectorized(f)
+    edges = _edges(lo, hi, spec)
+    panels = list(zip(edges[:-1], edges[1:]))
+    heap = []
+    total_val = 0.0
+    total_err = 0.0
+    for counter, ((a, b), sums) in enumerate(zip(panels, _evaluate(fv, panels))):
+        val, err = _gk15(*sums)
+        total_val += val
+        total_err += err
+        heap.append((-err, counter, a, b, val, err, 0))
+    return _refine(fv, lo, hi, spec, heap, len(panels), len(panels), total_val, total_err)
+
+
+def _refine(
+    fv: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    spec: QuadSpec,
+    heap: list[tuple[float, int, float, float, float, float, int]],
+    counter: int,
+    n_intervals: int,
+    total_val: float,
+    total_err: float,
+) -> float:
+    """:func:`integrate`'s bisection loop, from the panels in ``heap``, each
+    ``(-err, counter, lo, hi, val, err, depth)``, the next ``counter``, the
+    intervals made so far and the running totals.
 
     Each bisection whose children were not evaluated yet evaluates them
     together with ``_LADDER_LEVELS`` generations of look-ahead panels
     (:func:`_ladder`), in one integrand call: on 15-element arrays numpy's
-    per-call overhead, not the arithmetic, is what a panel costs.
+    per-call overhead, not the arithmetic, is what a panel costs.  The sums of
+    the look-ahead panels wait until a bisection asks for them, so the result
+    is the same, bit for bit, as evaluating each panel when it is needed.
     """
-    fv = _vectorized(f)
-    loop = _adaptive(lo, hi, spec, _LADDER_LEVELS)
-    panels = next(loop)
-    while True:
-        starts, ends, half, x = _panel_nodes(panels)
-        try:
-            panels = loop.send(_sums(fv(x).reshape(-1, 15), starts, ends, half))
-        except StopIteration as done:
-            return done.value
+    heapq.heapify(heap)
+    # Sums of look-ahead panels not yet consumed, by (lo, hi).  A sum depends
+    # only on its panel, so a panel reached again reads the same values.
+    ahead: dict[tuple[float, float], tuple[float, float, float, float]] = {}
+    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
+        # Drop exhausted intervals from the refinement pool; their error stays
+        # counted, so this can only end in success or an honest failure.
+        while heap and heap[0][6] >= spec.max_depth:
+            heapq.heappop(heap)
+        if not heap or n_intervals >= _MAX_INTERVALS:
+            raise _not_met("tolerance not met", lo, hi, total_val, total_err)
+        _, _, a, b, val, err, depth = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        left, right = ahead.pop((a, mid), None), ahead.pop((mid, b), None)
+        if left is None or right is None:
+            ladder = _ladder(a, b, min(_LADDER_LEVELS, spec.max_depth - depth - 1))
+            sums = _evaluate(fv, ladder)
+            left, right = sums[0], sums[1]
+            ahead.update(zip(ladder[2:], sums[2:]))
+        (v1, e1), (v2, e2) = _gk15(*left), _gk15(*right)
+        total_val += v1 + v2 - val
+        total_err += e1 + e2 - err
+        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1, depth + 1))
+        counter += 1
+        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2, depth + 1))
+        counter += 1
+        n_intervals += 1
+    # NaN compares False against the tolerance, so a non-finite sum would
+    # otherwise leave the loop as if it had converged.
+    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+        raise _not_met("non-finite integral", lo, hi, total_val, total_err)
+    return total_val
 
 
 # One integral of ``integrate_many``: ``(family, params, lo, hi, spec)``, the
@@ -304,10 +326,6 @@ Job = tuple[Callable[..., np.ndarray], tuple, float, float, QuadSpec]
 # At most this many integrals of one ``integrate_many`` batch run at a time:
 # each round's node and parameter arrays grow with the integrals in it.
 _IN_FLIGHT = 128
-# Look-ahead generations in a batch.  A batch makes one family call a round
-# however many panels it asks for, so look-ahead saves no call and only adds
-# panels: the adjudication batches took more CPU at 2 levels, and more at 4.
-_BATCH_LADDER_LEVELS = 0
 
 
 def integrate_many(jobs: Sequence[Job]) -> list[float]:
@@ -317,51 +335,163 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     A family is called as ``family(*params, x)``; in a batch every parameter
     is an array of ``x``'s shape that repeats each integral's value on its
     nodes, so the family must compute elementwise and raise with
-    :func:`_pow`.  Each round, every pending panel of one family is evaluated
-    in one family call, and the weighted sums of all of them in one pass.
-    At most ``_IN_FLIGHT`` integrals run at once; a finished integral's slot
-    goes to the next job in order.  When integrals fail, the
+    :func:`_pow`.  At most ``_IN_FLIGHT`` integrals run at once, each in a row
+    of panel arrays (lo, hi, value, error, depth) that keeps its panels in the
+    order they were made; a finished integral's row goes to the next job in
+    order.  Each round bisects the worst panel of every row: ``argmax`` over
+    the errors, with consumed panels and panels at ``max_depth`` masked, takes
+    the first of equal errors, as ``integrate``'s heap does.  Every pending
+    panel of one family is evaluated in one family call, and the sums and
+    error estimates of all of them in one pass; a batch has no look-ahead,
+    which would add panels and save no call.  When integrals fail, the
     ``ToleranceNotMetError`` of the first failing job in order is raised, as
     ``integrate`` would raise it.
     """
-    loops = [_adaptive(lo, hi, spec, _BATCH_LADDER_LEVELS) for _, _, lo, hi, spec in jobs]
-    first_asks = [next(loop) for loop in loops]
+    edges = [_edges(lo, hi, spec) for _, _, lo, hi, spec in jobs]
+    if not jobs:
+        return []
     results: list[float] = [math.nan] * len(jobs)
     failure: Optional[tuple[int, ToleranceNotMetError]] = None
+
+    # Each family's parameters, one column per job of the family.
+    members: dict[Callable, list[int]] = {}
+    for i, job in enumerate(jobs):
+        members.setdefault(job[0], []).append(i)
+    family_of = np.empty(len(jobs), dtype=np.intp)
+    column = np.empty(len(jobs), dtype=np.intp)
+    families = []
+    for f, (family, where) in enumerate(members.items()):
+        family_of[where] = f
+        column[where] = np.arange(len(where))
+        families.append((family, np.array([jobs[i][1] for i in where], dtype=float).T))
+    abs_tol = np.array([spec.abs_tol for *_, spec in jobs], dtype=float)
+    rel_tol = np.array([spec.rel_tol for *_, spec in jobs], dtype=float)
+    # No depth exceeds the bisection count, which stays below _MAX_INTERVALS.
+    max_depth = np.array([min(spec.max_depth, _MAX_INTERVALS) for *_, spec in jobs], dtype=np.intp)
+
+    rows = min(_IN_FLIGHT, len(jobs))
+    # Panel columns of a row.  An adjudication job makes at most 60 panels; a
+    # job that outgrows its row finishes in integrate's loop (see below).
+    width = max(128, *map(len, edges))
+    lo_p, hi_p, val_p = np.zeros((rows, width)), np.zeros((rows, width)), np.zeros((rows, width))
+    err_p = np.full((rows, width), -1.0)  # -1 where consumed, at max_depth or unused
+    depth_p = np.zeros((rows, width), dtype=np.intp)
+    job_of = np.full(rows, -1, dtype=np.intp)  # -1 for a free row
+    count = np.zeros(rows, dtype=np.intp)  # panels in a row
+    n_intervals = np.zeros(rows, dtype=np.intp)
+    total_val, total_err = np.zeros(rows), np.zeros(rows)
+    floored = np.zeros(rows, dtype=bool)  # the round-off floor set a panel's error
+
+    def error_bound(r: int) -> float:
+        # A panel error raised to the floor is a numpy float, and so is every
+        # total integrate sums from it.
+        return total_err[r] if floored[r] else float(total_err[r])
+
+    def fail(j: int, exc: ToleranceNotMetError) -> None:
+        nonlocal failure
+        if failure is None or j < failure[0]:
+            failure = (j, exc)
+
     waiting = iter(range(len(jobs)))
-    asks = {i: first_asks[i] for i in itertools.islice(waiting, _IN_FLIGHT)}
-    while asks:
-        by_family: dict[Callable, list[int]] = {}
-        for i in asks:
-            by_family.setdefault(jobs[i][0], []).append(i)
-        order, blocks = [], []
-        for family, members in by_family.items():
-            lo, hi, half, x = _panel_nodes([panel for i in members for panel in asks[i]])
-            nodes = [15 * len(asks[i]) for i in members]
-            params = np.repeat(np.array([jobs[i][1] for i in members], dtype=float).T, nodes, axis=1)
-            blocks.append((family(*params, x).reshape(-1, 15), lo, hi, half))
-            order += members
-        sums = _sums(*(np.concatenate(parts) for parts in zip(*blocks)))
-        start = 0
-        for i in order:
-            end = start + len(asks[i])
+    # The rows bisecting this round and their panels to bisect.
+    bisect = np.zeros(0, dtype=np.intp)
+    a = b = val = err = np.zeros(0)
+    depth = np.zeros(0, dtype=np.intp)
+    while True:
+        new = list(zip(np.flatnonzero(job_of < 0).tolist(), waiting)) if failure is None else []
+        if not (new or bisect.size):
+            break
+        new_rows = np.array([r for r, _ in new], dtype=np.intp)
+        job_of[new_rows] = [j for _, j in new]
+        err_p[new_rows] = -1.0
+        first = np.array([len(edges[j]) - 1 for _, j in new], dtype=np.intp)
+
+        # This round's panels: both children of each bisected panel, then the
+        # first panels of each new job.
+        mid = 0.5 * (a + b)
+        p_lo = np.concatenate([a, mid, [e for _, j in new for e in edges[j][:-1]]])
+        p_hi = np.concatenate([mid, b, [e for _, j in new for e in edges[j][1:]]])
+        p_row = np.concatenate([bisect, bisect, np.repeat(new_rows, first)])
+        offset = first.cumsum() - first  # of each new job's first panel among them
+        p_col = np.concatenate([count[bisect], count[bisect] + 1, np.arange(first.sum()) - np.repeat(offset, first)])
+        p_depth = np.concatenate([depth + 1, depth + 1, np.zeros(first.sum(), dtype=np.intp)])
+        p_job = job_of[p_row]
+
+        half, x = _nodes(p_lo, p_hi)
+        fx = np.empty_like(x)
+        p_family = family_of[p_job]
+        for f, (family, params) in enumerate(families):
+            at = np.flatnonzero(p_family == f)
+            if at.size:
+                args = np.repeat(params[:, column[p_job[at]]], 15, axis=1)
+                fx[at] = family(*args, x[at].ravel()).reshape(-1, 15)
+        p_val, p_err, p_floored = _gk15_many(*_sums(fx, p_lo, p_hi, half))
+
+        lo_p[p_row, p_col], hi_p[p_row, p_col], val_p[p_row, p_col] = p_lo, p_hi, p_val
+        err_p[p_row, p_col] = np.where(p_depth < max_depth[p_job], p_err, -1.0)
+        depth_p[p_row, p_col] = p_depth
+
+        # The running totals, by integrate's operations in integrate's order.
+        n = bisect.size
+        total_val[bisect] = total_val[bisect] + ((p_val[:n] + p_val[n:2 * n]) - val)
+        total_err[bisect] = total_err[bisect] + ((p_err[:n] + p_err[n:2 * n]) - err)
+        floored[bisect] |= p_floored[:n] | p_floored[n:2 * n]
+        count[bisect] += 2
+        n_intervals[bisect] += 1
+        if new:
+            start = 2 * n + offset
+            total_val[new_rows] = total_err[new_rows] = 0.0
+            floored[new_rows] = False
+            for c in range(first.max()):
+                has = first > c
+                at, to = start[has] + c, new_rows[has]
+                total_val[to] += p_val[at]
+                total_err[to] += p_err[at]
+                floored[to] |= p_floored[at]
+            count[new_rows] = n_intervals[new_rows] = first
+
+        live = np.flatnonzero(job_of >= 0)
+        live_jobs = job_of[live]
+        tol = rel_tol[live_jobs] * np.abs(total_val[live])
+        going = total_err[live] > np.where(tol > abs_tol[live_jobs], tol, abs_tol[live_jobs])
+        done, run = live[~going], live[going]
+        # NaN compares False against the tolerance, so a non-finite sum would
+        # otherwise leave the loop as if it had converged.
+        finite = np.isfinite(total_val[done]) & np.isfinite(total_err[done])
+        for r, value in zip(done[finite].tolist(), total_val[done[finite]].tolist()):
+            results[job_of[r]] = value
+        pick = err_p[run, : count[run].max()].argmax(axis=1) if run.size else run
+        stuck = (err_p[run, pick] < 0.0) | (n_intervals[run] >= _MAX_INTERVALS)
+        failed = [(r, "non-finite integral") for r in done[~finite].tolist()]
+        failed += [(r, "tolerance not met") for r in run[stuck].tolist()]
+        for r, what in failed:
+            j = int(job_of[r])
+            fail(j, _not_met(what, jobs[j][2], jobs[j][3], float(total_val[r]), error_bound(r)))
+        job_of[done] = job_of[run[stuck]] = -1
+        # A job about to outgrow its row goes on in integrate's loop, from the
+        # same panels, counters and totals: the scan of a row grows with its
+        # panels, and the heap does not.
+        for r in run[~stuck & (count[run] + 2 > width)].tolist():
+            j = int(job_of[r])
+            job_of[r] = -1
+            if failure is not None and j > failure[0]:
+                continue
+            family, params, lo, hi, spec = jobs[j]
+            at = np.flatnonzero(err_p[r, : count[r]] >= 0.0)
+            panels = zip(*(arr[r, at].tolist() for arr in (lo_p, hi_p, val_p, err_p, depth_p)))
+            heap = [(-panel[3], c, *panel) for c, panel in zip(at.tolist(), panels)]
             try:
-                asks[i] = loops[i].send(sums[start:end])
-            except StopIteration as done:
-                results[i] = done.value
-                del asks[i]
-                following = next(waiting, None) if failure is None else None
-                if following is not None:
-                    asks[following] = first_asks[following]
+                results[j] = _refine(_vectorized(partial(family, *params)), lo, hi, spec, heap, int(count[r]),
+                                     int(n_intervals[r]), float(total_val[r]), error_bound(r))
             except ToleranceNotMetError as exc:
-                del asks[i]
-                if failure is None or i < failure[0]:
-                    failure = (i, exc)
-            start = end
+                fail(j, exc)
         if failure is not None:
             # Only a job before the failed one can take its place as the error.
-            for i in [i for i in asks if i > failure[0]]:
-                del asks[i]
+            job_of[job_of > failure[0]] = -1
+        going_on = job_of[run] >= 0
+        bisect, pick = run[going_on], pick[going_on]
+        a, b, val, err, depth = (arr[bisect, pick] for arr in (lo_p, hi_p, val_p, err_p, depth_p))
+        err_p[bisect, pick] = -1.0
     if failure is not None:
         raise failure[1]
     return results
