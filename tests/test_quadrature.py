@@ -72,6 +72,21 @@ def test_invalid_quadspec_rejected():
         QuadSpec(max_depth=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", -1e-10),
+    ("max_depth", 2.5), ("max_depth", True), ("max_depth", 0),
+])
+def test_quadspec_rejects_tolerances_and_depths_that_void_certification(field, value):
+    # a NaN or infinite tolerance passes every error bound: 1/x^0.9 on [0, 1]
+    # (exactly 10) came back as 5.088 from its first two panels
+    with pytest.raises(DomainError):
+        QuadSpec(**{field: value})
+
+
+def test_quadspec_accepts_a_numpy_integer_depth():
+    assert integrate(lambda t: t**0.5, 0.0, 1.0, QuadSpec(max_depth=np.int64(40))) == pytest.approx(2.0 / 3.0)
+
+
 def test_quadspec_coerces_split_points_to_tuple():
     spec = QuadSpec(split_points=[0.5])
     assert spec.split_points == (0.5,)
@@ -402,6 +417,25 @@ def _counted(f):
     return counting, calls
 
 
+def test_gk15_many_matches_gk15():
+    # the batch's error formula, panel by panel: the 1.5 power is Python's
+    # (numpy's np.power differs in the last bit on ~5% of values), and an
+    # error raised to the round-off floor is flagged where _gk15 returns the
+    # floor's numpy float
+    rng = np.random.default_rng(20261019)
+    resk = rng.standard_normal(20000) * np.exp(rng.uniform(-20.0, 20.0, 20000))
+    resabs = np.abs(resk) * rng.uniform(1.0, 3.0, 20000)
+    resasc = resabs * rng.uniform(0.0, 1.0, 20000)
+    resg = resk + resasc * np.exp(rng.uniform(-40.0, 2.0, 20000)) * rng.choice([-1.0, 0.0, 1.0], 20000)
+    resasc[::97] = 0.0
+    vals, errs, floored = quadrature._gk15_many(resk, resg, resabs, resasc)
+    expected = [quadrature._gk15(*row) for row in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist())]
+    assert vals.tolist() == [v for v, _ in expected]
+    assert errs.tolist() == [e for _, e in expected]
+    assert floored.tolist() == [type(e) is not float for _, e in expected]
+    assert 0 < floored.sum() < floored.size
+
+
 def test_vecdot_is_one_ddot_per_row():
     # The batched panel sums rely on np.vecdot running the same ddot per row as
     # ndarray.dot; a numpy that changes its kernel must fail here rather than
@@ -579,6 +613,28 @@ def _nan(x):
     return np.full_like(x, np.nan)
 
 
+def _kinked_wave(c, w, x):
+    return np.abs(x - c) + np.cos(w * x)
+
+
+def _power_jobs(cases):
+    """``(p, spec)`` pairs as batch jobs of x^p over [0, 1], with their closures."""
+    return [((_power, (p,), 0.0, 1.0, spec), partial(_power, p)) for p, spec in cases]
+
+
+@pytest.fixture
+def heap_finishes(monkeypatch):
+    """The jobs (by their lo, hi) that a batch hands to integrate's loop."""
+    handed, refine = [], quadrature._refine
+
+    def record(fv, lo, hi, *state):
+        handed.append((lo, hi))
+        return refine(fv, lo, hi, *state)
+
+    monkeypatch.setattr(quadrature, "_refine", record)
+    return handed
+
+
 class TestIntegrateMany:
     def test_batch_matches_the_written_out_integrands(self):
         cases = _mixed_cases()
@@ -673,6 +729,72 @@ class TestIntegrateMany:
 
     def test_no_jobs(self):
         assert integrate_many([]) == []
+
+    def test_floored_error_bound_prints_as_integrate_prints_it(self, heap_finishes):
+        # x^-0.5 at max_depth 4 fails within its row (31 panels), after the
+        # round-off floor set some panel's error: integrate's bound is then a
+        # numpy float, and so must the batch's be
+        cases = _power_jobs([(2.0, QuadSpec()), (-0.5, QuadSpec(abs_tol=1e-4, rel_tol=1e-4, max_depth=4))])
+        outcome = _batch_outcome(integrate_many, [job for job, _ in cases])
+        assert outcome == _ref_batch(_closures(cases))
+        assert "with error bound np.float64(" in outcome[2]
+        assert type(outcome[1]) is np.float64
+        assert heap_finishes == []
+
+    def test_bound_without_floor_stays_a_python_float(self):
+        # no panel error of this failure reaches the floor
+        spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300, max_depth=3)
+        outcome = _batch_outcome(integrate_many, [(_kinked_wave, (1.0 / 3.0, 40.0), 0.0, 1.0, spec)])
+        assert outcome == _ref_batch([(partial(_kinked_wave, 1.0 / 3.0, 40.0), 0.0, 1.0, spec)])
+        assert type(outcome[1]) is float and "np.float64" not in outcome[2]
+
+    def test_job_at_a_small_max_depth_among_refining_jobs(self):
+        # the kink of job 1 reaches max_depth 6 while its error still leads,
+        # so its worst panel is skipped for the next one, and the job then
+        # converges; the others go on refining past depth 6 meanwhile
+        spec = QuadSpec(abs_tol=1e-5, rel_tol=1e-5, max_depth=6)
+        jobs = [(_kinked_wave, (1.0 / 3.0, w), 0.0, 1.0, s)
+                for w, s in ((300.0, QuadSpec()), (40.0, spec), (100.0, QuadSpec()))]
+        outcome = _batch_outcome(integrate_many, jobs)
+        assert outcome == _ref_batch([(partial(f, *params), lo, hi, s) for f, params, lo, hi, s in jobs])
+        assert all(isinstance(value, float) for value in outcome)
+
+    def test_job_outgrowing_its_row_finishes_in_the_heap_loop(self, heap_finishes):
+        # cos(1000 x) takes 521 panels, past the 64 of a row; it goes on in
+        # integrate's loop from the row's panels, counters and totals
+        jobs = [(_kinked_wave, (1.0 / 3.0, w), 0.0, 1.0 + w / 1e4, QuadSpec()) for w in (1000.0, 40.0)]
+        jobs.append((_power, (-1.0,), 0.0, 1.0, QuadSpec(max_depth=12)))
+        closures = [(partial(f, *params), lo, hi, s) for f, params, lo, hi, s in jobs]
+        assert _batch_outcome(integrate_many, jobs[:2]) == _ref_batch(closures[:2])
+        assert heap_finishes == [(0.0, 1.1)]
+        # 1/x fails after 8,191 panels with a floored bound
+        outcome = _batch_outcome(integrate_many, jobs)
+        assert outcome == _ref_batch(closures)
+        assert "np.float64(" in outcome[2]
+
+    def test_split_counts_share_a_batch(self):
+        # 0, 1 and 2 split points inside [0, 1], and splits outside it or
+        # repeated, which add no panel
+        splits = [(), (0.5,), (0.25, 0.75), (-1.0, 2.0), (0.5, 0.5, 1.0), (0.1, 0.2, 0.9)]
+        cases = [(job, closure) for s in splits
+                 for job, closure in _power_jobs([(p, QuadSpec(split_points=s)) for p in (0.5, 1.5, 3.0)])]
+        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+
+    @pytest.mark.parametrize("in_flight", [3, quadrature._IN_FLIGHT])
+    def test_failure_amid_more_jobs_than_rows(self, monkeypatch, in_flight):
+        # job in_flight + 1 starts only once a row frees up, and fails at
+        # depth 6; job 2 in_flight, after it, would fail sooner, at depth 2
+        monkeypatch.setattr(quadrature, "_IN_FLIGHT", in_flight)
+        cases = [(0.5 + i % 3, QuadSpec()) for i in range(2 * in_flight + 3)]
+        cases[in_flight + 1] = (-0.95, QuadSpec(max_depth=6))
+        cases[2 * in_flight] = (-0.95, QuadSpec(max_depth=2))
+        cases = _power_jobs(cases)
+        expected = _ref_batch(_closures(cases))
+        assert expected == _outcome(integrate, *_closures(cases)[in_flight + 1])
+        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == expected
+        # and without the failing jobs every value matches
+        del cases[2 * in_flight], cases[in_flight + 1]
+        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
 
 
 # Slow lane: replay every integral of an adjudication report and of two
