@@ -229,8 +229,8 @@ def _evaluate(fv: Callable[[np.ndarray], np.ndarray], panels: list[tuple[float, 
     """The weighted sums of ``panels``, from one call of ``fv`` on all their nodes."""
     starts, ends = np.array(panels, dtype=float).T
     half, x = _nodes(starts, ends)
-    sums = _sums(fv(x.ravel()).reshape(-1, 15), starts, ends, half)
-    return list(zip(*(column.tolist() for column in sums)))
+    resk, resg, resabs, resasc = _sums(fv(x.ravel()).reshape(-1, 15), starts, ends, half)
+    return list(zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()))
 
 
 def integrate(
@@ -324,7 +324,9 @@ def _refine(
 Job = tuple[Callable[..., np.ndarray], tuple, float, float, QuadSpec]
 
 # At most this many integrals of one ``integrate_many`` batch run at a time:
-# each round's node and parameter arrays grow with the integrals in it.
+# each round's node and parameter arrays, and the panel rows, grow with the
+# integrals in it.  On the adjudication batches 64 took more CPU, and 256 or
+# no cap took more memory for no less CPU (BENCH_19.json).
 _IN_FLIGHT = 128
 
 
