@@ -102,7 +102,7 @@ class QuadSpec:
     def __post_init__(self) -> None:
         # A NaN or infinite tolerance would pass any error bound, and certify
         # nothing.
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+        if not all(isinstance(tol, numbers.Real) and 0.0 < tol < math.inf for tol in (self.abs_tol, self.rel_tol)):
             raise DomainError(
                 f"quadrature tolerances must be finite and positive, got {self.abs_tol!r} and {self.rel_tol!r}")
         if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 1:

@@ -74,6 +74,7 @@ def test_invalid_quadspec_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", -1e-10),
+    ("abs_tol", "1e-11"),
     ("max_depth", 2.5), ("max_depth", True), ("max_depth", 0),
 ])
 def test_quadspec_rejects_tolerances_and_depths_that_void_certification(field, value):
