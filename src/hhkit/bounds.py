@@ -444,23 +444,24 @@ PRINTED_SETS: dict[str, PrintedSet] = {row.name: row for row in (
 
 
 # Bounded so that random search cannot grow them without limit; 4096 covers
-# the default sweep's distinct keys, so its hit ratios are unaffected.
+# the default sweep's distinct keys, so its hit ratios are unaffected.  Typed,
+# so that a grid of 48.0 or True is checked, not served the entry of 48 or 1.
 CERT_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=CERT_CACHE_SIZE)
+@lru_cache(maxsize=CERT_CACHE_SIZE, typed=True)
 def certify_function(f: FunctionSpec, params: SMParams, window: tuple[float, float], grid: int = 64) -> CheckReport:
     """Cached harmonic (s,m)-convexity certification of ``f`` itself."""
     return check_harmonic_sm_convex(f, SMParams(params.s, params.m), grid, window)
 
 
-@lru_cache(maxsize=CERT_CACHE_SIZE)
+@lru_cache(maxsize=CERT_CACHE_SIZE, typed=True)
 def certify_gradient(f: FunctionSpec, params: SMParams, window: tuple[float, float], grid: int = 64) -> CheckReport:
     """Cached harmonic (s,m)-convexity certification of |f'|^q on ``window``."""
     return check_harmonic_sm_convex(GradientPower(f, params.q), SMParams(params.s, params.m), grid, window)
 
 
-@lru_cache(maxsize=CERT_CACHE_SIZE)
+@lru_cache(maxsize=CERT_CACHE_SIZE, typed=True)
 def certify_plain(f: FunctionSpec, params: SMParams, window: tuple[float, float], grid: int = 64) -> CheckReport:
     """Cached ordinary (s,m)-convexity certification (classical HH gate)."""
     return check_sm_convex(f, SMParams(params.s, params.m), grid, window)

@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     ToleranceNotMetError,
 )
-from .functions import FAMILIES, FAMILY_ROWS, FunctionSpec, SMParams, check_grid
+from .functions import FAMILY_ROWS, FunctionSpec, SMParams, check_grid
 from .harness import CSV_FIELDS, SweepConfig, _fmt15, render_csv, render_json
 from .specfun import Hyp2F1Args, beta, hyp2f1_euler, hyp2f1_series, ln_gamma
 
@@ -55,17 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the integral identity sits between the mean bound and the gradient bounds it underlies
     p.add_argument("--theorem", required=True,
                    choices=[t for t in THEOREMS if t not in GRADIENT_THEOREMS] + ["Lemma", *GRADIENT_THEOREMS])
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--coeff", type=float, default=1.0, help="pow: coefficient")
-    p.add_argument("--exp", type=float, default=2.0, help="pow: exponent")
-    p.add_argument("--shift", type=float, default=0.0, help="pow: additive shift")
-    p.add_argument("--slope", type=float, default=1.0, help="affine: slope")
-    p.add_argument("--intercept", type=float, default=0.0, help="affine: intercept")
-    p.add_argument("--scale", type=float, default=1.0, help="exp: exponent scale")
-    p.add_argument("--a0", type=float, default=1.0, help="spiece: value at 0")
-    p.add_argument("--b0", type=float, default=1.0, help="spiece: power coefficient")
-    p.add_argument("--c0", type=float, default=0.0, help="spiece: additive constant")
-    p.add_argument("--sexp", type=float, default=None, help="spiece: power (defaults to --s)")
+    p.add_argument("--family", required=True, choices=tuple(FAMILY_ROWS))
+    for row in FAMILY_ROWS.values():
+        for param in row.params:
+            p.add_argument("--" + param.name, type=float, default=param.default, help=f"{row.name}: {param.help}")
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--q", type=float, default=1.0)
@@ -123,8 +116,8 @@ def _interval(args) -> Interval:
 
 
 def _build_function(args, m: float, iv: Interval) -> FunctionSpec:
-    params = tuple(args.s if name == "sexp" and args.sexp is None else getattr(args, name)
-                   for name in FAMILY_ROWS[args.family].params)
+    params = tuple(args.s if param.name == "sexp" and args.sexp is None else getattr(args, param.name)
+                   for param in FAMILY_ROWS[args.family].params)
     return harness.make_function({"family": args.family, "params": params}, m, iv)
 
 
@@ -185,12 +178,10 @@ def _cmd_sweep(args) -> tuple[int, str]:
     harness.write_report_json(result, args.json_out)
     bad = [f for f in result.findings if f.kind in ("BoundViolation", "EvaluationError")]
     code = 1 if bad else 0
-    if args.format == "csv":  # the CSV report itself, rendered once for the file and stdout
-        report = harness.render_report_csv(result)
-        with open(args.csv_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
-        return code, report
     harness.write_report_csv(result, args.csv_out)
+    if args.format == "csv":  # the CSV report itself, as written
+        with open(args.csv_out, encoding="utf-8", newline="") as fh:
+            return code, fh.read()
     s = result.summary
     text = [
         f"instances={s['instances_evaluated']} skipped={s['instances_skipped']} "

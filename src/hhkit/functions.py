@@ -1,9 +1,10 @@
 """Curated differentiable function families and convexity-definition checkers.
 
-One table, ``FAMILY_ROWS``, holds one row per family: its parameter names in
-order (the flags of ``hhkit verify``), value, derivative and power form (c, e)
-when the formula is c x^e.  Every consumer reads it, so adding a family means
-adding a row.  ``spiece`` is b0 x^sexp + c0 on x > 0 (a0 is metadata).
+One table, ``FAMILY_ROWS``, holds one row per family: its parameters in order
+(each the name, default and help text of a ``hhkit verify`` flag), value,
+derivative and power form (c, e) when the formula is c x^e.  Every consumer
+reads it, so adding a family means adding a row.  ``spiece`` is b0 x^sexp +
+c0 on x > 0 (a0 is metadata).
 
 Convexity certification is grid-based: a candidate passes when the defining
 inequality holds (within a slack of max(1e-12, 64 ulps of the local value
@@ -58,6 +59,7 @@ __all__ = [
     "FAMILIES",
     "FAMILY_ROWS",
     "Family",
+    "Param",
     "FunctionSpec",
     "SMParams",
     "CheckReport",
@@ -78,12 +80,20 @@ _SLACK_SCALE = 64.0 * np.finfo(float).eps  # the relative slack: 64 ulps of the 
 _DOMAIN_SLACK = 1e-9  # relative; absorbs rounding of combined points at window edges
 
 
+class Param(NamedTuple):
+    """One family parameter, and its ``hhkit verify`` flag's default and help."""
+
+    name: str
+    default: Optional[float]
+    help: str
+
+
 @dataclass(frozen=True)
 class Family:
     """One family row; value, deriv and power take the params tuple."""
 
     name: str
-    params: tuple[str, ...]
+    params: tuple[Param, ...]
     value: Callable
     deriv: Callable
     power: Callable = lambda p: None
@@ -94,14 +104,19 @@ def _exp_value(p, x):
 
 
 FAMILY_ROWS: dict[str, Family] = {row.name: row for row in (
-    Family("pow", ("coeff", "exp", "shift"), lambda p, x: p[0] * x**p[1] + p[2],
+    Family("pow", (Param("coeff", 1.0, "coefficient"), Param("exp", 2.0, "exponent"),
+                   Param("shift", 0.0, "additive shift")),
+           lambda p, x: p[0] * x**p[1] + p[2],
            lambda p, x: p[0] * p[1] * x ** (p[1] - 1.0), lambda p: (p[0], p[1]) if p[2] == 0.0 else None),
-    Family("spiece", ("a0", "b0", "c0", "sexp"), lambda p, x: p[1] * x**p[3] + p[2],
+    Family("spiece", (Param("a0", 1.0, "value at 0"), Param("b0", 1.0, "power coefficient"),
+                      Param("c0", 0.0, "additive constant"), Param("sexp", None, "power (defaults to --s)")),
+           lambda p, x: p[1] * x**p[3] + p[2],
            lambda p, x: p[1] * p[3] * x ** (p[3] - 1.0), lambda p: (p[1], p[3]) if p[2] == 0.0 else None),
     Family("recip", (), lambda p, x: 1.0 / x, lambda p, x: -1.0 / (x * x), lambda p: (1.0, -1.0)),
-    Family("affine", ("slope", "intercept"), lambda p, x: p[0] * x + p[1],
+    Family("affine", (Param("slope", 1.0, "slope"), Param("intercept", 0.0, "intercept")),
+           lambda p, x: p[0] * x + p[1],
            lambda p, x: p[0] * np.ones_like(x) if isinstance(x, np.ndarray) else p[0]),
-    Family("exp", ("scale",), _exp_value, lambda p, x: p[0] * _exp_value(p, x)),
+    Family("exp", (Param("scale", 1.0, "exponent scale"),), _exp_value, lambda p, x: p[0] * _exp_value(p, x)),
 )}
 
 FAMILIES = tuple(FAMILY_ROWS)

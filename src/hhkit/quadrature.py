@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -73,12 +74,11 @@ _WG15[[1, 3, 5]] = _WG_HALF
 _WG15[7] = _WG_CENTER
 _WG15[[9, 11, 13]] = _WG_HALF[::-1]
 
-_EPS = np.finfo(float).eps
 # QUADPACK's round-off floor on a panel's error, and the |integral| below which
-# it is not applied.  Both stay numpy scalars: an error bound raised to the
-# floor is a numpy float, and ToleranceNotMetError messages print its repr.
-_ERR_FLOOR = 50.0 * _EPS
-_RESABS_FLOOR = np.finfo(float).tiny / _ERR_FLOOR
+# it is not applied.  Python floats, so that every estimate and error bound
+# is a float.
+_ERR_FLOOR = 50.0 * sys.float_info.epsilon
+_RESABS_FLOOR = sys.float_info.min / _ERR_FLOOR
 _MAX_INTERVALS = 20_000
 # Generations below each end of a bisected panel evaluated with its children
 # (see _ladder): one integrand call then serves up to this many further
@@ -133,9 +133,9 @@ def _gk15(resk: float, resg: float, resabs: float, resasc: float) -> tuple[float
 
 def _gk15_many(
     resk: np.ndarray, resg: np.ndarray, resabs: np.ndarray, resasc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_gk15` of many panels: their integral and error estimates, each
-    the same, bit for bit, and where the round-off floor set the error.
+    the same, bit for bit.
 
     The power 1.5 is Python's float power, as in ``_gk15``: numpy's
     ``np.power`` differs from it in the last bit on about 5% of values.
@@ -145,8 +145,7 @@ def _gk15_many(
     power = np.array([r**1.5 for r in (200.0 * err[scaled] / resasc[scaled]).tolist()])
     err[scaled] = resasc[scaled] * np.where(power < 1.0, power, 1.0)
     floor = _ERR_FLOOR * resabs
-    floored = (resabs > _RESABS_FLOOR) & (floor > err)
-    return resk, np.where(floored, floor, err), floored
+    return resk, np.where((resabs > _RESABS_FLOOR) & (floor > err), floor, err)
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,12 +382,6 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     count = np.zeros(rows, dtype=np.intp)  # panels in a row
     n_intervals = np.zeros(rows, dtype=np.intp)
     total_val, total_err = np.zeros(rows), np.zeros(rows)
-    floored = np.zeros(rows, dtype=bool)  # the round-off floor set a panel's error
-
-    def error_bound(r: int) -> float:
-        # A panel error raised to the floor is a numpy float, and so is every
-        # total integrate sums from it.
-        return total_err[r] if floored[r] else float(total_err[r])
 
     def fail(j: int, exc: ToleranceNotMetError) -> None:
         nonlocal failure
@@ -428,7 +421,7 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             if at.size:
                 args = np.repeat(params[:, column[p_job[at]]], 15, axis=1)
                 fx[at] = family(*args, x[at].ravel()).reshape(-1, 15)
-        p_val, p_err, p_floored = _gk15_many(*_sums(fx, p_lo, p_hi, half))
+        p_val, p_err = _gk15_many(*_sums(fx, p_lo, p_hi, half))
 
         lo_p[p_row, p_col], hi_p[p_row, p_col], val_p[p_row, p_col] = p_lo, p_hi, p_val
         err_p[p_row, p_col] = np.where(p_depth < max_depth[p_job], p_err, -1.0)
@@ -438,19 +431,16 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
         n = bisect.size
         total_val[bisect] = total_val[bisect] + ((p_val[:n] + p_val[n:2 * n]) - val)
         total_err[bisect] = total_err[bisect] + ((p_err[:n] + p_err[n:2 * n]) - err)
-        floored[bisect] |= p_floored[:n] | p_floored[n:2 * n]
         count[bisect] += 2
         n_intervals[bisect] += 1
         if new:
             start = 2 * n + offset
             total_val[new_rows] = total_err[new_rows] = 0.0
-            floored[new_rows] = False
             for c in range(first.max()):
                 has = first > c
                 at, to = start[has] + c, new_rows[has]
                 total_val[to] += p_val[at]
                 total_err[to] += p_err[at]
-                floored[to] |= p_floored[at]
             count[new_rows] = n_intervals[new_rows] = first
 
         live = np.flatnonzero(job_of >= 0)
@@ -469,7 +459,7 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
         failed += [(r, "tolerance not met") for r in run[stuck].tolist()]
         for r, what in failed:
             j = int(job_of[r])
-            fail(j, _not_met(what, jobs[j][2], jobs[j][3], float(total_val[r]), error_bound(r)))
+            fail(j, _not_met(what, jobs[j][2], jobs[j][3], float(total_val[r]), float(total_err[r])))
         job_of[done] = job_of[run[stuck]] = -1
         # A job about to outgrow its row goes on in integrate's loop, from the
         # same panels, counters and totals: the scan of a row grows with its
@@ -484,8 +474,8 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             panels = zip(*(arr[r, at].tolist() for arr in (lo_p, hi_p, val_p, err_p, depth_p)))
             heap = [(-panel[3], c, *panel) for c, panel in zip(at.tolist(), panels)]
             try:
-                results[j] = _refine(_vectorized(partial(family, *params)), lo, hi, spec, heap, int(count[r]),
-                                     int(n_intervals[r]), float(total_val[r]), error_bound(r))
+                results[j] = _refine(partial(family, *params), lo, hi, spec, heap, int(count[r]),
+                                     int(n_intervals[r]), float(total_val[r]), float(total_err[r]))
             except ToleranceNotMetError as exc:
                 fail(j, exc)
         if failure is not None:

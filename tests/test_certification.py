@@ -25,7 +25,7 @@ from hhkit.bounds import (
     clear_certification_cache,
     verify_bound,
 )
-from hhkit.errors import CertificationError, DomainError
+from hhkit.errors import CertificationError, DomainError, ParameterError
 from hhkit.functions import (
     CHECK_SLACK,
     CheckReport,
@@ -228,6 +228,20 @@ def test_clear_certification_cache_clears_the_mesh_cache(cold_caches):
     assert functions._shared_mesh_stage.cache_info().currsize == 0
     assert functions._reduced_rows.cache_info().currsize == 0
     assert certify_function.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("theorem, cache", [("HH", certify_plain), ("II1", certify_function),
+                                            ("II2", certify_gradient)])
+def test_non_integer_grid_is_rejected_cold_and_warm(theorem, cache, cold_caches):
+    # the caches are typed: an entry of grid 48 does not serve 48.0, which
+    # check_grid rejects
+    f = make_function({"family": "pow", "params": (1.0, 2.0, 0.0)}, 0.8, IV)
+    params = SMParams(0.5, 0.8, 2.0)
+    for warm in (False, True):
+        with pytest.raises(ParameterError, match="^certification grid density must be an integer, got 48.0$"):
+            bounds.verify_theorem(theorem, f, params, IV, grid=48.0)
+        assert bounds.verify_theorem(theorem, f, params, IV, grid=48).satisfied
+        assert cache.cache_info().currsize == 1
 
 
 def test_certification_caches_stay_bounded(cold_caches):

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from hhkit import cli, harness, quadrature
 from hhkit.bounds import Interval
 from hhkit.cli import _build_function, build_parser, main
 from hhkit.errors import ConvergenceError
-from hhkit.functions import FAMILIES
+from hhkit.functions import FAMILIES, FAMILY_ROWS, Family, Param
 
 
 def run(capsys, *argv):
@@ -252,6 +253,21 @@ class TestBuildFunction:
                                           "--b", "2", "--s", "0.75"])
         assert _build_function(args, 1.0, Interval(1.0, 2.0)).params == (1.0, 1.0, 0.0, 0.75)
 
+    def test_family_flags_are_the_rows_parameters(self):
+        args = build_parser().parse_args(["verify", "--theorem", "II1", "--family", "pow", "--a", "1", "--b", "2"])
+        flags = {name: value for name, value in vars(args).items()
+                 if name not in ("command", "theorem", "family", "s", "m", "q", "a", "b", "grid", "format")}
+        assert flags == {p.name: p.default for row in FAMILY_ROWS.values() for p in row.params}
+
+    def test_a_new_row_gets_its_flag(self, monkeypatch):
+        row = Family("gauss", (Param("alpha", 0.5, "width"),), lambda p, x: np.exp(-p[0] * x * x),
+                     lambda p, x: -2.0 * p[0] * x * np.exp(-p[0] * x * x))
+        monkeypatch.setitem(FAMILY_ROWS, "gauss", row)
+        argv = ["verify", "--theorem", "II1", "--family", "gauss", "--a", "1", "--b", "2"]
+        for flags, params in (([], (0.5,)), (["--alpha", "2"], (2.0,))):
+            args = build_parser().parse_args(argv + flags)
+            assert _build_function(args, 1.0, Interval(1.0, 2.0)).params == params
+
 
 class TestSweepCommand:
     @pytest.fixture
@@ -291,10 +307,11 @@ class TestSweepCommand:
         assert paths[1].read_bytes() == paths[3].read_bytes()
 
     def test_csv_format_renders_the_report_once(self, capsys, tmp_path, config_path, monkeypatch):
-        calls = []
+        # the report is streamed to its file, and stdout is that file's text
+        calls, render = [], harness.render_report_csv
         for name in ("render_report_csv", "write_report_csv"):
             def counted(*args, _real=getattr(harness, name)):
-                calls.append(_real.__name__)
+                calls.append((_real.__name__, args[0]))
                 return _real(*args)
             monkeypatch.setattr(harness, name, counted)
         cout = tmp_path / "r.csv"
@@ -302,8 +319,8 @@ class TestSweepCommand:
                            "--csv", str(cout), "--format", "csv")
         assert code == 0
         assert out.startswith("theorem,a,b,s,m,q,family")
-        assert cout.read_bytes() == out.encode("utf-8")
-        assert len(calls) == 1, calls
+        assert [name for name, _ in calls] == ["write_report_csv"]
+        assert cout.read_bytes() == out.encode("utf-8") == render(calls[0][1]).encode("utf-8")
 
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.json"))

@@ -82,7 +82,7 @@ class TestFamilyTable:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_parameter_name_is_a_verify_flag(self, family):
-        names = FAMILY_ROWS[family].params
+        names = [param.name for param in FAMILY_ROWS[family].params]
         argv = ["verify", "--theorem", "II1", "--family", family, "--a", "1", "--b", "2"]
         for k, name in enumerate(names):
             argv += ["--" + name, str(0.125 * (k + 1))]

@@ -1,5 +1,6 @@
 import heapq
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -11,7 +12,6 @@ from hhkit import bounds, harness, quadrature, specfun
 from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ToleranceNotMetError
 from hhkit.quadrature import (
-    _EPS,
     _MAX_INTERVALS,
     _NODES,
     _WG15,
@@ -236,8 +236,9 @@ def _ref_gk15(f, lo, hi):
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
-        err = max(err, 50.0 * _EPS * resabs)
+    floor = 50.0 * sys.float_info.epsilon
+    if resabs > sys.float_info.min / floor:
+        err = max(err, floor * resabs)
     return resk, err
 
 
@@ -420,20 +421,19 @@ def _counted(f):
 
 def test_gk15_many_matches_gk15():
     # the batch's error formula, panel by panel: the 1.5 power is Python's
-    # (numpy's np.power differs in the last bit on ~5% of values), and an
-    # error raised to the round-off floor is flagged where _gk15 returns the
-    # floor's numpy float
+    # (numpy's np.power differs in the last bit on ~5% of values), and some
+    # errors are raised to the round-off floor
     rng = np.random.default_rng(20261019)
     resk = rng.standard_normal(20000) * np.exp(rng.uniform(-20.0, 20.0, 20000))
     resabs = np.abs(resk) * rng.uniform(1.0, 3.0, 20000)
     resasc = resabs * rng.uniform(0.0, 1.0, 20000)
     resg = resk + resasc * np.exp(rng.uniform(-40.0, 2.0, 20000)) * rng.choice([-1.0, 0.0, 1.0], 20000)
     resasc[::97] = 0.0
-    vals, errs, floored = quadrature._gk15_many(resk, resg, resabs, resasc)
+    vals, errs = quadrature._gk15_many(resk, resg, resabs, resasc)
     expected = [quadrature._gk15(*row) for row in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist())]
     assert vals.tolist() == [v for v, _ in expected]
     assert errs.tolist() == [e for _, e in expected]
-    assert floored.tolist() == [type(e) is not float for _, e in expected]
+    floored = errs == quadrature._ERR_FLOOR * resabs
     assert 0 < floored.sum() < floored.size
 
 
@@ -731,23 +731,29 @@ class TestIntegrateMany:
     def test_no_jobs(self):
         assert integrate_many([]) == []
 
-    def test_floored_error_bound_prints_as_integrate_prints_it(self, heap_finishes):
-        # x^-0.5 at max_depth 4 fails within its row (31 panels), after the
-        # round-off floor set some panel's error: integrate's bound is then a
-        # numpy float, and so must the batch's be
-        cases = _power_jobs([(2.0, QuadSpec()), (-0.5, QuadSpec(abs_tol=1e-4, rel_tol=1e-4, max_depth=4))])
-        outcome = _batch_outcome(integrate_many, [job for job, _ in cases])
-        assert outcome == _ref_batch(_closures(cases))
-        assert "with error bound np.float64(" in outcome[2]
-        assert type(outcome[1]) is np.float64
-        assert heap_finishes == []
-
-    def test_bound_without_floor_stays_a_python_float(self):
-        # no panel error of this failure reaches the floor
-        spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300, max_depth=3)
-        outcome = _batch_outcome(integrate_many, [(_kinked_wave, (1.0 / 3.0, 40.0), 0.0, 1.0, spec)])
-        assert outcome == _ref_batch([(partial(_kinked_wave, 1.0 / 3.0, 40.0), 0.0, 1.0, spec)])
-        assert type(outcome[1]) is float and "np.float64" not in outcome[2]
+    @pytest.mark.parametrize("jobs, handed, floored", [
+        # x^-0.5 at max_depth 4 fails within its row (31 panels)
+        ([(_power, (2.0,), 0.0, 1.0, QuadSpec()),
+          (_power, (-0.5,), 0.0, 1.0, QuadSpec(abs_tol=1e-4, rel_tol=1e-4, max_depth=4))], [], True),
+        # 1/x fails in integrate's loop, after 8,191 panels
+        ([(_power, (-1.0,), 0.0, 1.0, QuadSpec(max_depth=12))], [(0.0, 1.0)], True),
+        ([(_kinked_wave, (1.0 / 3.0, 40.0), 0.0, 1.0, QuadSpec(abs_tol=1e-300, rel_tol=1e-300, max_depth=3))],
+         [], False),
+    ], ids=["floored-in-row", "floored-handed-off", "unfloored"])
+    def test_failures_carry_python_floats(self, monkeypatch, heap_finishes, jobs, handed, floored):
+        # the estimate and bound of a failure are floats in either loop,
+        # whether or not the round-off floor set a panel's error
+        closures = [(partial(f, *params), lo, hi, spec) for f, params, lo, hi, spec in jobs]
+        outcome = _batch_outcome(integrate_many, jobs)
+        assert heap_finishes == handed
+        alone = _outcome(integrate, *closures[-1])
+        assert outcome == alone == _ref_batch(closures)
+        for estimate, bound, message in (outcome, alone):
+            assert type(estimate) is float and type(bound) is float
+            assert "np.float64(" not in message
+        # the floor set some panel's error exactly where the outcome moves without it
+        monkeypatch.setattr(quadrature, "_ERR_FLOOR", 0.0)
+        assert (_batch_outcome(integrate_many, jobs) != outcome) == floored
 
     def test_job_at_a_small_max_depth_among_refining_jobs(self):
         # the kink of job 1 reaches max_depth 6 while its error still leads,
@@ -768,10 +774,10 @@ class TestIntegrateMany:
         closures = [(partial(f, *params), lo, hi, s) for f, params, lo, hi, s in jobs]
         assert _batch_outcome(integrate_many, jobs[:2]) == _ref_batch(closures[:2])
         assert heap_finishes == [(0.0, 1.1)]
-        # 1/x fails after 8,191 panels with a floored bound
+        # 1/x fails after 8,191 panels
         outcome = _batch_outcome(integrate_many, jobs)
         assert outcome == _ref_batch(closures)
-        assert "np.float64(" in outcome[2]
+        assert outcome[2].startswith("tolerance not met on [0.0, 1.0]:")
 
     def test_split_counts_share_a_batch(self):
         # 0, 1 and 2 split points inside [0, 1], and splits outside it or
