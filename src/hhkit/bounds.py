@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional
 
 from .errors import CertificationError, DomainError, ParameterError
 from .functions import (
+    FAMILY_ROWS,
     CheckReport,
     FunctionSpec,
     GradientPower,
@@ -28,6 +29,7 @@ from .functions import (
     deriv,
     eval_fn,
 )
+from .functions import _check_domain
 from .quadrature import (
     DEFAULT_QUADSPEC,
     TIGHT_QUADSPEC,
@@ -175,10 +177,10 @@ F21_CACHE_SIZE = 1024
 
 
 class _Batch:
-    """The 2F1 terms and kernels of one ``batched`` block.  While its plan
-    runs, ``planned`` maps each key looked up to the integrate_many jobs that
-    compute it and the function of their values that gives it; then
-    ``served`` maps each key to its value."""
+    """The 2F1 terms, kernels and means of one ``batched`` block.  While its
+    plan runs, ``planned`` maps each key looked up to the integrate_many jobs
+    that compute it and the function of their values that gives it; then
+    ``served`` maps each key to its value, and ``planned`` is emptied."""
 
     def __init__(self) -> None:
         self.planned: dict[tuple, tuple] = {}
@@ -194,31 +196,37 @@ def _planning() -> bool:
     return batch is not None and batch.served is None
 
 
-def _lookup(key: tuple, plan: Callable[[], tuple], compute: Callable[[], float]) -> float:
-    """The value of the 2F1 term or kernel ``key``: ``compute()``, unless a
-    ``batched`` block serves it.  While a plan runs, the key is noted with
-    ``plan()`` (the jobs and their combination, built after the checks that
-    ``compute()`` would make), and the value is a placeholder."""
+def _lookup(kind: str, args: tuple, plan: Callable[..., tuple], compute: Callable[..., float]) -> float:
+    """The value of the 2F1 term, kernel or mean ``(kind, *args)``:
+    ``compute(*args)``, unless a ``batched`` block serves it.  While a plan
+    runs, the key is noted with ``plan(*args)`` (the jobs and their
+    combination, built after the checks that ``compute`` would make), and the
+    value is a placeholder.  Outside a block no key is built."""
     batch = _BATCH.get()
     if batch is None:
-        return compute()
+        return compute(*args)
+    key = (kind, *args)
     if batch.served is None:
         if key not in batch.planned:
-            batch.planned[key] = plan()
+            batch.planned[key] = plan(*args)
         return 1.0
     value = batch.served.get(key)
-    return compute() if value is None else value
+    return compute(*args) if value is None else value
 
 
 @contextmanager
 def batched(plan: Callable[[], object]) -> Iterator[None]:
-    """Integrate every 2F1 term and kernel that ``plan()`` looks up in one
-    ``integrate_many`` call, and serve them to the lookups inside the block.
+    """Integrate every 2F1 term, kernel and mean that ``plan()`` looks up in
+    one ``integrate_many`` call, and serve them to the lookups inside the
+    block.
 
     ``plan()`` runs first, with each lookup noting its key and returning a
     placeholder, and with the coefficient builders uncached, so that no
     placeholder reaches a cache; it should look up what the block will.  Its
-    errors, and those of the batch, are raised before the block runs.
+    errors, and those of the batch, are raised before the block runs.  The
+    jobs are queued in the order their keys were first looked up, and the
+    batch raises the error of its first failing job, so a failure is the one
+    the lookups would meet first one by one.
     """
     batch = _Batch()
     token = _BATCH.set(batch)
@@ -229,19 +237,19 @@ def batched(plan: Callable[[], object]) -> Iterator[None]:
         for key, (jobs, combine) in batch.planned.items():
             batch.served[key] = combine(*values[start:start + len(jobs)])
             start += len(jobs)
+        batch.planned.clear()
         yield
     finally:
         _BATCH.reset(token)
 
 
 def _f21(a: float, b: float, c: float, z: float) -> float:
-    key = (float(a), float(b), float(c), float(z))
+    return _lookup("2F1", (float(a), float(b), float(c), float(z)), _f21_plan, _f21_cached)
 
-    def plan() -> tuple:
-        args = Hyp2F1Args(*key)
-        return _euler_jobs(args), lambda left, right: _hyp2f1_from_integral(args, left + right)
 
-    return _lookup(("2F1", *key), plan, lambda: _f21_cached(*key))
+def _f21_plan(*key: float) -> tuple:
+    args = Hyp2F1Args(*key)
+    return _euler_jobs(args), lambda left, right: _hyp2f1_from_integral(args, left + right)
 
 
 @lru_cache(maxsize=F21_CACHE_SIZE)
@@ -254,9 +262,12 @@ def _same(value: float) -> float:
 
 
 def _kernel(weight: str, s: float, r: float, a: float, b: float) -> float:
-    """``kernel_K(weight, s, r, a, b)``, as the builders look it up."""
-    return _lookup(("K", weight, s, r, a, b), lambda: ((_kernel_job(weight, s, r, a, b),), _same),
-                   lambda: kernel_K(weight, s, r, a, b))
+    """``kernel_K(weight, s, r, a, b)``, as a lookup."""
+    return _lookup("K", (weight, s, r, a, b), _kernel_plan, kernel_K)
+
+
+def _kernel_plan(*args) -> tuple:
+    return (_kernel_job(*args),), _same
 
 
 def _coefficient_cache(body: Callable[..., CoefficientSet]) -> Callable[..., CoefficientSet]:
@@ -472,6 +483,47 @@ def _cached_mean(f: FunctionSpec, a: float, b: float, spec: QuadSpec) -> float:
     return harmonic_mean_integral(f, a, b, spec)
 
 
+def _plain_mean(f: FunctionSpec, a: float, b: float) -> float:
+    return integrate(lambda x: eval_fn(f, x), a, b, DEFAULT_QUADSPEC) / (b - a)
+
+
+def _mean_integrand(value: Callable, harmonic: bool, *args):
+    """A row's ``value`` as an ``integrate_many`` family: ``value(params, x)``,
+    over x^2 for the harmonic mean.  Rows raise with ``_pow``, so that each
+    value is the same, bit for bit, as with the row's scalar parameters."""
+    *params, x = args
+    y = value(params, x)
+    return y / (x * x) if harmonic else y
+
+
+# The harmonic and plain mean integrands of each family row, built once so
+# that a batch evaluates the means of a row together.
+_MEAN_FAMILIES = {(name, harmonic): partial(_mean_integrand, row.value, harmonic)
+                  for name, row in FAMILY_ROWS.items() for harmonic in (True, False)}
+
+
+def _mean_plan(f: FunctionSpec, a: float, b: float, spec: QuadSpec, harmonic: bool = True) -> tuple:
+    """The job of ``_cached_mean`` (or, not ``harmonic``, of ``_plain_mean``)
+    and its combination, after ``eval_fn``'s domain check on [a, b]."""
+    if harmonic and not 0.0 < a < b:
+        raise DomainError(f"harmonic mean integral requires 0 < a < b, got ({a}, {b})")
+    _check_domain(f, a)
+    _check_domain(f, b)
+    job = (_MEAN_FAMILIES[f.family, harmonic], f.params, a, b, spec)
+    if harmonic:
+        weight = a * b / (b - a)
+        return (job,), lambda value: weight * value
+    return (job,), lambda value: value / (b - a)
+
+
+_plain_plan = partial(_mean_plan, spec=DEFAULT_QUADSPEC, harmonic=False)
+
+
+def _mean(f: FunctionSpec, a: float, b: float) -> float:
+    """The harmonic mean of ``f`` on [a, b] (cached), as a lookup."""
+    return _lookup("mean", (f, a, b, DEFAULT_QUADSPEC), _mean_plan, _cached_mean)
+
+
 def clear_certification_cache() -> None:
     certify_function.cache_clear()
     certify_gradient.cache_clear()
@@ -590,10 +642,10 @@ def verify_hh_double(
         )
     if harmonic:
         mid = eval_fn(f, 2.0 * a * b / (a + b))
-        mean = _cached_mean(f, a, b, DEFAULT_QUADSPEC)
+        mean = _mean(f, a, b)
     else:
         mid = eval_fn(f, 0.5 * (a + b))
-        mean = integrate(lambda x: eval_fn(f, x), a, b, DEFAULT_QUADSPEC) / (b - a)
+        mean = _lookup("plain", (f, a, b), _plain_plan, _plain_mean)
     end_avg = 0.5 * (eval_fn(f, a) + eval_fn(f, b))
     margin_left = mean - mid
     margin_right = end_avg - mean
@@ -634,7 +686,7 @@ def verify_II1(
         diagnostics.extend(cert.diagnostics)
     else:
         diagnostics.append("certification bypassed (diagnostic mode)")
-    lhs = _cached_mean(f, a, b, DEFAULT_QUADSPEC)
+    lhs = _mean(f, a, b)
     avg_ab = (eval_fn(f, a) + m * eval_fn(f, b / m)) / (s + 1.0)
     avg_ba = (eval_fn(f, b) + m * eval_fn(f, a / m)) / (s + 1.0)
     rhs = min(avg_ab, avg_ba)
@@ -717,7 +769,7 @@ def verify_bound(
 
     da = abs(deriv(f, a)) ** q
     db = abs(deriv(f, b / m)) ** q
-    mean = _cached_mean(f, a, b, DEFAULT_QUADSPEC)
+    mean = _mean(f, a, b)
     lhs = abs(0.5 * (eval_fn(f, a) + eval_fn(f, b)) - mean)
     pref = 0.5 * a * b * (b - a)
 
@@ -727,7 +779,7 @@ def verify_bound(
             diagnostics.append("literal printed exponents (2q) in use")
         else:
             r = 1.0
-        k0 = kernel_K("W1", 0.0, r, a, b)
+        k0 = _kernel("W1", 0.0, r, a, b)
         factor = k0 ** (1.0 - 1.0 / q)
         kernels = f"k0={k0!r} "
     elif row.route == "split_power_mean":
@@ -735,8 +787,8 @@ def verify_bound(
     else:  # holder
         weights, p = ("N1", "N2"), params.p
         factor = (1.0 / (p + 1.0)) ** (1.0 / p)
-    k1 = kernel_K(weights[0], s, r, a, b)
-    k2 = kernel_K(weights[1], s, r, a, b)
+    k1 = _kernel(weights[0], s, r, a, b)
+    k2 = _kernel(weights[1], s, r, a, b)
     rhs = pref * factor * (k1 * da + m * k2 * db) ** (1.0 / q)
     diagnostics.append(f"oracle_kernels {kernels}k1={k1!r} k2={k2!r}")
     if row.note:
@@ -757,13 +809,16 @@ def verify_bound(
 def _substituted_kernel(weight: str, s: float, r: float, a: float, b: float,
                         quad: QuadSpec = DEFAULT_QUADSPEC) -> float:
     """Kernel integrals written in the t -> 1-t substituted form over (ta+(1-t)b)."""
-    job = partial(_kernel_job, weight, s, r, a, b, quad, mirrored=True)
+    return _lookup("S", (weight, s, r, a, b, quad), _substituted_plan, _substituted_value)
 
-    def compute() -> float:
-        family, params, lo, hi, use = job()
-        return integrate(partial(family, *params), lo, hi, use)
 
-    return _lookup(("S", weight, s, r, a, b, quad), lambda: ((job(),), _same), compute)
+def _substituted_plan(*args) -> tuple:
+    return (_kernel_job(*args, mirrored=True),), _same
+
+
+def _substituted_value(*args) -> float:
+    family, params, lo, hi, use = _kernel_job(*args, mirrored=True)
+    return integrate(partial(family, *params), lo, hi, use)
 
 
 def kernel_oracle_identities(

@@ -54,6 +54,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, ParameterError
+from .quadrature import _pow
 
 __all__ = [
     "FAMILIES",
@@ -106,11 +107,11 @@ def _exp_value(p, x):
 FAMILY_ROWS: dict[str, Family] = {row.name: row for row in (
     Family("pow", (Param("coeff", 1.0, "coefficient"), Param("exp", 2.0, "exponent"),
                    Param("shift", 0.0, "additive shift")),
-           lambda p, x: p[0] * x**p[1] + p[2],
+           lambda p, x: p[0] * _pow(x, p[1]) + p[2],
            lambda p, x: p[0] * p[1] * x ** (p[1] - 1.0), lambda p: (p[0], p[1]) if p[2] == 0.0 else None),
     Family("spiece", (Param("a0", 1.0, "value at 0"), Param("b0", 1.0, "power coefficient"),
                       Param("c0", 0.0, "additive constant"), Param("sexp", None, "power (defaults to --s)")),
-           lambda p, x: p[1] * x**p[3] + p[2],
+           lambda p, x: p[1] * _pow(x, p[3]) + p[2],
            lambda p, x: p[1] * p[3] * x ** (p[3] - 1.0), lambda p: (p[1], p[3]) if p[2] == 0.0 else None),
     Family("recip", (), lambda p, x: 1.0 / x, lambda p, x: -1.0 / (x * x), lambda p: (1.0, -1.0)),
     Family("affine", (Param("slope", 1.0, "slope"), Param("intercept", 0.0, "intercept")),
@@ -229,7 +230,8 @@ def harmonic_combine(x, y, t, m: float = 1.0):
         tk = np.reshape(t, -1)
         for hit, value in ((tk == 1.0, x * 1.0), (tk == 0.0, m * y)):
             if hit.any():
-                raw[..., hit] = np.broadcast_to(value, raw.shape)[..., hit]
+                # a value that varies along the last axis gives its hit columns
+                raw[..., hit] = value[..., hit] if np.ndim(value) and np.shape(value)[-1] > 1 else value
         return raw
     tb = np.broadcast_to(t, raw.shape)
     out = np.where(tb == 1.0, np.broadcast_to(x * 1.0, raw.shape), raw)
@@ -390,6 +392,12 @@ def _diagnostics(s: float) -> tuple[str, ...]:
     return ("s=0 is outside the definitional range (0,1]; theorem-driver extension",) if s == 0.0 else ()
 
 
+def _broadcast_item(v: np.ndarray, index: tuple[int, ...]) -> float:
+    """``np.broadcast_to(v, shape)[index]``, read from ``v`` itself."""
+    lead = len(index) - v.ndim
+    return float(v[tuple(0 if n == 1 else i for i, n in zip(index[lead:], v.shape))])
+
+
 def _row_stage(x, y, t, fx, fy, fpts, s: float, m: float, nonnegative: bool, probe: bool = False):
     """The report of one (s, m) row on a mesh and, with ``probe``, its peak:
     the largest margin beyond half the relative slack, NaN if a margin is
@@ -423,7 +431,7 @@ def _row_stage(x, y, t, fx, fy, fpts, s: float, m: float, nonnegative: bool, pro
     excess = np.subtract(margin, total, out=total)
     # the first maximum, or the first NaN
     index = np.unravel_index(int(np.argmax(excess)), shape)
-    witness = tuple(float(np.broadcast_to(v, shape)[index]) for v in (x, y, t))
+    witness = tuple(_broadcast_item(v, index) for v in (x, y, t))
     report = CheckReport(
         passed=float(excess[index]) <= 0.0,
         worst_margin=float(margin[index]),

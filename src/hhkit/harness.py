@@ -9,6 +9,7 @@ JSON/CSV files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -403,7 +404,7 @@ def search_counterexample(
         raise ParameterError(f"search budget must be >= 1, got {budget}")
     row = bounds.theorem_row(theorem)
     rng = random.Random(seed)
-    worst: Optional[tuple[float, dict, dict]] = None
+    draws: list[tuple[dict, dict]] = []
     for _ in range(budget):
         fam = families[rng.randrange(len(families))]
         point = {
@@ -419,13 +420,29 @@ def search_counterexample(
             point["m"] = 1.0
         if row.q_above_one and point["q"] <= 1.0:
             point["q"] = 1.0 + 0.5 * (q_range[1] - 1.0)
-        rec = _search_instance(theorem, fam, point, grid, enforce_certification)
-        if rec is None:
-            continue
-        # a NaN margin is a violation (the record's verdict) and ranks worst
-        rank = -math.inf if math.isnan(rec.margin) else rec.margin
-        if not rec.satisfied and (worst is None or rank < worst[0]):
-            worst = (rank, dict(fam), point)
+        draws.append((fam, point))
+
+    def plan() -> None:
+        # A draw that raises ends the plan.  The served pass raises it again,
+        # after the integrals of the draws before it: the error that escapes
+        # is the one a loop of single draws would meet first.
+        with contextlib.suppress(Exception):
+            for fam, point in draws:
+                _search_instance(theorem, fam, point, grid, enforce_certification)
+
+    # The draws are independent, so every integral of the budget runs in one
+    # batch: the draws run once as its plan (certifying for real, into the
+    # caches), then inside it, where they are ranked.
+    worst: Optional[tuple[float, dict, dict]] = None
+    with bounds.batched(plan):
+        for fam, point in draws:
+            rec = _search_instance(theorem, fam, point, grid, enforce_certification)
+            if rec is None:
+                continue
+            # a NaN margin is a violation (the record's verdict) and ranks worst
+            rank = -math.inf if math.isnan(rec.margin) else rec.margin
+            if not rec.satisfied and (worst is None or rank < worst[0]):
+                worst = (rank, dict(fam), point)
     if worst is None:
         return None
     _, fam, point = worst

@@ -14,7 +14,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -112,6 +112,12 @@ class QuadSpec:
 
     def with_splits(self, *points: float) -> "QuadSpec":
         return QuadSpec(self.abs_tol, self.rel_tol, self.max_depth, tuple(points))
+
+    @cached_property
+    def _kinked(self) -> "QuadSpec":
+        """``with_splits(0.5)``, built once per spec: the spec of every W1/W2
+        kernel, which has its kink at t = 1/2."""
+        return self.with_splits(0.5)
 
 
 DEFAULT_QUADSPEC = QuadSpec()
@@ -572,7 +578,7 @@ def _kernel_job(weight: str, s: float, r: float, a: float, b: float,
     _check_kernel(weight, s, r, a, b)
     flip, kink = _WEIGHT_FORMS[_MIRROR[weight] if mirrored else weight]
     p, q = (b, a) if mirrored else (a, b)
-    use = spec.with_splits(0.5) if kink else spec
+    use = spec._kinked if kink else spec
     return _kernel_integrand, (flip, kink, float(s), float(r), float(p), float(q)), 0.0, 1.0, use
 
 

@@ -21,6 +21,7 @@ from hhkit.functions import (
     eval_fn,
     harmonic_combine,
 )
+from hhkit.functions import _broadcast_item
 
 WIDE = (0.05, 50.0)
 
@@ -225,6 +226,18 @@ class TestHarmonicCombineSlices:
         ref = _where_reference(x, y, t, m)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((9, 1, 1), (1, 9, 1), (1, 1, 12)), ((9, 1), (9, 1), (1, 12)),
+                                    ((12,), (9, 1), (9, 12)), ((), (1, 12), (9, 1))])
+def test_witness_is_read_as_the_broadcast_would_read_it(shapes):
+    rng = np.random.default_rng(4)
+    arrays = [rng.uniform(size=shape) for shape in shapes]
+    shape = np.broadcast_shapes(*shapes)
+    for flat in (0, 7, math.prod(shape) - 1):
+        index = np.unravel_index(flat, shape)
+        for v in arrays:
+            assert _broadcast_item(v, index) == float(np.broadcast_to(v, shape)[index])
 
 
 class TestSMParams:

@@ -217,6 +217,16 @@ def test_kernel_rejects_nan_exponent():
         kernel_K("W1", 0.5, math.nan, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("spec", [QuadSpec(), QuadSpec(abs_tol=1e-13, max_depth=7, split_points=(0.3,))])
+def test_kinked_kernels_share_one_split_spec(spec):
+    jobs = [quadrature._kernel_job(weight, 0.5, 1.5, 1.0, 2.0, spec, mirrored)
+            for weight in ("W1", "W2") for mirrored in (False, True)]
+    # one spec per spec, equal to the one with_splits builds
+    assert all(job[4] is jobs[0][4] for job in jobs)
+    assert jobs[0][4] == spec.with_splits(0.5)
+    assert quadrature._kernel_job("N1", 0.5, 1.5, 1.0, 2.0, spec)[4] is spec
+
+
 # ---------------------------------------------------------------------------
 # Bit identity against the one-panel-per-call loop.  ``_ref_gk15`` and
 # ``_ref_integrate`` are the integrator as it was before bisections evaluated

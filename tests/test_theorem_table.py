@@ -91,16 +91,21 @@ class TestSearchDraws:
         seen = []
 
         def record(tag, f, params, iv, grid, enforce_certification, companion):
-            seen.append((params, companion))
+            seen.append((bounds._planning(), (f, params, iv), companion))
             return None
 
         monkeypatch.setattr(bounds, "verify_theorem", record)
         search_counterexample(theorem, budget=20, seed=2, q_range=(0.5, 3.0))
         row = THEOREMS[theorem]
-        assert len(seen) == 20
-        assert all(row.reject(p.s, p.m, p.q) is None for p, _ in seen)
+        draws = [draw for planning, draw, _ in seen if planning]
+        assert len(set(draws)) == 20
+        # every draw runs once in the batch's plan, then once served, both
+        # times in draw order
+        assert [(planning, draw) for planning, draw, _ in seen] == \
+            [(True, draw) for draw in draws] + [(False, draw) for draw in draws]
+        assert all(row.reject(p.s, p.m, p.q) is None for _, p, _ in draws)
         # a draw needs only its verdict, never the printed companion set
-        assert all(companion is False for _, companion in seen)
+        assert all(companion is False for *_, companion in seen)
 
 
 def inside_statement(row):
