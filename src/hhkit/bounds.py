@@ -180,7 +180,7 @@ class _Batch:
     """The 2F1 terms, kernels and means of one ``batched`` block.  While its
     plan runs, ``planned`` maps each key looked up to the integrate_many jobs
     that compute it and the function of their values that gives it; then
-    ``served`` maps each key to its value, and ``planned`` is emptied."""
+    ``served`` maps each key to its value."""
 
     def __init__(self) -> None:
         self.planned: dict[tuple, tuple] = {}
@@ -237,7 +237,6 @@ def batched(plan: Callable[[], object]) -> Iterator[None]:
         for key, (jobs, combine) in batch.planned.items():
             batch.served[key] = combine(*values[start:start + len(jobs)])
             start += len(jobs)
-        batch.planned.clear()
         yield
     finally:
         _BATCH.reset(token)
