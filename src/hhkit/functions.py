@@ -210,6 +210,11 @@ def deriv(f: FunctionSpec, x):
     return FAMILY_ROWS[f.family].deriv(f.params, x)
 
 
+def _harmonic_formula(x, y, t, m: float):
+    """m x y / (m t y + (1-t) x) as rounded, endpoints included."""
+    return m * x * y / (m * t * y + (1.0 - t) * x)
+
+
 def harmonic_combine(x, y, t, m: float = 1.0):
     """The weighted harmonic combination m x y / (m t y + (1-t) x).
 
@@ -217,21 +222,12 @@ def harmonic_combine(x, y, t, m: float = 1.0):
     returned exactly as x and m*y so that equality rows of the convexity checks
     are free of rounding noise.
     """
-    raw = m * x * y / (m * t * y + (1.0 - t) * x)
+    raw = _harmonic_formula(x, y, t, m)
     if np.ndim(raw) == 0:
         if t == 1.0:
             return x * 1.0
         if t == 0.0:
             return m * y
-        return raw
-    if np.ndim(t) == raw.ndim and np.size(t) == np.shape(t)[-1] == raw.shape[-1]:
-        # t varies along the last axis only (the certification mesh): the
-        # endpoint rows are whole slices, so set them instead of masking.
-        tk = np.reshape(t, -1)
-        for hit, value in ((tk == 1.0, x * 1.0), (tk == 0.0, m * y)):
-            if hit.any():
-                # a value that varies along the last axis gives its hit columns
-                raw[..., hit] = value[..., hit] if np.ndim(value) and np.shape(value)[-1] > 1 else value
         return raw
     tb = np.broadcast_to(t, raw.shape)
     out = np.where(tb == 1.0, np.broadcast_to(x * 1.0, raw.shape), raw)
@@ -314,19 +310,40 @@ def check_grid(grid: int) -> None:
 
 # Typed, so that 48.0 or True is checked, not served the entry of 48 or 1.
 @lru_cache(maxsize=8, typed=True)
-def _mesh_axes(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The t mesh of one density and the (i, j) index pairs of the border of
-    its x,y mesh, in row-major order (arrays read-only).  Every mesh starts
-    here, so here the density is checked."""
+def _mesh_axes(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The t mesh of one density, 1 - t on it, and the (i, j) index pairs of
+    the border of its x,y mesh, in row-major order (arrays read-only).  Every
+    mesh starts here, so here the density is checked."""
     check_grid(grid)
     # t mesh must contain the exact endpoints and the midpoint 1/2 (equality rows)
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
     i, j = np.divmod(np.arange(grid * grid), grid)
     edge = (i == 0) | (i == grid - 1) | (j == 0) | (j == grid - 1)
-    axes = ts, i[edge], j[edge]
+    axes = ts, 1.0 - ts, i[edge], j[edge]
     for arr in axes:
         arr.flags.writeable = False
     return axes
+
+
+@lru_cache(maxsize=8)
+def _ramp(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n - 1 (read-only): the steps of an n-point geometric mesh."""
+    ramp = np.arange(n, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` for 0 < lo < hi and n >= 2, bit for bit:
+    numpy's own formula, without its argument handling (a tenth of its cost).
+    It takes numpy's log10: ``math.log10`` differs from it in the last bit."""
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    y = _ramp(n) * ((log_hi - log_lo) / (n - 1))
+    y += log_lo
+    y[-1] = log_hi
+    xs = np.power(10.0, y, out=y)
+    xs[0], xs[-1] = lo, hi
+    return xs
 
 
 def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]], border: bool = False):
@@ -340,19 +357,28 @@ def _mesh(f: FuncLike, grid: int, window: Optional[tuple[float, float]], border:
     lo, hi = window
     if not 0.0 < lo < hi:
         raise DomainError(f"window must satisfy 0 < lo < hi, got {window}")
-    ts, i, j = _mesh_axes(grid)
-    xs = np.geomspace(lo, hi, grid)
+    ts, _, i, j = _mesh_axes(grid)
+    xs = _geomspace(lo, hi, grid)
     if border:
         return xs[i, None], xs[j, None], ts[None, :]
     return xs[:, None, None], xs[None, :, None], ts[None, None, :]
 
 
+def _mesh_points(combiner, x, y, t, m: float) -> np.ndarray:
+    """The combined points of a mesh whose last axis is ``_mesh_axes``'s t:
+    its t = 0 and t = 1 columns are set to m y and x, as ``harmonic_combine``
+    returns them (``_linear_combine`` rounds to them already)."""
+    pts = (_harmonic_formula if combiner is harmonic_combine else combiner)(x, y, t, m)
+    pts[..., 0] = m * y[..., 0]
+    pts[..., -1] = x[..., 0]
+    return pts
+
+
 class _MeshValues(NamedTuple):
-    """One certification mesh and the target's values on it (arrays read-only)."""
+    """One mesh's x and y and the target's values on it (arrays read-only)."""
 
     x: np.ndarray
     y: np.ndarray
-    t: np.ndarray
     fx: np.ndarray
     fy: np.ndarray
     fpts: np.ndarray
@@ -367,9 +393,9 @@ def _mesh_stage(f: FuncLike, gradient: bool, combiner, m: float, grid: int, wind
     """
     border = isinstance(f, FunctionSpec) and f.homogeneity is not None
     x, y, t = _mesh(f, grid, window, border)
-    pts = combiner(x, y, t, m)
+    pts = _mesh_points(combiner, x, y, t, m)
     fn = (lambda v: np.abs(deriv(f, v))) if gradient else f
-    return _MeshValues(x, y, t, fn(x), fn(y), fn(pts))
+    return _MeshValues(x, y, fn(x), fn(y), fn(pts))
 
 
 # A mesh is shared by every (s, q) row on it; the rows of one (f, window, m)
@@ -392,24 +418,19 @@ def _diagnostics(s: float) -> tuple[str, ...]:
     return ("s=0 is outside the definitional range (0,1]; theorem-driver extension",) if s == 0.0 else ()
 
 
-def _broadcast_item(v: np.ndarray, index: tuple[int, ...]) -> float:
-    """``np.broadcast_to(v, shape)[index]``, read from ``v`` itself."""
-    lead = len(index) - v.ndim
-    return float(v[tuple(0 if n == 1 else i for i, n in zip(index[lead:], v.shape))])
-
-
-def _row_stage(x, y, t, fx, fy, fpts, s: float, m: float, nonnegative: bool, probe: bool = False):
-    """The report of one (s, m) row on a mesh and, with ``probe``, its peak:
-    the largest margin beyond half the relative slack, NaN if a margin is
-    NaN, -inf if none is beyond.  ``nonnegative`` says that every value is
-    >= 0."""
-    lhs_w = t**s * fx
-    rhs_w = m * (1.0 - t) ** s * fy
+def _row_stage(x, y, fx, fy, fpts, grid: int, s: float, m: float, nonnegative: bool, probe: bool = False):
+    """The report of one (s, m) row on a mesh of density ``grid`` and, with
+    ``probe``, its peak: the largest margin beyond half the relative slack,
+    NaN if a margin is NaN, -inf if none is beyond.  ``nonnegative`` says
+    that every value is >= 0."""
+    ts, us = _mesh_axes(grid)[:2]
+    lhs_w = ts**s * fx
+    rhs_w = m * us**s * fy
     # margin = fpts - (lhs_w + rhs_w) and excess = margin - slack, written in
     # place into two buffers of one block (glibc keeps its pages for the next
     # check; two full-mesh blocks were page-faulted afresh on every call).
     # The order of operations fixes every float of the reports, so keep it.
-    shape = np.broadcast_shapes(np.shape(fpts), lhs_w.shape, rhs_w.shape)
+    shape = np.broadcast(fpts, lhs_w, rhs_w).shape
     total, margin = np.empty((2,) + shape)
     np.add(lhs_w, rhs_w, out=total)
     np.subtract(fpts, total, out=margin)
@@ -424,19 +445,21 @@ def _row_stage(x, y, t, fx, fy, fpts, s: float, m: float, nonnegative: bool, pro
         total += np.abs(fpts)
     peak = None
     if probe:
-        beyond = ~(margin <= 0.5 * _SLACK_SCALE * total)  # NaN counts as beyond
-        peak = float(np.max(margin, where=beyond, initial=-np.inf))
+        # a NaN margin is not <= its half slack, so it counts as beyond
+        peak = float(np.max(np.where(margin <= 0.5 * _SLACK_SCALE * total, -np.inf, margin)))
     np.multiply(_SLACK_SCALE, total, out=total)
     np.maximum(CHECK_SLACK, total, out=total)
     excess = np.subtract(margin, total, out=total)
-    # the first maximum, or the first NaN
-    index = np.unravel_index(int(np.argmax(excess)), shape)
-    witness = tuple(_broadcast_item(v, index) for v in (x, y, t))
+    # the first maximum, or the first NaN, read by flat index: t is the last
+    # axis, x varies along the first and y along the one before t (the same
+    # one on the border mesh)
+    k = int(np.argmax(excess))
+    rows, (row, col) = excess.size // ts.size, divmod(k, ts.size)
     report = CheckReport(
-        passed=float(excess[index]) <= 0.0,
-        worst_margin=float(margin[index]),
-        witness=witness,
-        samples=math.prod(shape),
+        passed=float(excess.flat[k]) <= 0.0,
+        worst_margin=float(margin.flat[k]),
+        witness=(float(x.flat[row * x.size // rows]), float(y.flat[row % y.size]), float(ts[col])),
+        samples=excess.size,
         diagnostics=_diagnostics(s),
     )
     return report, peak
@@ -450,11 +473,11 @@ def _mesh_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> C
     # Only a FunctionSpec fixes its values by its fields; bare callables are
     # evaluated afresh on every check.
     stage = _shared_mesh_stage if isinstance(source, FunctionSpec) else _mesh_stage
-    x, y, t, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
-                                  None if window is None else tuple(window))
+    x, y, fx, fy, fpts = stage(source, gradient, combiner, params.m, grid,
+                               None if window is None else tuple(window))
     if gradient:
         fx, fy, fpts = fx**f.q, fy**f.q, fpts**f.q
-    return _row_stage(x, y, t, fx, fy, fpts, params.s, params.m, gradient)[0]
+    return _row_stage(x, y, fx, fy, fpts, grid, params.s, params.m, gradient)[0]
 
 
 # Combined points lie in [m lo, hi] up to a few ulps of rounding; a window
@@ -473,11 +496,11 @@ def _reduced_rows(e: float, sign: float, s: float, m: float, ratio: float, grid:
                   combiner) -> tuple[float, float, float, float, float]:
     """(peak, worst margin, witness) of the border check of sign * x**e on
     the canonical window [1, ratio]."""
-    ts, i, j = _mesh_axes(grid)
-    xs = np.geomspace(1.0, ratio, grid)
-    x, y, t = xs[i, None], xs[j, None], ts[None, :]
-    fx, fy, fpts = (sign * v**e for v in (x, y, combiner(x, y, t, m)))
-    report, peak = _row_stage(x, y, t, fx, fy, fpts, s, m, sign > 0.0, probe=True)
+    ts, _, i, j = _mesh_axes(grid)
+    xs = _geomspace(1.0, ratio, grid)
+    x, y = xs[i, None], xs[j, None]
+    fx, fy, fpts = (sign * v**e for v in (x, y, _mesh_points(combiner, x, y, ts, m)))
+    report, peak = _row_stage(x, y, fx, fy, fpts, grid, s, m, sign > 0.0, probe=True)
     return (peak, report.worst_margin, *report.witness)
 
 
@@ -508,7 +531,7 @@ def _reduced_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -
     scale = abs(c) ** power * lo**e
     if not scale * peak <= 0.5 * CHECK_SLACK:  # it may fail at this scale (or peak is NaN)
         return None
-    ts, i, _ = _mesh_axes(grid)
+    ts, _, i, _ = _mesh_axes(grid)
     return CheckReport(True, scale * worst, (lo * x, lo * y, t), i.size * ts.size, _diagnostics(params.s))
 
 
@@ -566,7 +589,7 @@ def compose_g(f: FuncLike, a: float, b: float, m: float) -> Callable:
 def _sampled_slopes(f: FuncLike, window: Optional[tuple[float, float]], n: int = 257) -> np.ndarray:
     """Slopes on the window, which only a FunctionSpec may leave out (``_mesh``
     has rejected the rest)."""
-    xs = np.geomspace(*((f.domain_lo, f.domain_hi) if window is None else window), n)
+    xs = _geomspace(*((f.domain_lo, f.domain_hi) if window is None else window), n)
     if isinstance(f, FunctionSpec):
         return np.asarray(deriv(f, xs), dtype=float)
     h = xs * 1e-7
@@ -587,7 +610,7 @@ def check_prop1_implication(
     Raises InconclusiveError when sampled slopes carry both signs.
     """
     x, y, t = _mesh(f, grid, window)
-    gap = (t * x + params.m * (1.0 - t) * y) - harmonic_combine(x, y, t, params.m)
+    gap = (t * x + params.m * (1.0 - t) * y) - _mesh_points(harmonic_combine, x, y, t, params.m)
     worst_pointwise = float(-np.min(gap))
     if worst_pointwise > CHECK_SLACK:
         return CheckReport(False, worst_pointwise, None, int(gap.size), ("pointwise combination inequality failed",))

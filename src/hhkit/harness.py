@@ -232,6 +232,16 @@ def make_function(descriptor: dict, m: float, iv: Interval) -> FunctionSpec:
     return FunctionSpec(descriptor["family"], tuple(float(p) for p in descriptor["params"]), lo, hi)
 
 
+def _rank(margin: float) -> float:
+    """A margin as ranked: NaN, a violation by the record's verdict, ranks worst."""
+    return -math.inf if math.isnan(margin) else margin
+
+
+def _severity(margin: float) -> float:
+    """How far a violation's margin falls below 0; 0 for NaN, which has no magnitude."""
+    return 0.0 if math.isnan(margin) else abs(min(margin, 0.0))
+
+
 @dataclass
 class SweepResult:
     config: SweepConfig
@@ -247,7 +257,7 @@ class SweepResult:
             "instances_skipped": len(self.skipped),
             "violations": sum(1 for f in self.findings if f.kind == "BoundViolation"),
             "findings": len(self.findings),
-            "worst_margin": min(margins) if margins else None,
+            "worst_margin": min(margins, key=_rank) if margins else None,
             "mean_margin": (sum(margins) / len(margins)) if margins else None,
         }
 
@@ -303,7 +313,7 @@ def run_sweep(cfg: SweepConfig, progress: Optional[Callable[[int, int], None]] =
                 findings.append(
                     Finding(
                         kind="BoundViolation",
-                        severity=abs(min(rec.margin, 0.0)),
+                        severity=_severity(rec.margin),
                         description=(
                             f"{rec.theorem} violated by {rec.family} on "
                             f"[{rec.interval.a}, {rec.interval.b}] (margin {rec.margin:.6e})"
@@ -439,8 +449,7 @@ def search_counterexample(
             rec = _search_instance(theorem, fam, point, grid, enforce_certification)
             if rec is None:
                 continue
-            # a NaN margin is a violation (the record's verdict) and ranks worst
-            rank = -math.inf if math.isnan(rec.margin) else rec.margin
+            rank = _rank(rec.margin)
             if not rec.satisfied and (worst is None or rank < worst[0]):
                 worst = (rank, dict(fam), point)
     if worst is None:
@@ -453,7 +462,7 @@ def search_counterexample(
         boundary, boundary_rec = point, worst_rec
     return Finding(
         kind="BoundViolation",
-        severity=abs(worst_rec.margin),
+        severity=_severity(worst_rec.margin),
         description=(
             f"{theorem} violated by {worst_rec.family} at a={point['a']!r}, "
             f"b={point['a'] * point['ratio']!r}, s={point['s']!r}, m={point['m']!r}, "

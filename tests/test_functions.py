@@ -21,7 +21,7 @@ from hhkit.functions import (
     eval_fn,
     harmonic_combine,
 )
-from hhkit.functions import _broadcast_item
+from hhkit.functions import _mesh_axes, _mesh_points, _row_stage
 
 WIDE = (0.05, 50.0)
 
@@ -198,15 +198,21 @@ def _where_reference(x, y, t, m):
 
 
 _XS = np.geomspace(0.5, 7.0, 9)
-_TS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), [0.5]]))
+_TS = _mesh_axes(10)[0]
+_I, _J = _mesh_axes(9)[2:]
+_MESHES = [
+    # the full mesh, the border mesh and the reduced problem's border mesh
+    (_XS[:, None, None], _XS[None, :, None], _TS[None, None, :]),
+    (_XS[_I, None], _XS[_J, None], _TS[None, :]),
+    (_XS[_I, None], _XS[_J, None] * 1.3, _TS),
+]
 
 
 class TestHarmonicCombineSlices:
     @pytest.mark.parametrize(
         "x, y, t",
         [
-            # the certification mesh: t varies along the last axis only
-            (_XS[:, None, None], _XS[None, :, None], _TS[None, None, :]),
+            # broadcasts with t along the last axis
             (_XS[:, None], _XS[None, :] * 1.3, _TS[None, :9]),
             (_XS[:, None, None], 2.0, _TS[None, None, :]),
             (np.broadcast_to(_XS[:, None, None], (9, 1, _TS.size)), _XS[None, :, None], _TS[None, None, :]),
@@ -227,17 +233,26 @@ class TestHarmonicCombineSlices:
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("x, y, t", _MESHES)
+    @pytest.mark.parametrize("m", [1.0, 0.7])
+    def test_certification_mesh_bytes_match_where_reference(self, x, y, t, m):
+        # the mesh path sets the t = 0 and t = 1 columns by slice
+        got = _mesh_points(harmonic_combine, x, y, t, m)
+        ref = _where_reference(x, y, t, m)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
-@pytest.mark.parametrize("shapes", [((9, 1, 1), (1, 9, 1), (1, 1, 12)), ((9, 1), (9, 1), (1, 12)),
-                                    ((12,), (9, 1), (9, 12)), ((), (1, 12), (9, 1))])
-def test_witness_is_read_as_the_broadcast_would_read_it(shapes):
-    rng = np.random.default_rng(4)
-    arrays = [rng.uniform(size=shape) for shape in shapes]
-    shape = np.broadcast_shapes(*shapes)
-    for flat in (0, 7, math.prod(shape) - 1):
-        index = np.unravel_index(flat, shape)
-        for v in arrays:
-            assert _broadcast_item(v, index) == float(np.broadcast_to(v, shape)[index])
+
+@pytest.mark.parametrize("x, y", [mesh[:2] for mesh in _MESHES])
+@pytest.mark.parametrize("flat", [0, 7, 200, -1])
+def test_witness_is_read_as_the_broadcast_would_read_it(x, y, flat):
+    # values that exceed the slack at one mesh point only
+    fpts = np.zeros(np.broadcast_shapes(x.shape, y.shape, _TS.shape))
+    fpts.flat[flat] = 1.0
+    report, _ = _row_stage(x, y, np.zeros_like(x), np.zeros_like(y), fpts, 10, 0.5, 0.7, True)
+    index = np.unravel_index(flat % fpts.size, fpts.shape)
+    assert report.witness == tuple(float(np.broadcast_to(v, fpts.shape)[index]) for v in (x, y, _TS))
+    assert (report.passed, report.worst_margin, report.samples) == (False, 1.0, fpts.size)
 
 
 class TestSMParams:

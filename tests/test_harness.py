@@ -499,6 +499,16 @@ class TestSearchReadsTheRecordVerdict:
         res = run_sweep(single_instance_config())
         assert [f.kind for f in res.findings] == ["BoundViolation"]
         assert res.summary["violations"] == 1
+        # a NaN margin has no magnitude: severity 0, as for an EvaluationError
+        assert res.findings[0].severity == 0.0
+        assert math.isnan(res.summary["worst_margin"])
+
+    @pytest.mark.parametrize("margins", [(math.nan, 1.0), (1.0, math.nan), (-2.0, math.nan, 0.5)])
+    def test_summary_worst_margin_is_nan_in_any_order(self, margins):
+        point = {"a": 1.0, "ratio": 2.0, "s": 1.0, "m": 1.0, "q": 1.0}
+        records = [_stub_record(point, margin) for margin in margins]
+        res = harness.SweepResult(single_instance_config(), records, [], [])
+        assert math.isnan(res.summary["worst_margin"])
 
     def test_search_reports_a_nan_margin_and_ranks_it_worst(self, monkeypatch):
         # NaN above s = 0.6, a finite violation -s below it
@@ -511,6 +521,7 @@ class TestSearchReadsTheRecordVerdict:
         assert finding is not None
         assert math.isnan(finding.payload["worst_record"]["margin"])
         assert finding.payload["worst_parameters"]["s"] > 0.6
+        assert finding.severity == 0.0
 
     def test_shrink_stops_on_the_record_verdict(self, monkeypatch):
         # every margin is -1, but the record passes for m > 0.75: the shrink
