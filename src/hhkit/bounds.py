@@ -20,6 +20,7 @@ from .errors import CertificationError, DomainError, ParameterError
 from .functions import (
     FAMILY_ROWS,
     CheckReport,
+    Family,
     FunctionSpec,
     GradientPower,
     SMParams,
@@ -495,9 +496,15 @@ def _mean_integrand(value: Callable, harmonic: bool, *args):
     return y / (x * x) if harmonic else y
 
 
+def _mean_family(row: Family, harmonic: bool) -> Callable:
+    family = partial(_mean_integrand, row.value, harmonic)
+    family.exponents = row.exponents
+    return family
+
+
 # The harmonic and plain mean integrands of each family row, built once so
 # that a batch evaluates the means of a row together.
-_MEAN_FAMILIES = {(name, harmonic): partial(_mean_integrand, row.value, harmonic)
+_MEAN_FAMILIES = {(name, harmonic): _mean_family(row, harmonic)
                   for name, row in FAMILY_ROWS.items() for harmonic in (True, False)}
 
 

@@ -91,13 +91,16 @@ class Param(NamedTuple):
 
 @dataclass(frozen=True)
 class Family:
-    """One family row; value, deriv and power take the params tuple."""
+    """One family row; value, deriv and power take the params tuple.
+    ``exponents`` are the positions of the params that value uses only as
+    exponents of ``quadrature._pow`` (see ``quadrature._batch_family``)."""
 
     name: str
     params: tuple[Param, ...]
     value: Callable
     deriv: Callable
     power: Callable = lambda p: None
+    exponents: tuple[int, ...] = ()
 
 
 def _exp_value(p, x):
@@ -108,11 +111,13 @@ FAMILY_ROWS: dict[str, Family] = {row.name: row for row in (
     Family("pow", (Param("coeff", 1.0, "coefficient"), Param("exp", 2.0, "exponent"),
                    Param("shift", 0.0, "additive shift")),
            lambda p, x: p[0] * _pow(x, p[1]) + p[2],
-           lambda p, x: p[0] * p[1] * x ** (p[1] - 1.0), lambda p: (p[0], p[1]) if p[2] == 0.0 else None),
+           lambda p, x: p[0] * p[1] * x ** (p[1] - 1.0), lambda p: (p[0], p[1]) if p[2] == 0.0 else None,
+           exponents=(1,)),
     Family("spiece", (Param("a0", 1.0, "value at 0"), Param("b0", 1.0, "power coefficient"),
                       Param("c0", 0.0, "additive constant"), Param("sexp", None, "power (defaults to --s)")),
            lambda p, x: p[1] * _pow(x, p[3]) + p[2],
-           lambda p, x: p[1] * p[3] * x ** (p[3] - 1.0), lambda p: (p[1], p[3]) if p[2] == 0.0 else None),
+           lambda p, x: p[1] * p[3] * x ** (p[3] - 1.0), lambda p: (p[1], p[3]) if p[2] == 0.0 else None,
+           exponents=(3,)),
     Family("recip", (), lambda p, x: 1.0 / x, lambda p, x: -1.0 / (x * x), lambda p: (1.0, -1.0)),
     Family("affine", (Param("slope", 1.0, "slope"), Param("intercept", 0.0, "intercept")),
            lambda p, x: p[0] * x + p[1],

@@ -14,8 +14,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -110,14 +110,12 @@ class QuadSpec:
         # specs are cache keys; keep them hashable even if a list was passed
         object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
 
+    # Built once per spec and points: every W1/W2 kernel asks for its kink at
+    # t = 1/2, and every Euler half for the midpoint of its interval.
+    @lru_cache(maxsize=256)
     def with_splits(self, *points: float) -> "QuadSpec":
+        """This spec with the split points ``points``."""
         return QuadSpec(self.abs_tol, self.rel_tol, self.max_depth, tuple(points))
-
-    @cached_property
-    def _kinked(self) -> "QuadSpec":
-        """``with_splits(0.5)``, built once per spec: the spec of every W1/W2
-        kernel, which has its kink at t = 1/2."""
-        return self.with_splits(0.5)
 
 
 DEFAULT_QUADSPEC = QuadSpec()
@@ -137,21 +135,24 @@ def _gk15(resk: float, resg: float, resabs: float, resasc: float) -> tuple[float
     return resk, err
 
 
-def _gk15_many(
-    resk: np.ndarray, resg: np.ndarray, resabs: np.ndarray, resasc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gk15` of many panels: their integral and error estimates, each
-    the same, bit for bit.
+def _gk15_many(resk: np.ndarray, resg: np.ndarray, resabs: np.ndarray, resasc: np.ndarray) -> np.ndarray:
+    """:func:`_gk15` of many panels: their integral estimates and their error
+    estimates, one row each, each the same, bit for bit.
 
-    The power 1.5 is Python's float power, as in ``_gk15``: numpy's
-    ``np.power`` differs from it in the last bit on about 5% of values.
+    The power 1.5 is ``np.float_power``, which calls the C library's ``pow``
+    as Python's float power in ``_gk15`` does; ``np.power`` may not, and on
+    an AVX-512 CPU differs from it in the last bit on about 5% of values.
+    (The ratio stays within a few hundred, far below the 1e205 past which
+    Python's power would raise ``OverflowError``.)
     """
     err = np.abs(resk - resg)
-    scaled = np.flatnonzero((resasc != 0.0) & (err != 0.0))
-    power = np.array([r**1.5 for r in (200.0 * err[scaled] / resasc[scaled]).tolist()])
-    err[scaled] = resasc[scaled] * np.where(power < 1.0, power, 1.0)
+    # The power of every panel, kept where _gk15 scales the error: elsewhere
+    # the ratio may divide by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.fmin(np.float_power(200.0 * err / resasc, 1.5), 1.0)
+        err = np.where((resasc != 0.0) & (err != 0.0), resasc * power, err)
     floor = _ERR_FLOOR * resabs
-    return resk, np.where((resabs > _RESABS_FLOOR) & (floor > err), floor, err)
+    return np.array((resk, np.where((resabs > _RESABS_FLOOR) & (floor > err), floor, err)))
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,166 +335,262 @@ Job = tuple[Callable[..., np.ndarray], tuple, float, float, QuadSpec]
 # no cap took more memory for no less CPU (BENCH_19.json).
 _IN_FLIGHT = 128
 
+# The columns of a bisected panel's two children, past its row's last panel.
+_CHILDREN = np.array([[0], [1]])
+
+
+def _batch_family(family: Callable[..., np.ndarray], rows: list[tuple]) -> Callable:
+    """``family`` as a batch calls it: ``call(cols, x)`` evaluates it on the
+    nodes ``x`` of panels, one panel per row of 15 along the last two axes,
+    whose parameters are ``rows[c]`` for ``c`` in ``cols`` (one row per job
+    of the family).
+
+    What stays fixed for a job is settled here, once per batch: a parameter
+    that every job shares goes in as that value, as ``integrate`` passes it;
+    any other goes in as an array of one value per panel; and each parameter
+    the family declares in ``family.exponents`` (its positions of the
+    parameters it only raises to, with :func:`_pow`) goes in as an
+    :class:`_Exponent` that names the panels with a fast scalar exponent.
+    """
+    params = np.array(rows, dtype=float).T
+    shared = (params == params[:, :1]).all(axis=1)
+    template = [value if same else None for value, same in zip(rows[0], shared)]
+    varying = np.flatnonzero(~shared).tolist()
+    table = params[varying][:, :, None]
+    fast = {p: [(function, hit[:, None]) for value, function in _FAST_POWERS if (hit := params[p] == value).any()]
+            for p in getattr(family, "exponents", ()) if p in varying}
+
+    def call(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+        args = template.copy()
+        for p, values in zip(varying, table[:, cols]):
+            args[p] = _Exponent(values, [(function, hit[cols]) for function, hit in fast[p]]) if p in fast else values
+        return family(*args, x)
+
+    return call
+
+
+def _estimates(families: list, family: np.ndarray, column: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """The integral and error estimates of panels ``(lo, hi)``, each of shape
+    ``(m, n)``, stacked: panel ``[i, p]`` integrates the :func:`_batch_family`
+    ``families[family[p]]`` with the parameters of column ``column[p]``.
+
+    ``family`` must not decrease, so that each family is called once, on
+    one slice of the panels.
+    """
+    lo_flat, hi_flat = lo.ravel(), hi.ravel()
+    half, x = _nodes(lo_flat, hi_flat)
+    x = x.reshape(*lo.shape, 15)
+    fx = np.empty_like(x)
+    ends = np.searchsorted(family, range(len(families) + 1)).tolist()
+    for call, a, b in zip(families, ends, ends[1:]):
+        if a < b:
+            fx[:, a:b] = call(column[a:b], x[:, a:b])
+    return _gk15_many(*_sums(fx.reshape(-1, 15), lo_flat, hi_flat, half)).reshape(2, *lo.shape)
+
 
 def integrate_many(jobs: Sequence[Job]) -> list[float]:
     """The integrals of ``jobs``, in lockstep: each the same, bit for bit, as
     ``integrate(partial(family, *params), lo, hi, spec)``.
 
-    A family is called as ``family(*params, x)``; in a batch every parameter
-    is an array of ``x``'s shape that repeats each integral's value on its
-    nodes, so the family must compute elementwise and raise with
-    :func:`_pow`.  At most ``_IN_FLIGHT`` integrals run at once, each in a row
-    of panel arrays (lo, hi, value, error, depth) that keeps its panels in the
-    order they were made; a finished integral's row goes to the next job in
+    A family is called as ``family(*params, x)``; in a batch ``x`` holds the
+    nodes of many panels, one panel per row of 15, and a parameter goes in
+    as :func:`_batch_family` settles it, so the family must compute
+    elementwise and raise with :func:`_pow`.
+
+    What stays fixed for a job is read once, when the batch starts: its
+    family and parameters, tolerances and depth limit, and its first
+    panels, evaluated as many at a time as a round's children.
+    At most ``_IN_FLIGHT`` integrals run at once, each in a row of panel
+    arrays (lo, hi, value, error, depth) that keeps its panels in the order
+    they were made; a finished integral's row goes to the next job in
     order.  Each round bisects the worst panel of every row: ``argmax`` over
-    the errors, with consumed panels and panels at ``max_depth`` masked, takes
-    the first of equal errors, as ``integrate``'s heap does.  Every pending
-    panel of one family is evaluated in one family call, and the sums and
-    error estimates of all of them in one pass; a batch has no look-ahead,
-    which would add panels and save no call.  When integrals fail, the
-    ``ToleranceNotMetError`` of the first failing job in order is raised, as
-    ``integrate`` would raise it.
+    the errors, with consumed panels and panels at ``max_depth`` masked,
+    takes the first of equal errors, as ``integrate``'s heap does.  A round
+    evaluates the two children of every bisected panel, one family call per
+    family, and their sums and error estimates in one pass; a batch has no
+    look-ahead, which would add panels and save no call.  When integrals
+    fail, the ``ToleranceNotMetError`` of the first failing job in order is
+    raised, as ``integrate`` would raise it.
     """
-    edges = [_edges(lo, hi, spec) for _, _, lo, hi, spec in jobs]
+    # Jobs over one interval with one spec share their first panels,
+    # tolerances and depth limit: each such domain is read once.
+    domains: dict[tuple, tuple] = {}
+    domain = [domains.setdefault((lo, hi, id(spec)), (len(domains), lo, hi, spec))[0]
+              for _, _, lo, hi, spec in jobs]
+    edges = [_edges(lo, hi, spec) for _, lo, hi, spec in domains.values()]
     if not jobs:
         return []
-    results: list[float] = [math.nan] * len(jobs)
+    n_jobs = len(jobs)
     failure: Optional[tuple[int, ToleranceNotMetError]] = None
+    domain = np.array(domain)
+    domain_first = np.array([len(e) - 1 for e in edges])
 
-    # Each family's parameters, one column per job of the family.
+    # Each family's jobs, in order.
     members: dict[Callable, list[int]] = {}
     for i, job in enumerate(jobs):
         members.setdefault(job[0], []).append(i)
-    family_of = np.empty(len(jobs), dtype=np.intp)
-    column = np.empty(len(jobs), dtype=np.intp)
+    # Per job: its family, its place among the family's jobs, and its
+    # number of first panels.
+    placing = np.empty((3, n_jobs), dtype=np.intp)
     families = []
     for f, (family, where) in enumerate(members.items()):
-        family_of[where] = f
-        column[where] = np.arange(len(where))
-        families.append((family, np.array([jobs[i][1] for i in where], dtype=float).T))
-    abs_tol = np.array([spec.abs_tol for *_, spec in jobs], dtype=float)
-    rel_tol = np.array([spec.rel_tol for *_, spec in jobs], dtype=float)
-    # No depth exceeds the bisection count, which stays below _MAX_INTERVALS.
-    max_depth = np.array([min(spec.max_depth, _MAX_INTERVALS) for *_, spec in jobs], dtype=np.intp)
+        placing[0, where], placing[1, where] = f, np.arange(len(where))
+        families.append(_batch_family(family, [jobs[i][1] for i in where]))
+    placing[2] = domain_first[domain]
+    # Per job: abs_tol, rel_tol and max_depth.  No depth exceeds the
+    # bisection count, which stays below _MAX_INTERVALS.
+    limits = np.array([(spec.abs_tol, spec.rel_tol, min(spec.max_depth, _MAX_INTERVALS))
+                       for *_, spec in domains.values()]).T[:, domain]
 
-    rows = min(_IN_FLIGHT, len(jobs))
+    # Every job's first panels (lo, hi, value, error, depth 0), its own in a
+    # run from start[j], and each panel's column in its job's row.
+    first = placing[2]
+    start = np.concatenate(([0], first.cumsum()))
+    owner = np.repeat(np.arange(n_jobs), first)
+    place = np.arange(start[-1]) - start[owner]
+    corners = np.array([[e for job_edges in edges for e in job_edges[:-1]],
+                        [e for job_edges in edges for e in job_edges[1:]]])
+    domain_start = np.concatenate(([0], domain_first.cumsum()))
+    initial = np.zeros((5, start[-1]))
+    initial[:2] = corners[:, domain_start[domain[owner]] + place]
+    # Each job's value and error totals over its first panels: the first
+    # panels are evaluated before any job enters, as many at a time as one
+    # round's children, sorted by family.
+    initial_totals = np.zeros((2, n_jobs))
+    rows = min(_IN_FLIGHT, n_jobs)
+    j0 = 0
+    while j0 < n_jobs:
+        j1 = max(j0 + 1, int(np.searchsorted(start, start[j0] + 2 * rows, "right")) - 1)
+        at = start[j0] + np.argsort(placing[0, owner[start[j0]:start[j1]]], kind="stable")
+        job = owner[at]
+        initial[2:4, at] = _estimates(families, placing[0, job], placing[1, job], initial[0:1, at],
+                                      initial[1:2, at])[:, 0]
+        # integrate's running sums, panel after panel from 0.0
+        sums = initial_totals[:, j0:j1]
+        for c in range(first[j0:j1].max()):
+            has = (first[j0:j1] > c).nonzero()[0]
+            sums[:, has] += initial[2:4, start[j0:j1][has] + c]
+        j0 = j1
+
     # Panel columns of a row: none of the 15,350 jobs of two adjudication
     # runs made more than 60 panels.  A job that outgrows its row finishes in
     # integrate's loop (see below).
-    width = max(64, *map(len, edges))
-    lo_p, hi_p, val_p = np.zeros((rows, width)), np.zeros((rows, width)), np.zeros((rows, width))
-    err_p = np.full((rows, width), -1.0)  # -1 where consumed, at max_depth or unused
-    depth_p = np.zeros((rows, width), dtype=np.intp)
+    width = max(64, int(first.max()))
+    # A row with more panels than this may outgrow its row in this round, or
+    # have made _MAX_INTERVALS intervals (they never outnumber its panels).
+    crowded = min(width - 2, _MAX_INTERVALS - 1)
+    # The children of a panel shallower than this are below every max_depth.
+    shallow = limits[2].min() - 1.0
+    panels = np.zeros((5, rows, width))
+    err_p = panels[3]  # -1 where consumed, at max_depth or unused
     job_of = np.full(rows, -1, dtype=np.intp)  # -1 for a free row
+    row_placing = np.zeros((3, rows), dtype=np.intp)
+    row_limits = np.zeros((3, rows))
     count = np.zeros(rows, dtype=np.intp)  # panels in a row
-    n_intervals = np.zeros(rows, dtype=np.intp)
-    total_val, total_err = np.zeros(rows), np.zeros(rows)
+    totals = np.zeros((2, rows))  # value and error
+    # Each job's totals when it converged.  NaN compares False against the
+    # tolerance, so a non-finite sum leaves the loop as if it had converged;
+    # the first such job fails after the loop.
+    results = np.zeros((2, n_jobs))
+    taken = 0  # jobs given a row
 
     def fail(j: int, exc: ToleranceNotMetError) -> None:
         nonlocal failure
         if failure is None or j < failure[0]:
             failure = (j, exc)
 
-    waiting = iter(range(len(jobs)))
-    # The rows bisecting this round and their panels to bisect.
-    bisect = np.zeros(0, dtype=np.intp)
-    a = b = val = err = np.zeros(0)
-    depth = np.zeros(0, dtype=np.intp)
-    while True:
-        new = list(zip(np.flatnonzero(job_of < 0).tolist(), waiting)) if failure is None else []
-        if not (new or bisect.size):
-            break
-        new_rows = np.array([r for r, _ in new], dtype=np.intp)
-        job_of[new_rows] = [j for _, j in new]
-        err_p[new_rows] = -1.0
-        first = np.array([len(edges[j]) - 1 for _, j in new], dtype=np.intp)
-
-        # This round's panels: both children of each bisected panel, then the
-        # first panels of each new job.
-        mid = 0.5 * (a + b)
-        p_lo = np.concatenate([a, mid, [e for _, j in new for e in edges[j][:-1]]])
-        p_hi = np.concatenate([mid, b, [e for _, j in new for e in edges[j][1:]]])
-        p_row = np.concatenate([bisect, bisect, np.repeat(new_rows, first)])
-        offset = first.cumsum() - first  # of each new job's first panel among them
-        p_col = np.concatenate([count[bisect], count[bisect] + 1, np.arange(first.sum()) - np.repeat(offset, first)])
-        p_depth = np.concatenate([depth + 1, depth + 1, np.zeros(first.sum(), dtype=np.intp)])
-        p_job = job_of[p_row]
-
-        half, x = _nodes(p_lo, p_hi)
-        fx = np.empty_like(x)
-        p_family = family_of[p_job]
-        for f, (family, params) in enumerate(families):
-            at = np.flatnonzero(p_family == f)
-            if at.size:
-                args = np.repeat(params[:, column[p_job[at]]], 15, axis=1)
-                fx[at] = family(*args, x[at].ravel()).reshape(-1, 15)
-        p_val, p_err = _gk15_many(*_sums(fx, p_lo, p_hi, half))
-
-        lo_p[p_row, p_col], hi_p[p_row, p_col], val_p[p_row, p_col] = p_lo, p_hi, p_val
-        err_p[p_row, p_col] = np.where(p_depth < max_depth[p_job], p_err, -1.0)
-        depth_p[p_row, p_col] = p_depth
-
-        # The running totals, by integrate's operations in integrate's order.
-        n = bisect.size
-        total_val[bisect] = total_val[bisect] + ((p_val[:n] + p_val[n:2 * n]) - val)
-        total_err[bisect] = total_err[bisect] + ((p_err[:n] + p_err[n:2 * n]) - err)
-        count[bisect] += 2
-        n_intervals[bisect] += 1
-        if new:
-            start = 2 * n + offset
-            total_val[new_rows] = total_err[new_rows] = 0.0
-            for c in range(first.max()):
-                has = first > c
-                at, to = start[has] + c, new_rows[has]
-                total_val[to] += p_val[at]
-                total_err[to] += p_err[at]
-            count[new_rows] = n_intervals[new_rows] = first
-
-        live = np.flatnonzero(job_of >= 0)
-        live_jobs = job_of[live]
-        tol = rel_tol[live_jobs] * np.abs(total_val[live])
-        going = total_err[live] > np.where(tol > abs_tol[live_jobs], tol, abs_tol[live_jobs])
-        done, run = live[~going], live[going]
-        # NaN compares False against the tolerance, so a non-finite sum would
-        # otherwise leave the loop as if it had converged.
-        finite = np.isfinite(total_val[done]) & np.isfinite(total_err[done])
-        for r, value in zip(done[finite].tolist(), total_val[done[finite]].tolist()):
-            results[job_of[r]] = value
-        pick = err_p[run, : count[run].max()].argmax(axis=1) if run.size else run
-        stuck = (err_p[run, pick] < 0.0) | (n_intervals[run] >= _MAX_INTERVALS)
-        failed = [(r, "non-finite integral") for r in done[~finite].tolist()]
-        failed += [(r, "tolerance not met") for r in run[stuck].tolist()]
-        for r, what in failed:
-            j = int(job_of[r])
-            fail(j, _not_met(what, jobs[j][2], jobs[j][3], float(total_val[r]), float(total_err[r])))
-        job_of[done] = job_of[run[stuck]] = -1
+    def hand_off(r: int) -> None:
         # A job about to outgrow its row goes on in integrate's loop, from the
         # same panels, counters and totals: the scan of a row grows with its
         # panels, and the heap does not.
-        for r in run[~stuck & (count[run] + 2 > width)].tolist():
-            j = int(job_of[r])
-            job_of[r] = -1
-            if failure is not None and j > failure[0]:
-                continue
-            family, params, lo, hi, spec = jobs[j]
-            at = np.flatnonzero(err_p[r, : count[r]] >= 0.0)
-            panels = zip(*(arr[r, at].tolist() for arr in (lo_p, hi_p, val_p, err_p, depth_p)))
-            heap = [(-panel[3], c, *panel) for c, panel in zip(at.tolist(), panels)]
-            try:
-                results[j] = _refine(partial(family, *params), lo, hi, spec, heap, int(count[r]),
-                                     int(n_intervals[r]), float(total_val[r]), float(total_err[r]))
-            except ToleranceNotMetError as exc:
-                fail(j, exc)
-        if failure is not None:
-            # Only a job before the failed one can take its place as the error.
-            job_of[job_of > failure[0]] = -1
-        going_on = job_of[run] >= 0
-        bisect, pick = run[going_on], pick[going_on]
-        a, b, val, err, depth = (arr[bisect, pick] for arr in (lo_p, hi_p, val_p, err_p, depth_p))
-        err_p[bisect, pick] = -1.0
+        j = int(job_of[r])
+        job_of[r] = -1
+        if failure is not None and j > failure[0]:
+            return
+        family, params, lo, hi, spec = jobs[j]
+        at = np.flatnonzero(err_p[r, : count[r]] >= 0.0)
+        heap = [(-err, c, a, b, val, err, int(depth))
+                for c, (a, b, val, err, depth) in zip(at.tolist(), panels[:, r, at].T.tolist())]
+        try:
+            results[0, j] = _refine(partial(family, *params), lo, hi, spec, heap, int(count[r]),
+                                    int(count[r] + row_placing[2, r]) // 2, float(totals[0, r]),
+                                    float(totals[1, r]))
+        except ToleranceNotMetError as exc:
+            fail(j, exc)
+
+    # The rows bisecting this round, and their panels to bisect.
+    bisect = np.zeros(0, dtype=np.intp)
+    while True:
+        if bisect.size:
+            # Both children of each panel: (lo, mid) and (mid, hi).
+            ends = picked[[0, 0, 1]]
+            ends[1] += ends[2]
+            ends[1] *= 0.5
+            est = _estimates(families, row_placing[0, bisect], row_placing[1, bisect], ends[:2], ends[1:])
+            made = np.empty((5, 2, bisect.size))
+            made[0], made[1], made[2:4], made[4] = ends[:2], ends[1:], est, picked[4] + 1.0
+            if picked[4].max() >= shallow:
+                made[3][made[4] >= row_limits[2, bisect]] = -1.0
+            panels[:, bisect, count[bisect] + _CHILDREN] = made
+            count[bisect] += 2
+            # The running totals, by integrate's operations in integrate's order.
+            totals[:, bisect] += (est[:, 0] + est[:, 1]) - picked[2:4]
+
+        if failure is None and taken < n_jobs:
+            free = (job_of < 0).nonzero()[0][: n_jobs - taken]
+            if free.size:
+                new = slice(taken, taken + free.size)
+                taken += free.size
+                job_of[free] = range(new.start, new.stop)
+                row_placing[:, free], row_limits[:, free] = placing[:, new], limits[:, new]
+                err_p[free] = -1.0
+                at = slice(start[new.start], start[new.stop])
+                panels[:, np.repeat(free, first[new]), place[at]] = initial[:, at]
+                totals[:, free] = initial_totals[:, new]
+                count[free] = first[new]
+
+        live = job_of >= 0
+        tol = row_limits[1] * np.abs(totals[0])
+        going = totals[1] > np.fmax(tol, row_limits[0])
+        done = (live & ~going).nonzero()[0]
+        run = (live & going).nonzero()[0]
+        if len(families) > 1:
+            run = run[np.argsort(row_placing[0, run], kind="stable")]
+        if done.size:
+            results[:, job_of[done]] = totals[:, done]
+            job_of[done] = -1
+        if run.size:
+            widest = count[run].max()
+            pick = err_p[run, :widest].argmax(axis=1)
+            picked = panels[:, run, pick]
+            if widest > crowded or (picked[3] < 0.0).any():
+                for i, r in enumerate(run.tolist()):
+                    if picked[3, i] < 0.0 or (count[r] + row_placing[2, r]) // 2 >= _MAX_INTERVALS:
+                        j = int(job_of[r])
+                        job_of[r] = -1
+                        fail(j, _not_met("tolerance not met", jobs[j][2], jobs[j][3], float(totals[0, r]),
+                                         float(totals[1, r])))
+                for r in run.tolist():
+                    if job_of[r] >= 0 and count[r] + 2 > width:
+                        hand_off(r)
+                if failure is not None:
+                    # Only a job before the failed one can take its place as the error.
+                    job_of[job_of > failure[0]] = -1
+                going_on = job_of[run] >= 0
+                run, pick, picked = run[going_on], pick[going_on], picked[:, going_on]
+            err_p[run, pick] = -1.0
+        bisect = run
+        if not bisect.size and (failure is not None or taken == n_jobs):
+            break
+    bad = np.flatnonzero(~np.isfinite(results).all(axis=0))
+    if bad.size:
+        j = int(bad[0])
+        fail(j, _not_met("non-finite integral", jobs[j][2], jobs[j][3], float(results[0, j]),
+                         float(results[1, j])))
     if failure is not None:
         raise failure[1]
-    return results
+    return results[0].tolist()
 
 
 def harmonic_mean_integral(
@@ -519,16 +616,31 @@ def harmonic_mean_integral(
 _FAST_POWERS = ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square))
 
 
+class _Exponent(NamedTuple):
+    """A batch family's exponent parameter (see :func:`_batch_family`): its
+    values, and for each of numpy's fast scalar exponents among them, the
+    fast function and where it applies."""
+
+    values: np.ndarray
+    fast: list[tuple[Callable, np.ndarray]]
+
+
 def _pow(x: np.ndarray, e) -> np.ndarray:
-    """``x ** e`` for a scalar ``e`` or an array of ``x``'s shape, each value
-    the same, bit for bit, as ``x ** float(e_i)`` computes it: elements whose
-    exponent is one of numpy's fast scalar exponents take the fast path."""
+    """``x ** e`` for a scalar ``e``, an array that broadcasts against ``x``
+    or an :class:`_Exponent`, each value the same, bit for bit, as
+    ``x ** float(e_i)`` computes it: elements whose exponent is one of
+    numpy's fast scalar exponents take the fast path."""
+    if isinstance(e, _Exponent):
+        out = x**e.values
+        for fast, hit in e.fast:
+            fast(x, out=out, where=hit)
+        return out
     out = x**e
     if isinstance(e, np.ndarray):
         for value, fast in _FAST_POWERS:
             hit = e == value
             if hit.any():
-                out[hit] = fast(x[hit])
+                fast(x, out=out, where=hit)
     return out
 
 
@@ -548,14 +660,17 @@ def _select(cond, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x if cond else y
 
 
-def _kernel_integrand(flip, kink, s, r, p, q, t: np.ndarray) -> np.ndarray:
-    """The kernel integrand w(t) (t q + (1 - t) p)^(-2r), with w(t) the power s
-    of t, or of 1 - t where ``flip``, times |1 - 2t| where ``kink``."""
+def _kernel_integrand(flip, kink, s, e, p, q, t: np.ndarray) -> np.ndarray:
+    """The kernel integrand w(t) (t q + (1 - t) p)^e, e = -2r, with w(t) the
+    power s of t, or of 1 - t where ``flip``, times |1 - 2t| where ``kink``."""
     u = 1.0 - t
     w = _pow(_select(flip, u, t), s)
     if kink is not False:  # a scalar False needs no factor
         w = _select(kink, np.abs(1.0 - 2.0 * t) * w, w)
-    return w * _pow(t * q + u * p, -2.0 * r)
+    return w * _pow(t * q + u * p, e)
+
+
+_kernel_integrand.exponents = (2, 3)
 
 
 def _check_kernel(weight: str, s: float, r: float, a: float, b: float) -> None:
@@ -578,8 +693,8 @@ def _kernel_job(weight: str, s: float, r: float, a: float, b: float,
     _check_kernel(weight, s, r, a, b)
     flip, kink = _WEIGHT_FORMS[_MIRROR[weight] if mirrored else weight]
     p, q = (b, a) if mirrored else (a, b)
-    use = spec._kinked if kink else spec
-    return _kernel_integrand, (flip, kink, float(s), float(r), float(p), float(q)), 0.0, 1.0, use
+    use = spec.with_splits(0.5) if kink else spec
+    return _kernel_integrand, (flip, kink, float(s), -2.0 * float(r), float(p), float(q)), 0.0, 1.0, use
 
 
 @lru_cache(maxsize=16384)

@@ -168,13 +168,17 @@ def hyp2f1_series(args: Hyp2F1Args) -> float:
     )
 
 
-def _euler_integrand(k, p1, p2, a, z, right, u: np.ndarray) -> np.ndarray:
+def _euler_integrand(k, e_left, e_right, e_z, z, right, u: np.ndarray) -> np.ndarray:
     """One half of the Euler integrand after its power substitution,
-    k u^(k p1 - 1) (1 - u^k)^(p2 - 1) (1 - z t)^(-a): t = u^k on the left
-    (p1, p2 = b, c - b), and 1 - t = u^k where ``right`` (p1, p2 = c - b, b)."""
+    k u^e_left (1 - u^k)^e_right (1 - z t)^e_z, with e_left = k p1 - 1,
+    e_right = p2 - 1 and e_z = -a: t = u^k on the left (p1, p2 = b, c - b),
+    and 1 - t = u^k where ``right`` (p1, p2 = c - b, b)."""
     w = _pow(u, k)
     v = 1.0 - w
-    return k * _pow(u, k * p1 - 1.0) * _pow(v, p2 - 1.0) * _pow(1.0 - z * _select(right, v, w), -a)
+    return k * _pow(u, e_left) * _pow(v, e_right) * _pow(1.0 - z * _select(right, v, w), e_z)
+
+
+_euler_integrand.exponents = (1, 2, 3)
 
 
 def _euler_jobs(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> tuple[Job, Job]:
@@ -186,8 +190,10 @@ def _euler_jobs(args: Hyp2F1Args, spec: QuadSpec = _EULER_QUADSPEC) -> tuple[Job
     k_right = max(2, math.ceil(1.5 / cb))
     hi_left, hi_right = 0.5 ** (1.0 / k_left), 0.5 ** (1.0 / k_right)
     return (
-        (_euler_integrand, (k_left, b, cb, a, z, False), 0.0, hi_left, spec.with_splits(0.5 * hi_left)),
-        (_euler_integrand, (k_right, cb, b, a, z, True), 0.0, hi_right, spec.with_splits(0.5 * hi_right)),
+        (_euler_integrand, (k_left, k_left * b - 1.0, cb - 1.0, -a, z, False), 0.0, hi_left,
+         spec.with_splits(0.5 * hi_left)),
+        (_euler_integrand, (k_right, k_right * cb - 1.0, b - 1.0, -a, z, True), 0.0, hi_right,
+         spec.with_splits(0.5 * hi_right)),
     )
 
 

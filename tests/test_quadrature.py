@@ -447,6 +447,15 @@ def test_gk15_many_matches_gk15():
     assert 0 < floored.sum() < floored.size
 
 
+def test_float_power_is_pythons_power():
+    # The batched error formula relies on np.float_power calling the C
+    # library's pow, as Python's float power does, from subnormal ratios to
+    # ratios near overflow.
+    rng = np.random.default_rng(20261020)
+    ratios = np.exp(rng.uniform(-740.0, 470.0, 50000))
+    assert np.float_power(ratios, 1.5).tolist() == [r**1.5 for r in ratios.tolist()]
+
+
 def test_vecdot_is_one_ddot_per_row():
     # The batched panel sums rely on np.vecdot running the same ddot per row as
     # ndarray.dot; a numpy that changes its kernel must fail here rather than
@@ -572,6 +581,26 @@ class TestPow:
         x = np.random.default_rng(9).uniform(1e-3, 3.0, 1000)
         assert quadrature._pow(x, e).tobytes() == (x**e).tobytes()
 
+    def test_one_exponent_per_panel_matches_scalar(self):
+        # a batch passes one exponent per panel, (n, 1) against (m, n, 15) nodes
+        rng = np.random.default_rng(10)
+        x = rng.uniform(1e-3, 3.0, (2, 400, 15))
+        e = rng.choice([*EXPONENT_CLASSES, 0.37, -2.5, 3.0], (400, 1))
+        got = quadrature._pow(x, e)
+        for i, value in enumerate(e[:, 0].tolist()):
+            assert got[:, i].tobytes() == (x[:, i] ** value).tobytes(), value
+
+    def test_declared_exponent_matches_scalar(self):
+        # a declared exponent brings its fast panels along: _pow applies
+        # exactly those and compares no exponent
+        rng = np.random.default_rng(11)
+        x = rng.uniform(1e-3, 3.0, (2, 300, 15))
+        e = rng.choice([*EXPONENT_CLASSES, 0.37, -2.5, 3.0], 300)
+        call = quadrature._batch_family(_declared_power, [(value,) for value in e.tolist()])
+        got = call(np.arange(300), x)
+        for i, value in enumerate(e.tolist()):
+            assert got[:, i].tobytes() == (x[:, i] ** value).tobytes(), value
+
 
 def _kernel_case(weight, s, r, a, b, mirrored):
     """A kernel job, and its integrand as kernel_K (or, mirrored, the
@@ -618,6 +647,13 @@ def _mixed_cases():
 
 def _power(p, x):
     return quadrature._pow(x, p)
+
+
+def _declared_power(p, x):
+    return quadrature._pow(x, p)
+
+
+_declared_power.exponents = (0,)
 
 
 def _nan(x):
@@ -741,6 +777,38 @@ class TestIntegrateMany:
     def test_no_jobs(self):
         assert integrate_many([]) == []
 
+    def test_parameters_as_the_family_receives_them(self):
+        # a parameter every job shares goes in as its value; a declared
+        # exponent that varies as an _Exponent; any other as an array
+        seen = []
+
+        def family(a, e, shared, x):
+            seen.append((type(a), type(e), shared))
+            return a * quadrature._pow(x, e)
+
+        family.exponents = (1,)
+        params = [(1.0 + i, e, 0.5) for i, e in enumerate((0.5, 2.0, -1.0, 0.37, 0.5, 3.0))]
+        jobs = [(family, p, 0.25, 1.0, QuadSpec()) for p in params]
+        closures = [(partial(family, *p), 0.25, 1.0, QuadSpec()) for p in params]
+        outcome = _batch_outcome(integrate_many, jobs)
+        assert set(seen) == {(np.ndarray, quadrature._Exponent, 0.5)}
+        assert outcome == _ref_batch(closures)
+
+    @pytest.mark.parametrize("order", ["non-finite first", "stuck first"])
+    def test_non_finite_and_stuck_jobs_raise_in_order(self, order):
+        # a non-finite total is found when the batch ends, a job stuck at
+        # max_depth while it runs; the earlier job's error is raised either way
+        stuck = (_power, (-0.95,), 0.0, 1.0, QuadSpec(max_depth=3))
+        nan = (_nan, (), 0.0, 1.0, QuadSpec())
+        fine = (_power, (2.0,), 0.0, 1.0, QuadSpec())
+        jobs = [fine, nan, fine, stuck] if order == "non-finite first" else [fine, stuck, fine, nan]
+        closures = [(partial(f, *params), lo, hi, spec) for f, params, lo, hi, spec in jobs]
+        alone = [_outcome(integrate, *closure) for closure in closures]
+        first = next(o for o in alone if isinstance(o, tuple))
+        assert first[2].startswith("non-finite" if order == "non-finite first" else "tolerance not met")
+        estimate, bound, message = _batch_outcome(integrate_many, jobs)
+        assert message == first[2] and estimate.hex() == first[0].hex() and bound.hex() == first[1].hex()
+
     @pytest.mark.parametrize("jobs, handed, floored", [
         # x^-0.5 at max_depth 4 fails within its row (31 panels)
         ([(_power, (2.0,), 0.0, 1.0, QuadSpec()),
@@ -841,6 +909,22 @@ def _assert_replay_bit_identical(monkeypatch, compute):
         assert outcome == _ref_batch([(partial(family, *params), lo, hi, spec)
                                       for family, params, lo, hi, spec in jobs])
     return calls, batches
+
+
+def test_adjudication_batch_replays_job_by_job(monkeypatch):
+    # One interval's batch (its 2F1 halves and kernels, every weight form):
+    # each value is the reference loop's on that job alone.
+    _clear_value_caches()
+    try:
+        calls, batches = _recorded_integrals(
+            monkeypatch, _INTEGRATING_MODULES, lambda: harness.build_adjudication_report((Interval(0.8, 5.3),)))
+    finally:
+        _clear_value_caches()
+    assert not calls and len(batches) == 1
+    jobs, values = batches[0]
+    assert len(jobs) == len(values) > 300
+    for (family, params, lo, hi, spec), value in zip(jobs, values):
+        assert value == _ref_integrate(partial(family, *params), lo, hi, spec)
 
 
 @pytest.mark.slow
