@@ -15,7 +15,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -254,35 +254,6 @@ def integrate(
     its bound) when every subinterval has reached ``max_depth`` or the interval
     budget is exhausted without certifying the tolerance, and when the estimate
     or its bound is not finite.
-    """
-    fv = _vectorized(f)
-    edges = _edges(lo, hi, spec)
-    panels = list(zip(edges[:-1], edges[1:]))
-    heap = []
-    total_val = 0.0
-    total_err = 0.0
-    for counter, ((a, b), sums) in enumerate(zip(panels, _evaluate(fv, panels))):
-        val, err = _gk15(*sums)
-        total_val += val
-        total_err += err
-        heap.append((-err, counter, a, b, val, err, 0))
-    return _refine(fv, lo, hi, spec, heap, len(panels), len(panels), total_val, total_err)
-
-
-def _refine(
-    fv: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    spec: QuadSpec,
-    heap: list[tuple[float, int, float, float, float, float, int]],
-    counter: int,
-    n_intervals: int,
-    total_val: float,
-    total_err: float,
-) -> float:
-    """:func:`integrate`'s bisection loop, from the panels in ``heap``, each
-    ``(-err, counter, lo, hi, val, err, depth)``, the next ``counter``, the
-    intervals made so far and the running totals.
 
     Each bisection whose children were not evaluated yet evaluates them
     together with ``_LADDER_LEVELS`` generations of look-ahead panels
@@ -291,7 +262,21 @@ def _refine(
     the look-ahead panels wait until a bisection asks for them, so the result
     is the same, bit for bit, as evaluating each panel when it is needed.
     """
+    fv = _vectorized(f)
+    edges = _edges(lo, hi, spec)
+    panels = list(zip(edges[:-1], edges[1:]))
+    # Panels as (-err, counter, lo, hi, val, err, depth): the worst error
+    # first, and the first made of equal errors.
+    heap = []
+    total_val = 0.0
+    total_err = 0.0
+    for counter, ((a, b), sums) in enumerate(zip(panels, _evaluate(fv, panels))):
+        val, err = _gk15(*sums)
+        total_val += val
+        total_err += err
+        heap.append((-err, counter, a, b, val, err, 0))
     heapq.heapify(heap)
+    counter = n_intervals = len(panels)
     # Sums of look-ahead panels not yet consumed, by (lo, hi).  A sum depends
     # only on its panel, so a panel reached again reads the same values.
     ahead: dict[tuple[float, float], tuple[float, float, float, float]] = {}
@@ -409,9 +394,14 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     takes the first of equal errors, as ``integrate``'s heap does.  A round
     evaluates the two children of every bisected panel, one family call per
     family, and their sums and error estimates in one pass; a batch has no
-    look-ahead, which would add panels and save no call.  When integrals
-    fail, the ``ToleranceNotMetError`` of the first failing job in order is
-    raised, as ``integrate`` would raise it.
+    look-ahead, which would add panels and save no call.
+
+    A job that leaves this common path runs again alone, through
+    ``integrate``: one whose row has no panel left to bisect, one whose row
+    may outgrow its panels or reach ``_MAX_INTERVALS`` intervals, and one
+    whose totals end non-finite.  Every job runs even when some fail; then
+    the ``ToleranceNotMetError`` that ``integrate`` raised for the first
+    failing job in order is raised.
     """
     # Jobs over one interval with one spec share their first panels,
     # tolerances and depth limit: each such domain is read once.
@@ -422,7 +412,6 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     if not jobs:
         return []
     n_jobs = len(jobs)
-    failure: Optional[tuple[int, ToleranceNotMetError]] = None
     domain = np.array(domain)
     domain_first = np.array([len(e) - 1 for e in edges])
 
@@ -474,8 +463,8 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
         j0 = j1
 
     # Panel columns of a row: none of the 15,350 jobs of two adjudication
-    # runs made more than 60 panels.  A job that outgrows its row finishes in
-    # integrate's loop (see below).
+    # runs made more than 60 panels.  A job that may outgrow its row runs
+    # again alone (see below).
     width = max(64, int(first.max()))
     # A row with more panels than this may outgrow its row in this round, or
     # have made _MAX_INTERVALS intervals (they never outnumber its panels).
@@ -490,34 +479,10 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     count = np.zeros(rows, dtype=np.intp)  # panels in a row
     totals = np.zeros((2, rows))  # value and error
     # Each job's totals when it converged.  NaN compares False against the
-    # tolerance, so a non-finite sum leaves the loop as if it had converged;
-    # the first such job fails after the loop.
+    # tolerance, so a non-finite sum leaves the loop as if it had converged.
     results = np.zeros((2, n_jobs))
+    alone = np.zeros(n_jobs, dtype=bool)  # jobs to run again through integrate
     taken = 0  # jobs given a row
-
-    def fail(j: int, exc: ToleranceNotMetError) -> None:
-        nonlocal failure
-        if failure is None or j < failure[0]:
-            failure = (j, exc)
-
-    def hand_off(r: int) -> None:
-        # A job about to outgrow its row goes on in integrate's loop, from the
-        # same panels, counters and totals: the scan of a row grows with its
-        # panels, and the heap does not.
-        j = int(job_of[r])
-        job_of[r] = -1
-        if failure is not None and j > failure[0]:
-            return
-        family, params, lo, hi, spec = jobs[j]
-        at = np.flatnonzero(err_p[r, : count[r]] >= 0.0)
-        heap = [(-err, c, a, b, val, err, int(depth))
-                for c, (a, b, val, err, depth) in zip(at.tolist(), panels[:, r, at].T.tolist())]
-        try:
-            results[0, j] = _refine(partial(family, *params), lo, hi, spec, heap, int(count[r]),
-                                    int(count[r] + row_placing[2, r]) // 2, float(totals[0, r]),
-                                    float(totals[1, r]))
-        except ToleranceNotMetError as exc:
-            fail(j, exc)
 
     # The rows bisecting this round, and their panels to bisect.
     bisect = np.zeros(0, dtype=np.intp)
@@ -537,7 +502,7 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             # The running totals, by integrate's operations in integrate's order.
             totals[:, bisect] += (est[:, 0] + est[:, 1]) - picked[2:4]
 
-        if failure is None and taken < n_jobs:
+        if taken < n_jobs:
             free = (job_of < 0).nonzero()[0][: n_jobs - taken]
             if free.size:
                 new = slice(taken, taken + free.size)
@@ -565,31 +530,27 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             pick = err_p[run, :widest].argmax(axis=1)
             picked = panels[:, run, pick]
             if widest > crowded or (picked[3] < 0.0).any():
-                for i, r in enumerate(run.tolist()):
-                    if picked[3, i] < 0.0 or (count[r] + row_placing[2, r]) // 2 >= _MAX_INTERVALS:
-                        j = int(job_of[r])
-                        job_of[r] = -1
-                        fail(j, _not_met("tolerance not met", jobs[j][2], jobs[j][3], float(totals[0, r]),
-                                         float(totals[1, r])))
-                for r in run.tolist():
-                    if job_of[r] >= 0 and count[r] + 2 > width:
-                        hand_off(r)
-                if failure is not None:
-                    # Only a job before the failed one can take its place as the error.
-                    job_of[job_of > failure[0]] = -1
-                going_on = job_of[run] >= 0
-                run, pick, picked = run[going_on], pick[going_on], picked[:, going_on]
+                # A row with no panel left to bisect, or crowded, frees up:
+                # its job runs again alone when the loop ends.
+                leave = (count[run] > crowded) | (picked[3] < 0.0)
+                alone[job_of[run[leave]]] = True
+                job_of[run[leave]] = -1
+                run, pick, picked = run[~leave], pick[~leave], picked[:, ~leave]
             err_p[run, pick] = -1.0
         bisect = run
-        if not bisect.size and (failure is not None or taken == n_jobs):
+        if not bisect.size and taken == n_jobs:
             break
-    bad = np.flatnonzero(~np.isfinite(results).all(axis=0))
-    if bad.size:
-        j = int(bad[0])
-        fail(j, _not_met("non-finite integral", jobs[j][2], jobs[j][3], float(results[0, j]),
-                         float(results[1, j])))
-    if failure is not None:
-        raise failure[1]
+    # Running alone is exact, and integrate raises what the job meets.
+    alone |= ~np.isfinite(results).all(axis=0)
+    errors = []
+    for j in alone.nonzero()[0].tolist():
+        family, params, lo, hi, spec = jobs[j]
+        try:
+            results[0, j] = integrate(partial(family, *params), lo, hi, spec)
+        except ToleranceNotMetError as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
     return results[0].tolist()
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -99,6 +99,10 @@ def _ln_beta_large(x: float, y: float) -> float:
     return _HALF_LOG_2PI - 0.5 * lx + (y - 0.5) * math.log(y / x) + _stirling_tail(y) + rest - y
 
 
+# The coefficient sets of one (s, q) grid ask for a few dozen argument
+# pairs, thousands of times.  Bounded so that random search cannot grow it
+# without limit; errors are not cached.
+@lru_cache(maxsize=1024)
 def beta(x: float, y: float) -> float:
     """Euler Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0.
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hhkit import bounds, harness, quadrature, specfun
 from hhkit.bounds import Interval
-from hhkit.errors import DomainError, ParameterError
+from hhkit.errors import DomainError, ParameterError, ToleranceNotMetError
 from hhkit.functions import SMParams
 from hhkit.harness import (
     SweepConfig,
@@ -718,6 +718,21 @@ class TestBatchedAdjudication:
                 pass
         assert str(planned.value) == str(unbatched.value)
         assert bounds._BATCH.get() is None
+
+    def test_the_first_failing_lookup_escapes(self, monkeypatch, cold_value_caches):
+        # under a cap of 12 intervals 61 of the interval's 307 integrals fail,
+        # the first at job 4: the error that escapes the batch is the one the
+        # lookups meet one by one
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 12)
+        iv = Interval(1.3, 4.1)
+        with pytest.raises(ToleranceNotMetError) as batched:
+            check_reductions(iv, self.S_GRID, self.Q_GRID)
+        for cache in _value_caches():
+            cache.cache_clear()
+        with pytest.raises(ToleranceNotMetError) as alone:
+            harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
+        assert (str(batched.value), batched.value.estimate, batched.value.error_bound) == \
+            (str(alone.value), alone.value.estimate, alone.value.error_bound)
 
     def test_builder_errors_surface_as_before(self):
         with pytest.raises(DomainError, match="kernel exponent s must lie in"):

@@ -671,15 +671,15 @@ def _power_jobs(cases):
 
 @pytest.fixture
 def heap_finishes(monkeypatch):
-    """The jobs (by their lo, hi) that a batch hands to integrate's loop."""
-    handed, refine = [], quadrature._refine
+    """The jobs (by their lo, hi) that a batch runs again with integrate."""
+    rerun, alone = [], quadrature.integrate
 
-    def record(fv, lo, hi, *state):
-        handed.append((lo, hi))
-        return refine(fv, lo, hi, *state)
+    def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
+        rerun.append((lo, hi))
+        return alone(f, lo, hi, spec)
 
-    monkeypatch.setattr(quadrature, "_refine", record)
-    return handed
+    monkeypatch.setattr(quadrature, "integrate", record)
+    return rerun
 
 
 class TestIntegrateMany:
@@ -809,21 +809,22 @@ class TestIntegrateMany:
         estimate, bound, message = _batch_outcome(integrate_many, jobs)
         assert message == first[2] and estimate.hex() == first[0].hex() and bound.hex() == first[1].hex()
 
-    @pytest.mark.parametrize("jobs, handed, floored", [
-        # x^-0.5 at max_depth 4 fails within its row (31 panels)
+    @pytest.mark.parametrize("jobs, floored", [
+        # x^-0.5 at max_depth 4 runs out of panels within its row (31 panels)
         ([(_power, (2.0,), 0.0, 1.0, QuadSpec()),
-          (_power, (-0.5,), 0.0, 1.0, QuadSpec(abs_tol=1e-4, rel_tol=1e-4, max_depth=4))], [], True),
-        # 1/x fails in integrate's loop, after 8,191 panels
-        ([(_power, (-1.0,), 0.0, 1.0, QuadSpec(max_depth=12))], [(0.0, 1.0)], True),
+          (_power, (-0.5,), 0.0, 1.0, QuadSpec(abs_tol=1e-4, rel_tol=1e-4, max_depth=4))], True),
+        # 1/x outgrows its row, and fails after 8,191 panels
+        ([(_power, (-1.0,), 0.0, 1.0, QuadSpec(max_depth=12))], True),
         ([(_kinked_wave, (1.0 / 3.0, 40.0), 0.0, 1.0, QuadSpec(abs_tol=1e-300, rel_tol=1e-300, max_depth=3))],
-         [], False),
+         False),
     ], ids=["floored-in-row", "floored-handed-off", "unfloored"])
-    def test_failures_carry_python_floats(self, monkeypatch, heap_finishes, jobs, handed, floored):
-        # the estimate and bound of a failure are floats in either loop,
-        # whether or not the round-off floor set a panel's error
+    def test_failures_carry_python_floats(self, monkeypatch, heap_finishes, jobs, floored):
+        # the estimate and bound of a failure are floats, whether or not the
+        # round-off floor set a panel's error; the failing job runs again
+        # alone, so its error is integrate's
         closures = [(partial(f, *params), lo, hi, spec) for f, params, lo, hi, spec in jobs]
         outcome = _batch_outcome(integrate_many, jobs)
-        assert heap_finishes == handed
+        assert heap_finishes == [(0.0, 1.0)]
         alone = _outcome(integrate, *closures[-1])
         assert outcome == alone == _ref_batch(closures)
         for estimate, bound, message in (outcome, alone):
@@ -845,8 +846,8 @@ class TestIntegrateMany:
         assert all(isinstance(value, float) for value in outcome)
 
     def test_job_outgrowing_its_row_finishes_in_the_heap_loop(self, heap_finishes):
-        # cos(1000 x) takes 521 panels, past the 64 of a row; it goes on in
-        # integrate's loop from the row's panels, counters and totals
+        # cos(1000 x) takes 521 panels, past the 64 of a row; it runs again
+        # alone in integrate's loop
         jobs = [(_kinked_wave, (1.0 / 3.0, w), 0.0, 1.0 + w / 1e4, QuadSpec()) for w in (1000.0, 40.0)]
         jobs.append((_power, (-1.0,), 0.0, 1.0, QuadSpec(max_depth=12)))
         closures = [(partial(f, *params), lo, hi, s) for f, params, lo, hi, s in jobs]
@@ -856,6 +857,31 @@ class TestIntegrateMany:
         outcome = _batch_outcome(integrate_many, jobs)
         assert outcome == _ref_batch(closures)
         assert outcome[2].startswith("tolerance not met on [0.0, 1.0]:")
+
+    @pytest.mark.parametrize("in_flight", [2, quadrature._IN_FLIGHT])
+    def test_interval_cap_inside_a_batch(self, monkeypatch, heap_finishes, in_flight):
+        # under a cap of 12 intervals cos(40 x) and x^1.5 still converge, and
+        # cos(60 x), which stays above depth 8, and x^0.25 no longer do: the
+        # batch raises integrate's error for the first of them, and the jobs
+        # within the cap keep their values (_ref_integrate holds the cap it
+        # was imported with)
+        monkeypatch.setattr(quadrature, "_IN_FLIGHT", in_flight)
+        shallow = QuadSpec(max_depth=8)
+        jobs = [(_power, (2.0,), 0.0, 1.0, QuadSpec()), (_kinked_wave, (0.5, 40.0), 0.0, 1.0, shallow),
+                (_kinked_wave, (0.5, 60.0), 0.0, 1.0, shallow), (_power, (0.25,), 0.0, 1.0, QuadSpec()),
+                (_power, (1.5,), 0.0, 1.0, QuadSpec())]
+        closures = [(partial(f, *params), lo, hi, spec) for f, params, lo, hi, spec in jobs]
+        uncapped = [integrate(*closure) for closure in closures]
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 12)
+        alone = [_outcome(integrate, *closure) for closure in closures]
+        assert [isinstance(o, tuple) for o in alone] == [False, False, True, True, False]
+        assert alone[2][2].startswith("tolerance not met on [0.0, 1.0]:")
+        heap_finishes.clear()
+        assert _batch_outcome(integrate_many, jobs) == alone[2]
+        # both jobs past the cap ran again alone, the later one too
+        assert heap_finishes.count((0.0, 1.0)) >= 2
+        kept = [i for i, o in enumerate(alone) if not isinstance(o, tuple)]
+        assert integrate_many([jobs[i] for i in kept]) == [uncapped[i] for i in kept] == [alone[i] for i in kept]
 
     def test_split_counts_share_a_batch(self):
         # 0, 1 and 2 split points inside [0, 1], and splits outside it or

@@ -63,6 +63,21 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(1.0, -2.0)
 
+    def test_cached_values_keep_their_bits_and_errors_still_raise(self):
+        # errors are not cached: invalid arguments raise after a valid call,
+        # and again after that
+        pairs = [(1.0, 2.25), (2.0, 1.5), (0.3, 0.7), (150.0, 99.9), (1e10, 2.5)]
+        beta.cache_clear()
+        first = [beta(x, y).hex() for x, y in pairs]
+        assert [beta(x, y).hex() for x, y in pairs] == first == [beta.__wrapped__(x, y).hex() for x, y in pairs]
+        assert beta.cache_info().hits == len(pairs)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                beta(0.0, 1.0)
+            with pytest.raises(OverflowError):
+                beta(1e-310, 1.0)
+        assert beta.cache_info().currsize == len(pairs)
+
     @settings(max_examples=60, deadline=None)
     @given(
         x=st.floats(min_value=0.05, max_value=25.0),
