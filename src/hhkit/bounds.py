@@ -10,11 +10,11 @@ alongside so deviations document the source, not the implementation.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, wraps
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional, TypeVar
 
 from .errors import CertificationError, DomainError, ParameterError
 from .functions import (
@@ -178,7 +178,7 @@ F21_CACHE_SIZE = 1024
 
 
 class _Batch:
-    """The 2F1 terms, kernels and means of one ``batched`` block.  While its
+    """The 2F1 terms, kernels and means of one ``batched`` call.  While its
     plan runs, ``planned`` maps each key looked up to the integrate_many jobs
     that compute it and the function of their values that gives it; then
     ``served`` maps each key to its value."""
@@ -188,7 +188,7 @@ class _Batch:
         self.served: Optional[dict[tuple, float]] = None
 
 
-# The batch of the innermost ``batched`` block, if any.
+# The batch of the innermost ``batched`` call, if any.
 _BATCH: ContextVar[Optional[_Batch]] = ContextVar("hhkit_bounds_batch", default=None)
 
 
@@ -199,10 +199,10 @@ def _planning() -> bool:
 
 def _lookup(kind: str, args: tuple, plan: Callable[..., tuple], compute: Callable[..., float]) -> float:
     """The value of the 2F1 term, kernel or mean ``(kind, *args)``:
-    ``compute(*args)``, unless a ``batched`` block serves it.  While a plan
+    ``compute(*args)``, unless a ``batched`` call serves it.  While a plan
     runs, the key is noted with ``plan(*args)`` (the jobs and their
     combination, built after the checks that ``compute`` would make), and the
-    value is a placeholder.  Outside a block no key is built."""
+    value is a placeholder.  Outside a batch no key is built."""
     batch = _BATCH.get()
     if batch is None:
         return compute(*args)
@@ -215,30 +215,40 @@ def _lookup(kind: str, args: tuple, plan: Callable[..., tuple], compute: Callabl
     return compute(*args) if value is None else value
 
 
-@contextmanager
-def batched(plan: Callable[[], object]) -> Iterator[None]:
-    """Integrate every 2F1 term, kernel and mean that ``plan()`` looks up in
-    one ``integrate_many`` call, and serve them to the lookups inside the
-    block.
+def _integrated(plan: Callable[..., tuple], *args) -> float:
+    """The value ``plan(*args)`` names, with its jobs integrated one by one."""
+    jobs, combine = plan(*args)
+    return combine(*(integrate(partial(family, *params), lo, hi, spec) for family, params, lo, hi, spec in jobs))
 
-    ``plan()`` runs first, with each lookup noting its key and returning a
-    placeholder, and with the coefficient builders uncached, so that no
-    placeholder reaches a cache; it should look up what the block will.  Its
-    errors, and those of the batch, are raised before the block runs.  The
-    jobs are queued in the order their keys were first looked up, and the
-    batch raises the error of its first failing job, so a failure is the one
-    the lookups would meet first one by one.
+
+_T = TypeVar("_T")
+
+
+def batched(body: Callable[[], _T]) -> _T:
+    """``body()``, with every 2F1 term, kernel and mean it looks up
+    integrated in one ``integrate_many`` call.
+
+    ``body`` runs twice.  First as the plan, with each lookup noting its key
+    and returning a placeholder, and with the coefficient builders uncached,
+    so that no placeholder reaches a cache; an error of the plan ends it and
+    is suppressed.  Then, once the batch of the keys planned so far is
+    integrated, with the lookups served its values; its result is returned.
+    The jobs are queued in the order their keys were first looked up, and the
+    batch raises the error of its first failing job, before a plan error is
+    met again in the served run.  So the error that escapes is the one the
+    lookups would meet first one by one.
     """
     batch = _Batch()
     token = _BATCH.set(batch)
     try:
-        plan()
+        with suppress(Exception):
+            body()
         values = integrate_many([job for jobs, _ in batch.planned.values() for job in jobs])
         batch.served, start = {}, 0
         for key, (jobs, combine) in batch.planned.items():
             batch.served[key] = combine(*values[start:start + len(jobs)])
             start += len(jobs)
-        yield
+        return body()
     finally:
         _BATCH.reset(token)
 
@@ -478,15 +488,6 @@ def certify_plain(f: FunctionSpec, params: SMParams, window: tuple[float, float]
     return check_sm_convex(f, SMParams(params.s, params.m), grid, window)
 
 
-@lru_cache(maxsize=CERT_CACHE_SIZE)
-def _cached_mean(f: FunctionSpec, a: float, b: float, spec: QuadSpec) -> float:
-    return harmonic_mean_integral(f, a, b, spec)
-
-
-def _plain_mean(f: FunctionSpec, a: float, b: float) -> float:
-    return integrate(lambda x: eval_fn(f, x), a, b, DEFAULT_QUADSPEC) / (b - a)
-
-
 def _mean_integrand(value: Callable, harmonic: bool, *args):
     """A row's ``value`` as an ``integrate_many`` family: ``value(params, x)``,
     over x^2 for the harmonic mean.  Rows raise with ``_pow``, so that each
@@ -523,6 +524,14 @@ def _mean_plan(f: FunctionSpec, a: float, b: float, spec: QuadSpec, harmonic: bo
 
 
 _plain_plan = partial(_mean_plan, spec=DEFAULT_QUADSPEC, harmonic=False)
+
+
+@lru_cache(maxsize=CERT_CACHE_SIZE)
+def _cached_mean(f: FunctionSpec, a: float, b: float, spec: QuadSpec) -> float:
+    return _integrated(_mean_plan, f, a, b, spec)
+
+
+_plain_mean = partial(_integrated, _plain_plan)
 
 
 def _mean(f: FunctionSpec, a: float, b: float) -> float:
@@ -822,9 +831,7 @@ def _substituted_plan(*args) -> tuple:
     return (_kernel_job(*args, mirrored=True),), _same
 
 
-def _substituted_value(*args) -> float:
-    family, params, lo, hi, use = _kernel_job(*args, mirrored=True)
-    return integrate(partial(family, *params), lo, hi, use)
+_substituted_value = partial(_integrated, _substituted_plan)
 
 
 def kernel_oracle_identities(

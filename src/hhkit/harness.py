@@ -9,13 +9,12 @@ JSON/CSV files.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -149,17 +148,7 @@ class SweepConfig:
             make_function(fam, 1.0, Interval(1.0, 2.0))
 
     def to_dict(self) -> dict:
-        return {
-            "theorems": list(self.theorems),
-            "families": [dict(d) for d in self.families],
-            "a_values": list(self.a_values),
-            "ratios": list(self.ratios),
-            "s_grid": list(self.s_grid),
-            "m_grid": list(self.m_grid),
-            "q_grid": list(self.q_grid),
-            "grid": self.grid,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -432,19 +421,8 @@ def search_counterexample(
             point["q"] = 1.0 + 0.5 * (q_range[1] - 1.0)
         draws.append((fam, point))
 
-    def plan() -> None:
-        # A draw that raises ends the plan.  The served pass raises it again,
-        # after the integrals of the draws before it: the error that escapes
-        # is the one a loop of single draws would meet first.
-        with contextlib.suppress(Exception):
-            for fam, point in draws:
-                _search_instance(theorem, fam, point, grid, enforce_certification)
-
-    # The draws are independent, so every integral of the budget runs in one
-    # batch: the draws run once as its plan (certifying for real, into the
-    # caches), then inside it, where they are ranked.
-    worst: Optional[tuple[float, dict, dict]] = None
-    with bounds.batched(plan):
+    def worst_draw() -> Optional[tuple[float, dict, dict]]:
+        worst = None
         for fam, point in draws:
             rec = _search_instance(theorem, fam, point, grid, enforce_certification)
             if rec is None:
@@ -452,6 +430,12 @@ def search_counterexample(
             rank = _rank(rec.margin)
             if not rec.satisfied and (worst is None or rank < worst[0]):
                 worst = (rank, dict(fam), point)
+        return worst
+
+    # The draws are independent, so every integral of the budget runs in one
+    # batch: the draws run once as its plan (certifying for real, into the
+    # caches), then served, where they are ranked.
+    worst = bounds.batched(worst_draw)
     if worst is None:
         return None
     _, fam, point = worst
@@ -516,11 +500,11 @@ def check_reductions(
     Printed forms deviating from their oracle by more than 1e-8 produce
     ClosedFormDeviation findings: these document the source material.
 
-    Every 2F1 term and kernel of the interval is integrated in one batch:
-    the check runs once as the plan of ``bounds.batched``, then inside it.
+    Every 2F1 term and kernel of the interval is integrated in one batch,
+    through ``bounds.batched``, which raises what the checks would raise one
+    lookup at a time.
     """
-    with bounds.batched(lambda: _check_reductions(iv, s_grid, q_grid)):
-        return _check_reductions(iv, s_grid, q_grid)
+    return bounds.batched(lambda: _check_reductions(iv, s_grid, q_grid))
 
 
 def _check_reductions(iv: Interval, s_grid: Sequence[float], q_grid: Sequence[float]) -> list[Finding]:

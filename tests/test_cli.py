@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hhkit import cli, harness, quadrature
+from hhkit import bounds, cli, harness, quadrature
 from hhkit.bounds import Interval
 from hhkit.cli import _build_function, build_parser, main
 from hhkit.errors import ConvergenceError
@@ -403,7 +403,9 @@ class TestSweepCommand:
         def unreachable(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
             return real(f, lo, hi, quadrature.QuadSpec(1e-300, 1e-300, 1, spec.split_points))
 
-        monkeypatch.setattr(quadrature, "integrate", unreachable)
+        # a lone mean integrates through the name bounds imports
+        for module in (quadrature, bounds):
+            monkeypatch.setattr(module, "integrate", unreachable)
         # An interval no other test uses, so no cached mean hides the failure.
         cfg = {"theorems": ["II1"], "families": [{"family": "pow", "params": [1.0, 2.0, 0.0]}],
                "a_values": [1.37], "ratios": [2.3], "s_grid": [1.0], "m_grid": [1.0], "q_grid": [1.0],

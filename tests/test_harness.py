@@ -687,9 +687,14 @@ class TestBatchedAdjudication:
 
     def test_planning_caches_nothing(self, cold_value_caches):
         iv = Interval(0.9, 6.5)
-        with bounds.batched(lambda: harness._check_reductions(iv, self.S_GRID, self.Q_GRID)):
-            assert [cache.cache_info().currsize for cache in _value_caches()] == [0] * 7
+
+        def sizes_before_check() -> list[int]:
+            sizes = [cache.cache_info().currsize for cache in _value_caches()]
             harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
+            return sizes
+
+        # the sizes the served run of the body reads, after the plan
+        assert bounds.batched(sizes_before_check) == [0] * 7
         batched = bounds.coeff_rho(0.5, 2.0, iv), bounds.coeff_mu(3.0, iv)
         assert bounds.coeff_rho.cache_info().currsize > 0
         for cache in _value_caches():
@@ -714,23 +719,25 @@ class TestBatchedAdjudication:
         with pytest.raises(DomainError) as unbatched:
             direct()
         with pytest.raises(DomainError) as planned:
-            with bounds.batched(lookup):
-                pass
+            bounds.batched(lookup)
         assert str(planned.value) == str(unbatched.value)
         assert bounds._BATCH.get() is None
 
-    def test_the_first_failing_lookup_escapes(self, monkeypatch, cold_value_caches):
+    @pytest.mark.parametrize("s_grid, q_grid", [(S_GRID, Q_GRID), ((0.5,), (0.5,))],
+                             ids=["grid", "plan-error"])
+    def test_the_first_failing_lookup_escapes(self, s_grid, q_grid, monkeypatch, cold_value_caches):
         # under a cap of 12 intervals 61 of the interval's 307 integrals fail,
         # the first at job 4: the error that escapes the batch is the one the
-        # lookups meet one by one
+        # lookups meet one by one.  On the second grid the rho set at q = 0.5
+        # raises a ParameterError, after a kernel before it has failed.
         monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 12)
         iv = Interval(1.3, 4.1)
         with pytest.raises(ToleranceNotMetError) as batched:
-            check_reductions(iv, self.S_GRID, self.Q_GRID)
+            check_reductions(iv, s_grid, q_grid)
         for cache in _value_caches():
             cache.cache_clear()
         with pytest.raises(ToleranceNotMetError) as alone:
-            harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
+            harness._check_reductions(iv, s_grid, q_grid)
         assert (str(batched.value), batched.value.estimate, batched.value.error_bound) == \
             (str(alone.value), alone.value.estimate, alone.value.error_bound)
 

@@ -1,12 +1,12 @@
 """A search budget runs as one quadrature batch.
 
 ``search_counterexample`` takes every draw from its RNG first, runs the draws
-once as the plan of ``bounds.batched`` and once inside it, and ranks them in
-the served pass; the means and kernels of every draw are integrated in one
-``integrate_many`` call.  These tests pin what that must not change: every
-record a search evaluates and the finding it returns (digests pinned before
-the batch), the error that escapes when an integral fails, and the bits of
-every family row's batched mean.
+through one ``bounds.batched`` call, once as the plan and once served, and
+ranks them in the served run; the means and kernels of every draw are
+integrated in one ``integrate_many`` call.  These tests pin what that must
+not change: every record a search evaluates and the finding it returns
+(digests pinned before the batch), the error that escapes when an integral
+fails, and the bits of every family row's mean, alone or in a batch.
 """
 
 import hashlib
@@ -16,8 +16,8 @@ import pytest
 
 from hhkit import bounds, harness, quadrature
 from hhkit.bounds import Interval
-from hhkit.errors import ToleranceNotMetError
-from hhkit.functions import FAMILY_ROWS, FunctionSpec, eval_fn
+from hhkit.errors import DomainError, ToleranceNotMetError
+from hhkit.functions import FAMILY_ROWS, FunctionSpec, SMParams, eval_fn
 from hhkit.harness import search_counterexample
 from hhkit.quadrature import QuadSpec, harmonic_mean_integral, integrate
 
@@ -185,7 +185,9 @@ def mean_cases() -> list[FunctionSpec]:
 INTERVALS = (Interval(1.0, 2.0), Interval(0.5, 10.0), Interval(2.0, 3.0))
 
 
-def test_each_rows_batch_mean_is_its_single_mean_bit_for_bit(monkeypatch):
+@pytest.mark.parametrize("batch", [True, False], ids=["batched", "alone"])
+def test_each_rows_batch_mean_is_its_single_mean_bit_for_bit(batch, monkeypatch):
+    # a mean integrates one job, alone or in a batch
     cases = [(f, iv) for f in mean_cases() for iv in INTERVALS]
 
     def lookups() -> list[float]:
@@ -205,14 +207,30 @@ def test_each_rows_batch_mean_is_its_single_mean_bit_for_bit(monkeypatch):
         raise AssertionError("a batched mean was integrated alone")
 
     monkeypatch.setattr(bounds, "integrate_many", many)
-    with monkeypatch.context() as patched:
-        for module in (quadrature, bounds):
-            patched.setattr(module, "integrate", single)
-        with bounds.batched(lookups):
-            served = lookups()
-    assert batches == [2 * len(cases)]
+    bounds._cached_mean.cache_clear()
+    if batch:
+        with monkeypatch.context() as patched:
+            for module in (quadrature, bounds):
+                patched.setattr(module, "integrate", single)
+            served = bounds.batched(lookups)
+        assert batches == [2 * len(cases)]
+    else:
+        served = lookups()
+        assert batches == []
     expected = []
     for f, iv in cases:
         expected.append(harmonic_mean_integral(f, iv.a, iv.b))
         expected.append(integrate(lambda x, f=f: eval_fn(f, x), iv.a, iv.b) / (iv.b - iv.a))
     assert [v.hex() for v in served] == [v.hex() for v in expected]
+
+
+def test_a_lone_mean_checks_the_domain_as_a_batch_does():
+    # f is defined on [1, 1.5] only: the mean on [1, 2] fails at b, before
+    # any node is evaluated
+    f = FunctionSpec.power(1.0, 2.0, 0.0, 1.0, 1.5)
+    message = r"^argument range \[2\.0, 2\.0\] leaves the domain \[1\.0, 1\.5\] of pow\(1,2,0\)$"
+    with pytest.raises(DomainError, match=message):
+        bounds.verify_II1(f, SMParams(1.0, 1.0), Interval(1.0, 2.0), enforce_certification=False)
+    with pytest.raises(DomainError, match=message):
+        bounds.batched(lambda: bounds.verify_II1(f, SMParams(1.0, 1.0), Interval(1.0, 2.0),
+                                                 enforce_certification=False))
