@@ -523,7 +523,10 @@ def _mean_plan(f: FunctionSpec, a: float, b: float, spec: QuadSpec, harmonic: bo
     return (job,), lambda value: value / (b - a)
 
 
-_plain_plan = partial(_mean_plan, spec=DEFAULT_QUADSPEC, harmonic=False)
+def _plain_plan(f: FunctionSpec, a: float, b: float) -> tuple:
+    """The plain mean's ``_mean_plan``, with the spec ``_mean`` reads: the
+    module's ``DEFAULT_QUADSPEC`` when called."""
+    return _mean_plan(f, a, b, DEFAULT_QUADSPEC, harmonic=False)
 
 
 @lru_cache(maxsize=CERT_CACHE_SIZE)

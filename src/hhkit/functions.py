@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -175,7 +175,7 @@ class FunctionSpec:
     def exponential(cls, scale: float, lo: float, hi: float) -> "FunctionSpec":
         return cls("exp", (float(scale),), lo, hi)
 
-    @property
+    @cached_property
     def label(self) -> str:
         inner = ",".join(format(p, "g") for p in self.params)
         return f"{self.family}({inner})"
@@ -320,8 +320,11 @@ def _mesh_axes(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     the border of its x,y mesh, in row-major order (arrays read-only).  Every
     mesh starts here, so here the density is checked."""
     check_grid(grid)
-    # t mesh must contain the exact endpoints and the midpoint 1/2 (equality rows)
-    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
+    # t mesh must contain the exact endpoints and the midpoint 1/2 (equality
+    # rows).  np.sort, not np.unique, puts it in: np.unique imports numpy.ma.
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    if 0.5 not in ts:
+        ts = np.sort(np.append(ts, 0.5))
     i, j = np.divmod(np.arange(grid * grid), grid)
     edge = (i == 0) | (i == grid - 1) | (j == 0) | (j == grid - 1)
     axes = ts, 1.0 - ts, i[edge], j[edge]

@@ -272,6 +272,13 @@ def _instance_plan(cfg: SweepConfig) -> list[tuple]:
     return plan
 
 
+def _descriptor(instance: tuple, **outcome: str) -> dict:
+    """The report entry of a skipped or failed plan instance."""
+    theorem, fam, iv, s, m, q = instance
+    return {"theorem": theorem, "family": fam["family"], "params": list(fam["params"]),
+            "a": iv.a, "b": iv.b, "s": s, "m": m, "q": q, **outcome}
+
+
 def run_sweep(cfg: SweepConfig, progress: Optional[Callable[[int, int], None]] = None) -> SweepResult:
     """Evaluate every combination in ``cfg`` in plan order; certification
     failures become skips, margin violations and per-instance errors become
@@ -280,22 +287,35 @@ def run_sweep(cfg: SweepConfig, progress: Optional[Callable[[int, int], None]] =
     records: list[VerificationRecord] = []
     skipped: list[dict] = []
     findings: list[Finding] = []
-    for idx, (theorem, fam, iv, s, m, q) in enumerate(plan):
-        descriptor = {"theorem": theorem, "family": fam["family"], "params": list(fam["params"]),
-                      "a": iv.a, "b": iv.b, "s": s, "m": m, "q": q}
+    # Each function recurs for every theorem and (s, q), and each parameter
+    # point for every function: both are built once.  A family dict is keyed
+    # by its identity, which cfg keeps alive for the whole sweep.
+    specs: dict[tuple, FunctionSpec] = {}
+    points: dict[tuple, SMParams] = {}
+
+    for idx, instance in enumerate(plan):
+        theorem, fam, iv, s, m, q = instance
         try:
-            f = make_function(fam, 1.0 if m is None else m, iv)
-            params = None if s is None else SMParams(s, m, 1.0 if q is None else q)
+            key = (id(fam), 1.0 if m is None else m, iv)
+            f = specs.get(key)
+            if f is None:
+                f = specs[key] = make_function(fam, *key[1:])
+            params = None
+            if s is not None:
+                # the sign of s is in the key, so that s = -0.0 keeps its own params
+                key = (s, math.copysign(1.0, s), m, 1.0 if q is None else q)
+                params = points.get(key)
+                if params is None:
+                    params = points[key] = SMParams(s, m, key[3])
             rec = bounds.verify_theorem(theorem, f, params, iv, grid=cfg.grid)
         except CertificationError as exc:
-            descriptor["reason"] = str(exc)
-            skipped.append(descriptor)
+            skipped.append(_descriptor(instance, reason=str(exc)))
         except Exception as exc:  # aggregated, never aborts the sweep
-            descriptor["error"] = f"{type(exc).__name__}: {exc}"
+            error = f"{type(exc).__name__}: {exc}"
             # Severity carries no magnitude for aggregated errors; 0 keeps the
             # report strict JSON (no Infinity literals).
-            findings.append(Finding(kind="EvaluationError", severity=0.0,
-                                    description=descriptor["error"], payload=descriptor))
+            findings.append(Finding(kind="EvaluationError", severity=0.0, description=error,
+                                    payload=_descriptor(instance, error=error)))
         else:
             records.append(rec)
             if not rec.satisfied:
@@ -620,77 +640,116 @@ def _fmt15(value) -> str:
     return str(value)
 
 
-def _encode(value, indent: str, out: list[str]) -> None:
-    """Append the JSON text of ``value``, whose line is indented by ``indent``,
-    to ``out``: ``json.dumps(..., indent=2, sort_keys=True)`` of ``value`` with
-    every float rounded to 15 significant digits.  Dict keys must be str; an
-    object with a ``to_dict()`` method is written as that dict."""
-    if isinstance(value, float):
-        value = float(format(value, ".15g"))
-        if value - value == 0.0:  # finite
-            out.append(float.__repr__(value))
-        else:
-            out.append("NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+def _float_texts(form: Callable[[float], str]) -> Callable[[float], str]:
+    """``form``, keeping the text of each float it has formed.  A sweep's
+    report repeats a few distinct values many times (77,760 floats, 11,442
+    distinct, in the default one).  Zeros and NaN are formed each time: 0.0
+    and -0.0 are one key with two texts, and NaN never finds its key."""
+    texts: dict[float, str] = {}
+
+    def text(value: float) -> str:
+        known = texts.get(value)
+        if known is None:
+            known = form(value)
+            if value and value == value:
+                texts[value] = known
+        return known
+
+    return text
+
+
+def _json_float(value: float) -> str:
+    value = float(format(value, ".15g"))
+    if value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+
+
+def _json_writer() -> Callable[[object, str], str]:
+    """A writer for one document: ``write(value, indent)`` is the JSON text of
+    ``value`` on a line indented by ``indent``, as ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes it with every float rounded to 15
+    significant digits.  Dict keys must be str; an object with a
+    ``to_dict()`` method is written as that dict.
+
+    The writer keeps what repeats within the document: each float's text, and
+    each dict layout (its keys sorted into one ``%`` format) per key tuple
+    and indent.  Scalars are filled by their exact type; anything else
+    (``np.float64``, a ``to_dict`` object) takes the ``isinstance`` rules."""
+    number = _float_texts(_json_float)
+    layouts: dict[tuple, tuple[str, list[str]]] = {}
+
+    def mapping(value: dict, indent: str) -> str:
         if not value:
-            out.append("[]")
-            return
+            return "{}"
+        key = (tuple(value), indent)
+        layout = layouts.get(key)
+        if layout is None:
+            inner = indent + "  "
+            names = sorted(value)
+            fields = ",\n".join(inner + _quote(name).replace("%", "%%") + ": %s" for name in names)
+            layout = layouts[key] = ("{\n" + fields + "\n" + indent + "}", names)
         inner = indent + "  "
-        head = "[\n" + inner
-        for item in value:
-            out.append(head)
-            _encode(item, inner, out)
-            head = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif isinstance(value, dict):
+        return layout[0] % tuple([write(value[name], inner) for name in layout[1]])
+
+    def sequence(value, indent: str) -> str:
         if not value:
-            out.append("{}")
-            return
+            return "[]"
         inner = indent + "  "
-        head = "{\n" + inner
-        for key, item in sorted(value.items()):
-            out.append(head + _quote(key) + ": ")
-            _encode(item, inner, out)
-            head = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif hasattr(value, "to_dict"):
-        _encode(value.to_dict(), indent, out)
-    else:
+        items = (",\n" + inner).join([write(item, inner) for item in value])
+        return "[\n" + inner + items + "\n" + indent + "]"
+
+    def write(value, indent: str) -> str:
+        kind = type(value)
+        if kind is float:
+            return number(value)
+        if kind is str:
+            return _quote(value)
+        if kind is dict:
+            return mapping(value, indent)
+        if kind is list or kind is tuple:
+            return sequence(value, indent)
+        if value is None:
+            return "null"
+        if kind is bool:
+            return "true" if value else "false"
+        if kind is int:
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return number(value)
+        if isinstance(value, str):
+            return _quote(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, (list, tuple)):
+            return sequence(value, indent)
+        if isinstance(value, dict):
+            return mapping(value, indent)
+        if hasattr(value, "to_dict"):
+            return write(value.to_dict(), indent)
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return write
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
     """``doc`` stamped with the schema version, as JSON text with a final
     newline: one chunk per element of each top-level list, so a long list of
-    records is encoded, and turned into dicts, one element at a time."""
-    out: list[str] = []
+    records is written, and turned into dicts, one element at a time."""
+    write = _json_writer()
     head = "{\n  "
     for key, value in sorted({"schema_version": SCHEMA_VERSION, **doc}.items()):
-        out.append(head + _quote(key) + ": ")
+        text = head + _quote(key) + ": "
         head = ",\n  "
         if isinstance(value, (list, tuple)) and value:
-            item_head = "[\n    "
+            item_head = text + "[\n    "
             for item in value:
-                out.append(item_head)
-                _encode(item, "    ", out)
+                yield item_head + write(item, "    ")
                 item_head = ",\n    "
-                yield "".join(out)
-                out.clear()
-            out.append("\n  ]")
+            yield "\n  ]"
         else:
-            _encode(value, "  ", out)
-    out.append("\n}\n")
-    yield "".join(out)
+            yield text + write(value, "  ")
+    yield "\n}\n"
 
 
 def render_json(doc: dict) -> str:
@@ -700,9 +759,10 @@ def render_json(doc: dict) -> str:
 
 
 def _write_csv(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    number = _float_texts(lambda value: format(value, ".15g"))
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt15(v) for v in row] for row in rows)
+    writer.writerows([number(v) if type(v) is float else _fmt15(v) for v in row] for row in rows)
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

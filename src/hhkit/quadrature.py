@@ -201,13 +201,17 @@ def _ladder(a: float, b: float, levels: int) -> list[tuple[float, float]]:
 
 
 def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap ``f`` so it accepts node arrays even if written scalar-only."""
+    """Wrap ``f`` so it accepts node arrays even if written scalar-only.  A
+    ``DomainError`` of the array call is raised as it is: node by node, the
+    integrand would only fail again."""
 
     def call(xs: np.ndarray) -> np.ndarray:
         try:
             out = np.asarray(f(xs), dtype=float)
             if out.shape == xs.shape:
                 return out
+        except DomainError:
+            raise
         except (TypeError, ValueError):
             pass
         return np.array([float(f(x)) for x in xs])

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hhkit
 from hhkit.errors import DomainError, InconclusiveError, ParameterError
 from hhkit.cli import build_parser
 from hhkit.functions import (
@@ -478,3 +482,33 @@ class TestProp1Implication:
             for m in (0.6, 1.0):
                 report = check_prop1_implication(f, SMParams(1.0, m), grid=32, window=(1.0, 4.0))
                 assert report.passed, (f.label, m)
+
+
+class TestMeshAxes:
+    def test_t_mesh_is_the_unique_sorted_mesh_bit_for_bit(self):
+        for grid in (*range(8, 129), 255, 256, 1000, 1001, 4096):
+            reference = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), [0.5]]))
+            ts = _mesh_axes(grid)[0]
+            assert ts.dtype == reference.dtype and ts.tobytes() == reference.tobytes(), grid
+
+    def test_certification_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (11-16 ms) inside the first certification
+        # of every interpreter; the t mesh is built without it
+        code = (
+            "import sys\n"
+            "from hhkit import bounds\n"
+            "from hhkit.functions import FunctionSpec, SMParams\n"
+            "f = FunctionSpec.power(1.0, 2.0, 0.0, 0.4, 6.0)\n"
+            "g = FunctionSpec.exponential(0.5, 0.4, 6.0)\n"
+            "p = SMParams(0.5, 0.8, 2.0)\n"
+            "assert bounds.certify_function(f, p, (1.0, 3.0), 48).passed\n"
+            "assert bounds.certify_gradient(f, p, (1.0, 3.0), 48).passed\n"
+            "bounds.certify_plain(g, p, (1.0, 3.0), 48)\n"
+            "bounds.certify_function(g, p, (1.0, 3.0), 48)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hhkit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"

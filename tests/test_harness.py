@@ -1,11 +1,13 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhkit import bounds, harness, quadrature, specfun
@@ -177,6 +179,27 @@ class TestRunSweep:
         assert all(r.satisfied for r in res.records)
         assert res.summary["worst_margin"] > 0.0
 
+    def test_each_function_and_parameter_point_is_built_once(self, monkeypatch):
+        # 2 families x 2 intervals x 2 m values; HarmHH (m = None) shares m = 1
+        cfg = single_instance_config(
+            theorems=("HarmHH", "II1", "II2"), families=AFFINE_ONLY + ({"family": "pow", "params": (1.0, 2.0, 0.0)},),
+            ratios=(2.0, 3.0), s_grid=(0.5, 1.0), m_grid=(0.8, 1.0), q_grid=(1.0, 2.0), grid=16)
+        built = []
+        monkeypatch.setattr(harness, "make_function", lambda *args: built.append(args) or make_function(*args))
+        res = run_sweep(cfg)
+        assert len(built) == len(set((fam["params"], m, iv) for fam, m, iv in built)) == 8
+        points = {id(r.params): (r.params.s, r.params.m, r.params.q) for r in res.records if r.theorem != "HarmHH"}
+        assert len(points) == len(set(points.values())) == 2 * 2 * 2
+
+    def test_records_keep_the_sign_of_a_zero_s(self):
+        cfg = single_instance_config(theorems=("II1", "II2"), s_grid=(0.0, -0.0, 1.0), m_grid=(0.8, 1.0),
+                                     q_grid=(1.0, 2.0), grid=16)
+        res = run_sweep(cfg)
+        assert not res.skipped and not res.findings
+        signs = [(math.copysign(1.0, r.params.s), r.params.m, r.params.q) for r in res.records]
+        assert signs == [(math.copysign(1.0, s), m, 1.0 if q is None else q)
+                         for _, _, _, s, m, q in _instance_plan(cfg)]
+
 
 class TestReportRendering:
     def test_json_deterministic_and_schema_versioned(self, tmp_path):
@@ -284,6 +307,54 @@ _VALUES = st.recursive(
     max_leaves=24,
 )
 
+# Values a report repeats: zeros of both signs, NaN, and np.float64 twins of
+# plain floats, which compare (and hash) equal and must keep their own text.
+_REPEATED_FLOATS = st.sampled_from((0.0, -0.0, math.nan, np.float64("nan"), 0.5, np.float64(0.5),
+                                    np.float64(-0.0), np.float64(0.0), 0.1 + 0.2, -1e300, math.inf))
+# Keys with % in them must not reach a dict layout's % format unescaped.
+_SHARED_KEYS = ("a", "b", "%s", "100%", "zé", "")
+
+
+class _Obj:
+    def __init__(self, value):
+        self.value = value
+
+    def to_dict(self):
+        return self.value
+
+
+def _as_dicts(obj):
+    """``obj`` with every ``to_dict`` object replaced by its dict."""
+    if isinstance(obj, _Obj):
+        return _as_dicts(obj.to_dict())
+    if isinstance(obj, dict):
+        return {k: _as_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_dicts(v) for v in obj]
+    return obj
+
+
+@st.composite
+def _shared_layout_docs(draw):
+    """Lists of dicts over one key set, each dict in an insertion order of its
+    own, nested at several depths, with repeated floats at the leaves."""
+    keys = draw(st.lists(st.sampled_from(_SHARED_KEYS), min_size=1, unique=True))
+
+    def layouts(children):
+        return st.permutations(keys).flatmap(
+            lambda order: st.tuples(*[children] * len(order)).map(lambda values: dict(zip(order, values))))
+
+    values = st.recursive(
+        st.one_of(_REPEATED_FLOATS, _REPEATED_FLOATS, _SCALARS),
+        lambda children: st.one_of(layouts(children), layouts(children).map(_Obj),
+                                   st.lists(layouts(children), max_size=3), st.lists(children, max_size=3)),
+        max_leaves=30,
+    )
+    return draw(st.lists(values, min_size=1, max_size=4))
+
+
+_SHARED_LAYOUT_DOCS = _shared_layout_docs()
+
 
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
@@ -297,9 +368,32 @@ class TestJsonWriter:
                "text": ["caf\u00e9", "\u0000\u001f\t\n\"\\", "\U0001d11e", ""], "\u00fc": {"": {}}}
         assert render_json(doc) == _render_json_reference(doc)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_SHARED_LAYOUT_DOCS)
+    @example([[{"a": -0.0, "b": 0.0}, {"b": -0.0, "a": 0.0}]])
+    @example([[math.nan, np.float64("nan"), 0.5, np.float64(0.5), np.float64(-0.0), 0.0, -0.0]])
+    def test_repeated_floats_and_layouts_equal_json_dumps(self, records):
+        # the writer keeps each float's text and each dict layout for the
+        # whole document, so later values must not take an earlier one's text
+        doc = {"records": records, "summary": records[-1]}
+        assert render_json(doc) == _render_json_reference(_as_dicts(doc))
+
     def test_unsupported_value_raises_type_error(self):
         with pytest.raises(TypeError):
             render_json({"x": {1, 2}})
+        with pytest.raises(TypeError):
+            render_json({"x": [{"a": 1.0}, {"a": {1, 2}}]})
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(_REPEATED_FLOATS, _SCALARS), max_size=5), max_size=8))
+    def test_equals_csv_writer_rows_of_fifteen_digit_texts(self, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("x", "y"))
+        writer.writerows([harness._fmt15(v) for v in row] for row in rows)
+        assert harness.render_csv(("x", "y"), rows) == buf.getvalue()
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hhkit import bounds, harness, quadrature, specfun
 from hhkit.bounds import Interval
 from hhkit.errors import DomainError, ToleranceNotMetError
+from hhkit.functions import FunctionSpec, eval_fn
 from hhkit.quadrature import (
     _MAX_INTERVALS,
     _NODES,
@@ -58,6 +59,32 @@ def test_split_points_outside_range_ignored():
 
 def test_scalar_only_integrand_supported():
     assert integrate(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+def test_a_domain_error_of_the_node_array_is_not_run_again_node_by_node():
+    # f is defined on [1, 1.5] only; the first panel's nodes reach past it.
+    # Node by node, the integrand was called 10 times before it failed again.
+    f = FunctionSpec.power(1.0, 2.0, 0.0, 1.0, 1.5)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return eval_fn(f, x)
+
+    message = (r"^argument range \[1\.0042723144395937, 1\.9957276855604063\] "
+               r"leaves the domain \[1\.0, 1\.5\] of pow\(1,2,0\)$")
+    with pytest.raises(DomainError, match=message):
+        integrate(counted, 1.0, 2.0)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+
+def test_other_value_errors_still_fall_back_to_node_by_node():
+    def scalar_only(x):
+        if isinstance(x, np.ndarray):
+            raise ValueError("scalars only")
+        return x * x
+
+    assert integrate(scalar_only, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_invalid_bounds_rejected():

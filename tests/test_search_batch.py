@@ -234,3 +234,23 @@ def test_a_lone_mean_checks_the_domain_as_a_batch_does():
     with pytest.raises(DomainError, match=message):
         bounds.batched(lambda: bounds.verify_II1(f, SMParams(1.0, 1.0), Interval(1.0, 2.0),
                                                  enforce_certification=False))
+
+
+@pytest.mark.parametrize("harmonic", [True, False], ids=["harmonic", "plain"])
+def test_both_means_integrate_with_the_spec_of_the_call(harmonic, monkeypatch):
+    # a patched bounds.DEFAULT_QUADSPEC reaches the plain mean too, not only
+    # the harmonic one
+    spec = QuadSpec(max_depth=3)
+    seen = []
+    real = bounds.integrate
+
+    def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
+        seen.append(spec)
+        return real(f, lo, hi, spec)
+
+    monkeypatch.setattr(bounds, "DEFAULT_QUADSPEC", spec)
+    monkeypatch.setattr(bounds, "integrate", record)
+    bounds._cached_mean.cache_clear()
+    f = FunctionSpec.power(1.0, 2.0, 0.0, 0.5, 4.0)
+    bounds.verify_hh_double(f, Interval(1.0, 2.0), harmonic=harmonic)
+    assert seen == [spec]
