@@ -682,14 +682,13 @@ def _json_writer() -> Callable[[object, str], str]:
     def mapping(value: dict, indent: str) -> str:
         if not value:
             return "{}"
+        inner = indent + "  "
         key = (tuple(value), indent)
         layout = layouts.get(key)
         if layout is None:
-            inner = indent + "  "
             names = sorted(value)
             fields = ",\n".join(inner + _quote(name).replace("%", "%%") + ": %s" for name in names)
             layout = layouts[key] = ("{\n" + fields + "\n" + indent + "}", names)
-        inner = indent + "  "
         return layout[0] % tuple([write(value[name], inner) for name in layout[1]])
 
     def sequence(value, indent: str) -> str:
