@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -175,10 +175,16 @@ class FunctionSpec:
     def exponential(cls, scale: float, lo: float, hi: float) -> "FunctionSpec":
         return cls("exp", (float(scale),), lo, hi)
 
-    @cached_property
+    @property
     def label(self) -> str:
-        inner = ",".join(format(p, "g") for p in self.params)
-        return f"{self.family}({inner})"
+        # Formed once per spec.  Not functools.cached_property: before Python
+        # 3.12 it takes a lock, which costs more than the text on the first
+        # read, and a search reads the label of each of its specs once.
+        label = self.__dict__.get("label")
+        if label is None:
+            inner = ",".join(format(p, "g") for p in self.params)
+            label = self.__dict__["label"] = f"{self.family}({inner})"
+        return label
 
     @property
     def homogeneity(self) -> Optional[tuple[float, float]]:

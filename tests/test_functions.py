@@ -99,6 +99,11 @@ class TestFamilyTable:
             with pytest.raises(DomainError, match=f"{family} takes {len(row.params)} finite parameters"):
                 FunctionSpec(family, (1.0,) * (len(row.params) + 1), *WIDE)
 
+    def test_label_is_formed_once_and_leaves_equality_alone(self):
+        f, g = spec_power(1.5, -0.0, 0.25), spec_power(1.5, -0.0, 0.25)
+        assert f.label == "pow(1.5,-0,0.25)" and f.label is f.label
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+
 
 class TestEvalAndDeriv:
     @pytest.mark.parametrize(
