@@ -345,7 +345,7 @@ def _shared_layout_docs(draw):
             lambda order: st.tuples(*[children] * len(order)).map(lambda values: dict(zip(order, values))))
 
     values = st.recursive(
-        st.one_of(_REPEATED_FLOATS, _REPEATED_FLOATS, _SCALARS),
+        st.one_of(_REPEATED_FLOATS, _SCALARS),
         lambda children: st.one_of(layouts(children), layouts(children).map(_Obj),
                                    st.lists(layouts(children), max_size=3), st.lists(children, max_size=3)),
         max_leaves=30,
