@@ -181,7 +181,7 @@ class _Batch:
     """The 2F1 terms, kernels and means of one ``batched`` call.  While its
     plan runs, ``planned`` maps each key looked up to the integrate_many jobs
     that compute it and the function of their values that gives it; then
-    ``served`` maps each key to its value."""
+    ``served`` maps each key to its value, and ``planned`` is emptied."""
 
     def __init__(self) -> None:
         self.planned: dict[tuple, tuple] = {}
@@ -224,33 +224,52 @@ def _integrated(plan: Callable[..., tuple], *args) -> float:
 _T = TypeVar("_T")
 
 
-def batched(body: Callable[[], _T]) -> _T:
+def batched(body: Callable[[], _T], plan: Optional[Callable[[], object]] = None) -> _T:
     """``body()``, with every 2F1 term, kernel and mean it looks up
     integrated in one ``integrate_many`` call.
 
-    ``body`` runs twice.  First as the plan, with each lookup noting its key
-    and returning a placeholder, and with the coefficient builders uncached,
-    so that no placeholder reaches a cache; an error of the plan ends it and
-    is suppressed.  Then, once the batch of the keys planned so far is
-    integrated, with the lookups served its values; its result is returned.
-    The jobs are queued in the order their keys were first looked up, and the
-    batch raises the error of its first failing job, before a plan error is
-    met again in the served run.  So the error that escapes is the one the
-    lookups would meet first one by one.
+    First ``plan`` runs (``body`` itself when left out), with each lookup
+    noting its key and returning a placeholder, and with the coefficient
+    builders uncached, so that no placeholder reaches a cache; an error of
+    the plan ends it and is suppressed.  Then, once the batch of the keys
+    planned so far is integrated, ``body`` runs with the lookups served its
+    values, and its result is returned.  A lookup the plan did not name
+    integrates alone.
+
+    Without ``plan``, the jobs are queued in the order their keys were first
+    looked up, and the batch raises the error of its first failing job,
+    before a plan error is met again in the served run.  So the error that
+    escapes is the one the lookups would meet first one by one.  A separate
+    ``plan`` only names lookups that ``body`` may make, so a batch that
+    raises serves nothing: ``body`` then makes every lookup alone and meets
+    each error where it looks the failing key up.
     """
     batch = _Batch()
     token = _BATCH.set(batch)
     try:
         with suppress(Exception):
-            body()
-        values = integrate_many([job for jobs, _ in batch.planned.values() for job in jobs])
-        batch.served, start = {}, 0
-        for key, (jobs, combine) in batch.planned.items():
-            batch.served[key] = combine(*values[start:start + len(jobs)])
-            start += len(jobs)
+            (body if plan is None else plan)()
+        batch.served = _serve(batch.planned, plan is not None)
+        batch.planned = {}
         return body()
     finally:
         _BATCH.reset(token)
+
+
+def _serve(planned: dict[tuple, tuple], forgiving: bool) -> dict[tuple, float]:
+    """The value of each planned key, from one ``integrate_many`` call; no
+    value at all if the call raises and ``forgiving`` is set."""
+    try:
+        values = integrate_many([job for jobs, _ in planned.values() for job in jobs])
+    except Exception:
+        if not forgiving:
+            raise
+        return {}
+    served, start = {}, 0
+    for key, (jobs, combine) in planned.items():
+        served[key] = combine(*values[start:start + len(jobs)])
+        start += len(jobs)
+    return served
 
 
 def _f21(a: float, b: float, c: float, z: float) -> float:

@@ -279,11 +279,38 @@ def _descriptor(instance: tuple, **outcome: str) -> dict:
             "a": iv.a, "b": iv.b, "s": s, "m": m, "q": q, **outcome}
 
 
+def _companion_sets(plan: list[tuple]) -> Callable[[], None]:
+    """A ``bounds.batched`` plan for the sweep ``plan``: it builds each
+    distinct printed companion set of its gradient instances once.  The
+    sets' oracles are the kernels ``verify_bound`` looks up, so the batch
+    serves every kernel and 2F1 term of the sweep; the means are left to
+    integrate one by one."""
+    sets = dict.fromkeys((bounds.THEOREMS[theorem].companion, s, q, iv)
+                         for theorem, _, iv, s, _, q in plan if theorem in bounds.GRADIENT_THEOREMS)
+
+    def build() -> None:
+        for companion, s, q, iv in sets:
+            companion(s, q, iv)
+
+    return build
+
+
 def run_sweep(cfg: SweepConfig, progress: Optional[Callable[[int, int], None]] = None) -> SweepResult:
     """Evaluate every combination in ``cfg`` in plan order; certification
     failures become skips, margin violations and per-instance errors become
-    findings."""
+    findings.
+
+    The instances run inside one ``bounds.batched`` call whose plan is the
+    sweep's distinct companion sets, so their 2F1 terms and kernels are
+    integrated in one batch.  If that batch raises, every lookup integrates
+    alone, and each failing instance is a finding of its own, as in the
+    loop without the batch."""
     plan = _instance_plan(cfg)
+    return bounds.batched(lambda: _evaluate(cfg, plan, progress), plan=_companion_sets(plan))
+
+
+def _evaluate(cfg: SweepConfig, plan: list[tuple], progress: Optional[Callable[[int, int], None]]) -> SweepResult:
+    """The instances of ``plan``, one by one, as ``run_sweep`` reports them."""
     records: list[VerificationRecord] = []
     skipped: list[dict] = []
     findings: list[Finding] = []
@@ -350,16 +377,21 @@ _SEARCH_FAMILIES = (
 _SHRINK_STEPS = 20
 
 
-def _search_instance(theorem: str, fam: dict, point: dict, grid: int,
+def _search_case(fam: dict, point: dict) -> tuple[FunctionSpec, SMParams, Interval]:
+    """The function, parameters and interval of one search point."""
+    iv = Interval(point["a"], point["a"] * point["ratio"])
+    return make_function(fam, point["m"], iv), SMParams(point["s"], point["m"], point["q"]), iv
+
+
+def _search_instance(theorem: str, case: tuple[FunctionSpec, SMParams, Interval], grid: int,
                      enforce_certification: bool, companion: bool = False) -> Optional[VerificationRecord]:
-    """One search instance, or None when it lies outside the hypothesis class.
+    """One search instance (a ``_search_case``), or None when it lies outside
+    the hypothesis class.
 
     Draws and shrink trials need only the margin, so the printed companion set
     is built (``companion=True``) only for the records a finding reports.
     """
-    iv = Interval(point["a"], point["a"] * point["ratio"])
-    params = SMParams(point["s"], point["m"], point["q"])
-    f = make_function(fam, point["m"], iv)
+    f, params, iv = case
     try:
         return bounds.verify_theorem(theorem, f, params, iv, grid=grid,
                                      enforce_certification=enforce_certification, companion=companion)
@@ -389,7 +421,7 @@ def _shrink(theorem: str, fam: dict, point: dict, grid: int, enforce: bool) -> d
             trial = 0.5 * (lo_bad + hi_good)
             candidate = dict(current)
             candidate[name] = trial
-            rec = _search_instance(theorem, fam, candidate, grid, enforce)
+            rec = _search_instance(theorem, _search_case(fam, candidate), grid, enforce)
             if rec is not None and not rec.satisfied:
                 lo_bad = trial
             else:
@@ -423,7 +455,7 @@ def search_counterexample(
         raise ParameterError(f"search budget must be >= 1, got {budget}")
     row = bounds.theorem_row(theorem)
     rng = random.Random(seed)
-    draws: list[tuple[dict, dict]] = []
+    draws: list[tuple[dict, dict, tuple]] = []
     for _ in range(budget):
         fam = families[rng.randrange(len(families))]
         point = {
@@ -439,17 +471,18 @@ def search_counterexample(
             point["m"] = 1.0
         if row.q_above_one and point["q"] <= 1.0:
             point["q"] = 1.0 + 0.5 * (q_range[1] - 1.0)
-        draws.append((fam, point))
+        # built once, for the plan and the served run of the batch
+        draws.append((fam, point, _search_case(fam, point)))
 
-    def worst_draw() -> Optional[tuple[float, dict, dict]]:
+    def worst_draw() -> Optional[tuple[float, dict, dict, tuple]]:
         worst = None
-        for fam, point in draws:
-            rec = _search_instance(theorem, fam, point, grid, enforce_certification)
+        for fam, point, case in draws:
+            rec = _search_instance(theorem, case, grid, enforce_certification)
             if rec is None:
                 continue
             rank = _rank(rec.margin)
             if not rec.satisfied and (worst is None or rank < worst[0]):
-                worst = (rank, dict(fam), point)
+                worst = (rank, dict(fam), point, case)
         return worst
 
     # The draws are independent, so every integral of the budget runs in one
@@ -458,10 +491,11 @@ def search_counterexample(
     worst = bounds.batched(worst_draw)
     if worst is None:
         return None
-    _, fam, point = worst
-    worst_rec = _search_instance(theorem, fam, point, grid, enforce_certification, companion=True)
+    _, fam, point, case = worst
+    worst_rec = _search_instance(theorem, case, grid, enforce_certification, companion=True)
     boundary = _shrink(theorem, fam, point, grid, enforce_certification)
-    boundary_rec = _search_instance(theorem, fam, boundary, grid, enforce_certification, companion=True)
+    boundary_rec = _search_instance(theorem, _search_case(fam, boundary), grid, enforce_certification,
+                                    companion=True)
     if boundary_rec is None or boundary_rec.satisfied:
         boundary, boundary_rec = point, worst_rec
     return Finding(

@@ -576,6 +576,12 @@ def _stub_record(point, margin):
     return bounds._record("II1", iv, params, "pow(1,2,0)", 0.0, margin, ())
 
 
+def _stub_case_record(case, margin):
+    """``_stub_record`` of a search case (``harness._search_case``)."""
+    _, params, iv = case
+    return bounds._record("II1", iv, params, "pow(1,2,0)", 0.0, margin, ())
+
+
 class TestSearchReadsTheRecordVerdict:
     """The sweep, the search and the shrink all take a record's verdict from
     ``rec.satisfied``; a NaN margin is a violation in each of them."""
@@ -606,8 +612,9 @@ class TestSearchReadsTheRecordVerdict:
 
     def test_search_reports_a_nan_margin_and_ranks_it_worst(self, monkeypatch):
         # NaN above s = 0.6, a finite violation -s below it
-        def stub(theorem, fam, point, grid, enforce, companion=False):
-            return _stub_record(point, math.nan if point["s"] > 0.6 else -point["s"])
+        def stub(theorem, case, grid, enforce, companion=False):
+            s = case[1].s
+            return _stub_case_record(case, math.nan if s > 0.6 else -s)
 
         monkeypatch.setattr(harness, "_search_instance", stub)
         # seed 0 draws s = 0.44 first and s = 0.92 second
@@ -620,9 +627,9 @@ class TestSearchReadsTheRecordVerdict:
     def test_shrink_stops_on_the_record_verdict(self, monkeypatch):
         # every margin is -1, but the record passes for m > 0.75: the shrink
         # must follow the verdict, not re-derive one from the margin
-        def stub(theorem, fam, point, grid, enforce, companion=False):
-            rec = _stub_record(point, -1.0)
-            return dataclasses.replace(rec, satisfied=point["m"] > 0.75)
+        def stub(theorem, case, grid, enforce, companion=False):
+            rec = _stub_case_record(case, -1.0)
+            return dataclasses.replace(rec, satisfied=case[1].m > 0.75)
 
         monkeypatch.setattr(harness, "_search_instance", stub)
         point = {"a": 1.0, "ratio": 1.05, "s": 1.0, "m": 0.5, "q": 1.0}
