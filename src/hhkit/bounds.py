@@ -14,6 +14,7 @@ from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, wraps
+from itertools import islice
 from typing import Callable, Optional, TypeVar
 
 from .errors import CertificationError, DomainError, ParameterError
@@ -171,17 +172,12 @@ def _record(theorem, iv, params, family, lhs, rhs, diagnostics) -> VerificationR
     )
 
 
-# The coefficient sets of one interval repeat 2F1 terms (coeff_C and coeff_rho
-# each evaluate one term twice, and the sets share terms with each other).
-# Bounded so that random search cannot grow it without limit.
-F21_CACHE_SIZE = 1024
-
-
 class _Batch:
     """The 2F1 terms, kernels and means of one ``batched`` call.  While its
     plan runs, ``planned`` maps each key looked up to the integrate_many jobs
     that compute it and the function of their values that gives it; then
-    ``served`` maps each key to its value, and ``planned`` is emptied."""
+    ``served`` maps each key to its value (none, if the batch raised), and
+    ``planned`` is emptied."""
 
     def __init__(self) -> None:
         self.planned: dict[tuple, tuple] = {}
@@ -233,47 +229,34 @@ def batched(body: Callable[[], _T], plan: Optional[Callable[[], object]] = None)
     builders uncached, so that no placeholder reaches a cache; an error of
     the plan ends it and is suppressed.  Then, once the batch of the keys
     planned so far is integrated, ``body`` runs with the lookups served its
-    values, and its result is returned.  A lookup the plan did not name
-    integrates alone.
-
-    Without ``plan``, the jobs are queued in the order their keys were first
-    looked up, and the batch raises the error of its first failing job,
-    before a plan error is met again in the served run.  So the error that
-    escapes is the one the lookups would meet first one by one.  A separate
-    ``plan`` only names lookups that ``body`` may make, so a batch that
-    raises serves nothing: ``body`` then makes every lookup alone and meets
-    each error where it looks the failing key up.
+    values, and its result is returned.  A lookup the batch does not serve
+    integrates alone.  A batch that raises serves nothing: ``body`` then
+    makes every lookup alone and meets each error where it looks the failing
+    key up, as it would without the batch.
     """
     batch = _Batch()
     token = _BATCH.set(batch)
     try:
         with suppress(Exception):
             (body if plan is None else plan)()
-        batch.served = _serve(batch.planned, plan is not None)
+        batch.served = _serve(batch.planned)
         batch.planned = {}
         return body()
     finally:
         _BATCH.reset(token)
 
 
-def _serve(planned: dict[tuple, tuple], forgiving: bool) -> dict[tuple, float]:
+def _serve(planned: dict[tuple, tuple]) -> dict[tuple, float]:
     """The value of each planned key, from one ``integrate_many`` call; no
-    value at all if the call raises and ``forgiving`` is set."""
-    try:
-        values = integrate_many([job for jobs, _ in planned.values() for job in jobs])
-    except Exception:
-        if not forgiving:
-            raise
-        return {}
-    served, start = {}, 0
-    for key, (jobs, combine) in planned.items():
-        served[key] = combine(*values[start:start + len(jobs)])
-        start += len(jobs)
-    return served
+    value at all if the batch raises."""
+    with suppress(Exception):
+        values = iter(integrate_many([job for jobs, _ in planned.values() for job in jobs]))
+        return {key: combine(*islice(values, len(jobs))) for key, (jobs, combine) in planned.items()}
+    return {}
 
 
 def _f21(a: float, b: float, c: float, z: float) -> float:
-    return _lookup("2F1", (float(a), float(b), float(c), float(z)), _f21_plan, _f21_cached)
+    return _lookup("2F1", (float(a), float(b), float(c), float(z)), _f21_plan, _f21_alone)
 
 
 def _f21_plan(*key: float) -> tuple:
@@ -281,9 +264,8 @@ def _f21_plan(*key: float) -> tuple:
     return _euler_jobs(args), lambda left, right: _hyp2f1_from_integral(args, left + right)
 
 
-@lru_cache(maxsize=F21_CACHE_SIZE)
-def _f21_cached(a: float, b: float, c: float, z: float) -> float:
-    return hyp2f1_euler(Hyp2F1Args(a, b, c, z))
+def _f21_alone(*key: float) -> float:
+    return hyp2f1_euler(Hyp2F1Args(*key))
 
 
 def _same(value: float) -> float:
@@ -379,7 +361,8 @@ def coeff_C(s: float, iv: Interval) -> CoefficientSet:
     a, b = iv.a, iv.b
     z = iv.z
     b2 = b**-2.0
-    c1 = b2 * (_f21(2, 2, 3, z) - _f21(2, 1, 2, z) + 0.5 * _f21(2, 1, 3, 0.5 * z))
+    # C1 and C3 end in the same term.
+    c1 = b2 * (_f21(2, 2, 3, z) - _f21(2, 1, 2, z) + (c13_tail := 0.5 * _f21(2, 1, 3, 0.5 * z)))
     c2 = b2 * (
         2.0 / (s + 2.0) * _f21(2, s + 2.0, s + 3.0, z)
         - 1.0 / (s + 1.0) * _f21(2, s + 1.0, s + 2.0, z)
@@ -388,7 +371,7 @@ def coeff_C(s: float, iv: Interval) -> CoefficientSet:
     c3 = b2 * (
         2.0 / ((s + 1.0) * (s + 2.0)) * _f21(2, 2, s + 3.0, z)
         - 1.0 / (s + 1.0) * _f21(2, 1, s + 2.0, z)
-        + 0.5 * _f21(2, 1, 3, 0.5 * z)
+        + c13_tail
     )
     oracles = (
         _kernel("W1", 0.0, 1.0, a, b),
@@ -420,12 +403,13 @@ def coeff_rho(s: float, r: float, iv: Interval) -> CoefficientSet:
         - beta(2.0, s + 1.0) / b2q * _f21(2.0 * r, 2.0, s + 3.0, z)
         + 2.0 ** (2.0 * r - s) * beta(2.0, s + 1.0) / (a + b) ** (2.0 * r) * _f21(2.0 * r, 2.0, s + 3.0, z_mid)
     )
+    # The proof's single term is the first term of the statement's form.
+    rho2_proof = beta(s + 1.0, 2.0) / (2.0**s * b2q) * _f21(2.0 * r, s + 1.0, s + 3.0, z_half)
     rho2_statement = (
-        beta(s + 1.0, 2.0) / (2.0**s * b2q) * _f21(2.0 * r, s + 1.0, s + 3.0, z_half)
+        rho2_proof
         - beta(s + 1.0, 2.0) / b2q * _f21(2.0 * r, s + 1.0, s + 3.0, z)
         + beta(s + 2.0, 1.0) / b2q * _f21(2.0 * r, s + 2.0, s + 3.0, z)
     )
-    rho2_proof = beta(s + 1.0, 2.0) / (2.0**s * b2q) * _f21(2.0 * r, s + 1.0, s + 3.0, z_half)
     o1 = _kernel("W1", s, r, a, b)
     o2 = _kernel("W2", s, r, a, b)
     return _coeff_set(

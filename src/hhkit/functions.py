@@ -521,16 +521,11 @@ def _reduced_rows(e: float, sign: float, s: float, m: float, ratio: float, grid:
 def _reduced_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -> Optional[CheckReport]:
     """The report of a homogeneous target from its reduced problem, or None
     where the target's own mesh check must decide (module docstring)."""
-    gradient = isinstance(f, GradientPower)
-    source = f.f if gradient else f
-    h = source.homogeneity if isinstance(source, FunctionSpec) else None
+    source = f.f if isinstance(f, GradientPower) else f
+    h = f.homogeneity if isinstance(source, FunctionSpec) else None
     if h is None:
         return None
     c, e = h
-    if gradient:
-        c, e, power = abs(c * e), (e - 1.0) * f.q, f.q
-    else:
-        power = 1.0
     lo, hi = (source.domain_lo, source.domain_hi) if window is None else map(float, window)
     m = params.m
     # The own check raises the DomainError, with the range it found.
@@ -538,11 +533,11 @@ def _reduced_check(f: FuncLike, params: SMParams, grid: int, window, combiner) -
             and hi * (1.0 + _POINT_ROUNDING) <= source.domain_hi * (1.0 + _DOMAIN_SLACK)):
         return None
     ratio = hi / lo
-    if c == 0.0 or not (abs(power * math.log(abs(c))) + abs(e) * (abs(math.log(lo)) + math.log(ratio / m))
+    if c == 0.0 or not (abs(math.log(abs(c))) + abs(e) * (abs(math.log(lo)) + math.log(ratio / m))
                         < _LOG_RANGE):
         return None
     peak, worst, x, y, t = _reduced_rows(e, math.copysign(1.0, c), params.s, m, ratio, grid, combiner)
-    scale = abs(c) ** power * lo**e
+    scale = abs(c) * lo**e
     if not scale * peak <= 0.5 * CHECK_SLACK:  # it may fail at this scale (or peak is NaN)
         return None
     ts, _, i, _ = _mesh_axes(grid)

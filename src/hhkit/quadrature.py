@@ -403,9 +403,9 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     A job that leaves this common path runs again alone, through
     ``integrate``: one whose row has no panel left to bisect, one whose row
     may outgrow its panels or reach ``_MAX_INTERVALS`` intervals, and one
-    whose totals end non-finite.  Every job runs even when some fail; then
-    the ``ToleranceNotMetError`` that ``integrate`` raised for the first
-    failing job in order is raised.
+    whose totals end non-finite.  These run in job order, and the first
+    that fails raises the ``ToleranceNotMetError`` that ``integrate`` raises
+    for it; no job after it runs again.
     """
     # Jobs over one interval with one spec share their first panels,
     # tolerances and depth limit: each such domain is read once.
@@ -546,15 +546,9 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             break
     # Running alone is exact, and integrate raises what the job meets.
     alone |= ~np.isfinite(results).all(axis=0)
-    errors = []
     for j in alone.nonzero()[0].tolist():
         family, params, lo, hi, spec = jobs[j]
-        try:
-            results[0, j] = integrate(partial(family, *params), lo, hi, spec)
-        except ToleranceNotMetError as exc:
-            errors.append(exc)
-    if errors:
-        raise errors[0]
+        results[0, j] = integrate(partial(family, *params), lo, hi, spec)
     return results[0].tolist()
 
 

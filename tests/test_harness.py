@@ -745,9 +745,8 @@ class TestCheckReductions:
 
 
 def _value_caches():
-    """Every cache a 2F1 term, a kernel or a coefficient set is kept in."""
-    return (quadrature._kernel_K_cached, bounds._f21_cached,
-            *(getattr(bounds, row.builder) for row in bounds.PRINTED_SETS.values()))
+    """Every cache a kernel or a coefficient set is kept in."""
+    return (quadrature._kernel_K_cached, *(getattr(bounds, row.builder) for row in bounds.PRINTED_SETS.values()))
 
 
 @pytest.fixture
@@ -795,7 +794,7 @@ class TestBatchedAdjudication:
             return sizes
 
         # the sizes the served run of the body reads, after the plan
-        assert bounds.batched(sizes_before_check) == [0] * 7
+        assert bounds.batched(sizes_before_check) == [0] * 6
         batched = bounds.coeff_rho(0.5, 2.0, iv), bounds.coeff_mu(3.0, iv)
         assert bounds.coeff_rho.cache_info().currsize > 0
         for cache in _value_caches():
@@ -841,6 +840,21 @@ class TestBatchedAdjudication:
             harness._check_reductions(iv, s_grid, q_grid)
         assert (str(batched.value), batched.value.estimate, batched.value.error_bound) == \
             (str(alone.value), alone.value.estimate, alone.value.error_bound)
+
+    def test_a_raising_batch_serves_nothing(self, monkeypatch, cold_value_caches):
+        batches = []
+
+        def raising(jobs):
+            batches.append(len(jobs))
+            raise ToleranceNotMetError("injected", 0.0, 1.0)
+
+        iv = Interval(1.3, 4.1)
+        monkeypatch.setattr(bounds, "integrate_many", raising)
+        served = check_reductions(iv, self.S_GRID, self.Q_GRID)
+        assert len(batches) == 1 and batches[0] > 0
+        for cache in _value_caches():
+            cache.cache_clear()
+        assert served == harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
 
     def test_builder_errors_surface_as_before(self):
         with pytest.raises(DomainError, match="kernel exponent s must lie in"):

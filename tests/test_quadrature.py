@@ -886,7 +886,7 @@ class TestIntegrateMany:
         assert outcome[2].startswith("tolerance not met on [0.0, 1.0]:")
 
     @pytest.mark.parametrize("in_flight", [2, quadrature._IN_FLIGHT])
-    def test_interval_cap_inside_a_batch(self, monkeypatch, heap_finishes, in_flight):
+    def test_interval_cap_inside_a_batch(self, monkeypatch, in_flight):
         # under a cap of 12 intervals cos(40 x) and x^1.5 still converge, and
         # cos(60 x), which stays above depth 8, and x^0.25 no longer do: the
         # batch raises integrate's error for the first of them, and the jobs
@@ -903,10 +903,17 @@ class TestIntegrateMany:
         alone = [_outcome(integrate, *closure) for closure in closures]
         assert [isinstance(o, tuple) for o in alone] == [False, False, True, True, False]
         assert alone[2][2].startswith("tolerance not met on [0.0, 1.0]:")
-        heap_finishes.clear()
+        rerun, integrate_alone = [], quadrature.integrate
+
+        def record(f, *args):
+            rerun.append([job[1] for job in jobs].index(f.args))
+            return integrate_alone(f, *args)
+
+        monkeypatch.setattr(quadrature, "integrate", record)
         assert _batch_outcome(integrate_many, jobs) == alone[2]
-        # both jobs past the cap ran again alone, the later one too
-        assert heap_finishes.count((0.0, 1.0)) >= 2
+        # the jobs that left the batch ran again alone, in order, up to the
+        # first failing one, cos(60 x); no job after it ran again
+        assert rerun == [1, 2]
         kept = [i for i, o in enumerate(alone) if not isinstance(o, tuple)]
         assert integrate_many([jobs[i] for i in kept]) == [uncapped[i] for i in kept] == [alone[i] for i in kept]
 
@@ -942,7 +949,7 @@ _INTEGRATING_MODULES = (quadrature, specfun, bounds)
 
 
 def _clear_value_caches():
-    for cached in (quadrature._kernel_K_cached, bounds._f21_cached, bounds.coeff_lambda, bounds.coeff_mu,
+    for cached in (quadrature._kernel_K_cached, bounds.coeff_lambda, bounds.coeff_mu,
                    bounds.coeff_C, bounds.coeff_rho, bounds.coeff_nu):
         cached.cache_clear()
     bounds.clear_certification_cache()

@@ -115,8 +115,8 @@ FIRST_FAILURE = ("tolerance not met on [0.5329199788871853, 4.558317626166596]: 
 
 
 class TestFailureOrder:
-    """A batch raises the first failing job, and jobs are queued in draw
-    order, so the error that escapes is the one the draws met one by one."""
+    """A batch that raises serves nothing, so the draws run again alone, in
+    draw order: the error that escapes is the one the draws meet one by one."""
 
     def test_the_earlier_of_two_failing_draws_escapes(self, monkeypatch):
         monkeypatch.setattr(bounds, "DEFAULT_QUADSPEC", FAILING_SPEC)
@@ -167,6 +167,38 @@ class TestFailureOrder:
         # the plan ends at the draw that raises: the batch holds the means of
         # draws 0 and 1
         assert batches == [2]
+
+
+# A budget of II2 draws on which the bound fails, with the gate disabled
+# (tests/test_harness.py), and the defaults, on which it holds.
+VIOLATED_II2 = dict(families=({"family": "affine", "params": (1.0, 0.0)},), s_range=(1.0, 1.0),
+                    m_range=(0.1, 0.2), q_range=(1.0, 1.0), a_range=(1.0, 1.0), ratio_range=(2.0, 2.0),
+                    enforce_certification=False)
+
+
+class TestRaisingBatch:
+    """A batch that raises serves nothing: the draws then run alone, and the
+    search returns what it returns without the batch."""
+
+    @pytest.mark.parametrize("kwargs, found", [(VIOLATED_II2, True), ({}, False)], ids=["finding", "none"])
+    def test_the_search_returns_its_unbatched_result(self, kwargs, found, monkeypatch):
+        batches = []
+
+        def raising(jobs):
+            batches.append(len(jobs))
+            raise ToleranceNotMetError("injected", 0.0, 1.0)
+
+        bounds.clear_certification_cache()
+        quadrature._kernel_K_cached.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "integrate_many", raising)
+            served = search_counterexample("II2", 40, seed=7, **kwargs)
+        assert len(batches) == 1 and batches[0] > 0
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "batched", lambda body, plan=None: body())
+            alone = search_counterexample("II2", 40, seed=7, **kwargs)
+        assert (served is not None) == found
+        assert served == alone
 
 
 def mean_cases() -> list[FunctionSpec]:

@@ -5,10 +5,9 @@ builds each distinct printed companion set of the sweep's gradient instances
 once, and its body is the sweep's instance loop (``harness._evaluate``).  The
 sets' oracles are the kernels ``verify_bound`` looks up, so every kernel and
 2F1 term of a sweep is integrated in the batch and only the harmonic means
-integrate one by one.  A separate plan only names lookups that the body may
-make, so a batch that raises serves nothing and the body meets each error
-alone.  These tests pin that rule, and that a sweep reports what its loop
-reports without the batch.
+integrate one by one.  A batch that raises, with a plan of its own or not,
+serves nothing: the body then meets each error alone.  These tests pin that
+rule, and that a sweep reports what its loop reports without the batch.
 """
 
 import pytest
@@ -29,9 +28,9 @@ def small_config(**overrides) -> SweepConfig:
 
 
 def clear_value_caches() -> None:
-    """Empty every cache a mean, a 2F1 term, a kernel, a coefficient set or a
+    """Empty every cache a mean, a kernel, a coefficient set or a
     certification is kept in, so that each run integrates what it looks up."""
-    for cache in (quadrature._kernel_K_cached, bounds._f21_cached,
+    for cache in (quadrature._kernel_K_cached,
                   *(getattr(bounds, row.builder) for row in bounds.PRINTED_SETS.values())):
         cache.cache_clear()
     bounds.clear_certification_cache()
@@ -89,7 +88,8 @@ def assert_same_sweep(res: harness.SweepResult, ref: harness.SweepResult) -> Non
 
 
 class TestSeparatePlan:
-    """``batched(body, plan)``: the plan names the lookups, the body is served."""
+    """``batched(body, plan)``: the plan names the lookups, the body is
+    served, and a batch that raises serves nothing, as without a plan."""
 
     FAILING = ("W1", 0.5, 1.0, 1.0, 2.0)  # fails under a cap of 16 intervals
     PASSING = ("W1", 1.0, 1.0, 1.0, 2.0)
