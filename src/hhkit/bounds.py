@@ -176,7 +176,7 @@ class _Batch:
     """The 2F1 terms, kernels and means of one ``batched`` call.  While its
     plan runs, ``planned`` maps each key looked up to the integrate_many jobs
     that compute it and the function of their values that gives it; then
-    ``served`` maps each key to its value (none, if the batch raised), and
+    ``served`` maps each key the batch finished to its value, and
     ``planned`` is emptied."""
 
     def __init__(self) -> None:
@@ -227,12 +227,13 @@ def batched(body: Callable[[], _T], plan: Optional[Callable[[], object]] = None)
     First ``plan`` runs (``body`` itself when left out), with each lookup
     noting its key and returning a placeholder, and with the coefficient
     builders uncached, so that no placeholder reaches a cache; an error of
-    the plan ends it and is suppressed.  Then, once the batch of the keys
-    planned so far is integrated, ``body`` runs with the lookups served its
-    values, and its result is returned.  A lookup the batch does not serve
-    integrates alone.  A batch that raises serves nothing: ``body`` then
-    makes every lookup alone and meets each error where it looks the failing
-    key up, as it would without the batch.
+    the plan ends it and is suppressed.  Then the keys planned so far are
+    integrated, and ``body`` runs and its result is returned.  The batch
+    serves each key whose jobs all finished.  A key it does not serve (one
+    not planned, one with a job that left the batch, or any key of a batch
+    that raised) is integrated alone where ``body`` looks it up, through
+    that lookup's own ``compute``, and meets its own error there, as it
+    would without the batch.
     """
     batch = _Batch()
     token = _BATCH.set(batch)
@@ -247,11 +248,12 @@ def batched(body: Callable[[], _T], plan: Optional[Callable[[], object]] = None)
 
 
 def _serve(planned: dict[tuple, tuple]) -> dict[tuple, float]:
-    """The value of each planned key, from one ``integrate_many`` call; no
-    value at all if the batch raises."""
+    """The value of each planned key whose jobs all finish in one
+    ``integrate_many`` call; no value at all if that call raises."""
     with suppress(Exception):
         values = iter(integrate_many([job for jobs, _ in planned.values() for job in jobs]))
-        return {key: combine(*islice(values, len(jobs))) for key, (jobs, combine) in planned.items()}
+        return {key: combine(*got) for key, (jobs, combine) in planned.items()
+                if None not in (got := list(islice(values, len(jobs))))}
     return {}
 
 
@@ -827,10 +829,9 @@ def verify_bound(
 # ---------------------------------------------------------------------------
 
 
-def _substituted_kernel(weight: str, s: float, r: float, a: float, b: float,
-                        quad: QuadSpec = DEFAULT_QUADSPEC) -> float:
+def _substituted_kernel(weight: str, s: float, r: float, a: float, b: float) -> float:
     """Kernel integrals written in the t -> 1-t substituted form over (ta+(1-t)b)."""
-    return _lookup("S", (weight, s, r, a, b, quad), _substituted_plan, _substituted_value)
+    return _lookup("S", (weight, s, r, a, b), _substituted_plan, _substituted_value)
 
 
 def _substituted_plan(*args) -> tuple:

@@ -510,10 +510,8 @@ def _reduced_rows(e: float, sign: float, s: float, m: float, ratio: float, grid:
                   combiner) -> tuple[float, float, float, float, float]:
     """(peak, worst margin, witness) of the border check of sign * x**e on
     the canonical window [1, ratio]."""
-    ts, _, i, j = _mesh_axes(grid)
-    xs = _geomspace(1.0, ratio, grid)
-    x, y = xs[i, None], xs[j, None]
-    fx, fy, fpts = (sign * v**e for v in (x, y, _mesh_points(combiner, x, y, ts, m)))
+    x, y, t = _mesh(None, grid, (1.0, ratio), border=True)
+    fx, fy, fpts = (sign * v**e for v in (x, y, _mesh_points(combiner, x, y, t, m)))
     report, peak = _row_stage(x, y, fx, fy, fpts, grid, s, m, sign > 0.0, probe=True)
     return (peak, report.worst_margin, *report.witness)
 

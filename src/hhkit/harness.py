@@ -283,8 +283,10 @@ def _companion_sets(plan: list[tuple]) -> Callable[[], None]:
     """A ``bounds.batched`` plan for the sweep ``plan``: it builds each
     distinct printed companion set of its gradient instances once.  The
     sets' oracles are the kernels ``verify_bound`` looks up, so the batch
-    serves every kernel and 2F1 term of the sweep; the means are left to
-    integrate one by one."""
+    serves the sweep's kernels and 2F1 terms; the means are left to
+    integrate one by one.  II3's k0 = K_W1(0, 1) is an oracle only of the
+    I1 and FS1 sets and of the rho set at s = 0: on an interval with none
+    of those it integrates alone."""
     sets = dict.fromkeys((bounds.THEOREMS[theorem].companion, s, q, iv)
                          for theorem, _, iv, s, _, q in plan if theorem in bounds.GRADIENT_THEOREMS)
 
@@ -302,7 +304,7 @@ def run_sweep(cfg: SweepConfig, progress: Optional[Callable[[int, int], None]] =
 
     The instances run inside one ``bounds.batched`` call whose plan is the
     sweep's distinct companion sets, so their 2F1 terms and kernels are
-    integrated in one batch.  If that batch raises, every lookup integrates
+    integrated in one batch.  A lookup the batch does not serve integrates
     alone, and each failing instance is a finding of its own, as in the
     loop without the batch."""
     plan = _instance_plan(cfg)

@@ -15,7 +15,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -378,9 +378,10 @@ def _estimates(families: list, family: np.ndarray, column: np.ndarray, lo: np.nd
     return _gk15_many(*_sums(fx.reshape(-1, 15), lo_flat, hi_flat, half)).reshape(2, *lo.shape)
 
 
-def integrate_many(jobs: Sequence[Job]) -> list[float]:
-    """The integrals of ``jobs``, in lockstep: each the same, bit for bit, as
-    ``integrate(partial(family, *params), lo, hi, spec)``.
+def integrate_many(jobs: Sequence[Job]) -> list[Optional[float]]:
+    """The integrals of ``jobs`` in lockstep: each job that finishes gives
+    ``integrate(partial(family, *params), lo, hi, spec)``, bit for bit, and
+    each job that leaves the common path gives ``None``.
 
     A family is called as ``family(*params, x)``; in a batch ``x`` holds the
     nodes of many panels, one panel per row of 15, and a parameter goes in
@@ -400,12 +401,11 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     family, and their sums and error estimates in one pass; a batch has no
     look-ahead, which would add panels and save no call.
 
-    A job that leaves this common path runs again alone, through
-    ``integrate``: one whose row has no panel left to bisect, one whose row
-    may outgrow its panels or reach ``_MAX_INTERVALS`` intervals, and one
-    whose totals end non-finite.  These run in job order, and the first
-    that fails raises the ``ToleranceNotMetError`` that ``integrate`` raises
-    for it; no job after it runs again.
+    A job leaves when its row has no panel left to bisect, when its row may
+    outgrow its panels or reach ``_MAX_INTERVALS`` intervals, or when its
+    totals end non-finite.  No job is integrated alone here and no
+    integration error is raised: ``integrate`` gives a job that left its
+    value, or its own ``ToleranceNotMetError``.
     """
     # Jobs over one interval with one spec share their first panels,
     # tolerances and depth limit: each such domain is read once.
@@ -467,8 +467,8 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
         j0 = j1
 
     # Panel columns of a row: none of the 15,350 jobs of two adjudication
-    # runs made more than 60 panels.  A job that may outgrow its row runs
-    # again alone (see below).
+    # runs made more than 60 panels.  A job that may outgrow its row leaves
+    # the batch.
     width = max(64, int(first.max()))
     # A row with more panels than this may outgrow its row in this round, or
     # have made _MAX_INTERVALS intervals (they never outnumber its panels).
@@ -485,7 +485,7 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
     # Each job's totals when it converged.  NaN compares False against the
     # tolerance, so a non-finite sum leaves the loop as if it had converged.
     results = np.zeros((2, n_jobs))
-    alone = np.zeros(n_jobs, dtype=bool)  # jobs to run again through integrate
+    left = np.zeros(n_jobs, dtype=bool)  # jobs that left the common path
     taken = 0  # jobs given a row
 
     # The rows bisecting this round, and their panels to bisect.
@@ -535,21 +535,17 @@ def integrate_many(jobs: Sequence[Job]) -> list[float]:
             picked = panels[:, run, pick]
             if widest > crowded or (picked[3] < 0.0).any():
                 # A row with no panel left to bisect, or crowded, frees up:
-                # its job runs again alone when the loop ends.
+                # its job leaves the batch.
                 leave = (count[run] > crowded) | (picked[3] < 0.0)
-                alone[job_of[run[leave]]] = True
+                left[job_of[run[leave]]] = True
                 job_of[run[leave]] = -1
                 run, pick, picked = run[~leave], pick[~leave], picked[:, ~leave]
             err_p[run, pick] = -1.0
         bisect = run
         if not bisect.size and taken == n_jobs:
             break
-    # Running alone is exact, and integrate raises what the job meets.
-    alone |= ~np.isfinite(results).all(axis=0)
-    for j in alone.nonzero()[0].tolist():
-        family, params, lo, hi, spec = jobs[j]
-        results[0, j] = integrate(partial(family, *params), lo, hi, spec)
-    return results[0].tolist()
+    left |= ~np.isfinite(results).all(axis=0)
+    return [None if gone else value for value, gone in zip(results[0].tolist(), left.tolist())]
 
 
 def harmonic_mean_integral(

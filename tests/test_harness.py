@@ -30,6 +30,8 @@ from hhkit.harness import (
     write_report_json,
 )
 
+from conftest import VALUE_CACHES, clear_value_caches
+
 AFFINE_ONLY = ({"family": "affine", "params": (1.0, 0.0)},)
 
 
@@ -744,26 +746,12 @@ class TestCheckReductions:
         assert any("mu hypergeometric labels are swapped" in f.description for f in remark)
 
 
-def _value_caches():
-    """Every cache a kernel or a coefficient set is kept in."""
-    return (quadrature._kernel_K_cached, *(getattr(bounds, row.builder) for row in bounds.PRINTED_SETS.values()))
-
-
-@pytest.fixture
-def cold_value_caches():
-    for cache in _value_caches():
-        cache.cache_clear()
-    yield
-    for cache in _value_caches():
-        cache.cache_clear()
-
-
 class TestBatchedAdjudication:
     """One interval's 2F1 terms and kernels are integrated in one batch."""
 
     S_GRID, Q_GRID = (0.25, 0.5, 0.75, 1.0), (1.5, 2.0, 3.0)
 
-    def test_one_batch_and_no_single_integral(self, monkeypatch, cold_value_caches):
+    def test_one_batch_and_no_single_integral(self, monkeypatch, cold):
         singles, batches = [], []
         integrate, integrate_many = quadrature.integrate, quadrature.integrate_many
 
@@ -785,11 +773,11 @@ class TestBatchedAdjudication:
         families = [family.__name__ for family in batches[0]]
         assert (families.count("_euler_integrand"), families.count("_kernel_integrand")) == (230, 77)
 
-    def test_planning_caches_nothing(self, cold_value_caches):
+    def test_planning_caches_nothing(self, cold):
         iv = Interval(0.9, 6.5)
 
         def sizes_before_check() -> list[int]:
-            sizes = [cache.cache_info().currsize for cache in _value_caches()]
+            sizes = [cache.cache_info().currsize for cache in VALUE_CACHES]
             harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
             return sizes
 
@@ -797,8 +785,7 @@ class TestBatchedAdjudication:
         assert bounds.batched(sizes_before_check) == [0] * 6
         batched = bounds.coeff_rho(0.5, 2.0, iv), bounds.coeff_mu(3.0, iv)
         assert bounds.coeff_rho.cache_info().currsize > 0
-        for cache in _value_caches():
-            cache.cache_clear()
+        clear_value_caches()
         assert (bounds.coeff_rho(0.5, 2.0, iv), bounds.coeff_mu(3.0, iv)) == batched
 
     @pytest.mark.parametrize("lookup, direct", [
@@ -825,7 +812,7 @@ class TestBatchedAdjudication:
 
     @pytest.mark.parametrize("s_grid, q_grid", [(S_GRID, Q_GRID), ((0.5,), (0.5,))],
                              ids=["grid", "plan-error"])
-    def test_the_first_failing_lookup_escapes(self, s_grid, q_grid, monkeypatch, cold_value_caches):
+    def test_the_first_failing_lookup_escapes(self, s_grid, q_grid, monkeypatch, cold):
         # under a cap of 12 intervals 61 of the interval's 307 integrals fail,
         # the first at job 4: the error that escapes the batch is the one the
         # lookups meet one by one.  On the second grid the rho set at q = 0.5
@@ -834,14 +821,13 @@ class TestBatchedAdjudication:
         iv = Interval(1.3, 4.1)
         with pytest.raises(ToleranceNotMetError) as batched:
             check_reductions(iv, s_grid, q_grid)
-        for cache in _value_caches():
-            cache.cache_clear()
+        clear_value_caches()
         with pytest.raises(ToleranceNotMetError) as alone:
             harness._check_reductions(iv, s_grid, q_grid)
         assert (str(batched.value), batched.value.estimate, batched.value.error_bound) == \
             (str(alone.value), alone.value.estimate, alone.value.error_bound)
 
-    def test_a_raising_batch_serves_nothing(self, monkeypatch, cold_value_caches):
+    def test_a_raising_batch_serves_nothing(self, monkeypatch, cold):
         batches = []
 
         def raising(jobs):
@@ -852,8 +838,7 @@ class TestBatchedAdjudication:
         monkeypatch.setattr(bounds, "integrate_many", raising)
         served = check_reductions(iv, self.S_GRID, self.Q_GRID)
         assert len(batches) == 1 and batches[0] > 0
-        for cache in _value_caches():
-            cache.cache_clear()
+        clear_value_caches()
         assert served == harness._check_reductions(iv, self.S_GRID, self.Q_GRID)
 
     def test_builder_errors_surface_as_before(self):

@@ -27,6 +27,8 @@ from hhkit.quadrature import (
 )
 from hhkit.specfun import Hyp2F1Args
 
+from conftest import clear_value_caches
+
 
 # The kernel weights written out, apart from the kernel family of quadrature.
 WEIGHT_FNS = {
@@ -323,7 +325,7 @@ def _ref_integrate(f, lo, hi, spec=QuadSpec()):
 def _recorded_integrals(monkeypatch, modules, compute):
     """The (integrand, lo, hi, spec) of every integrate call ``compute`` makes
     through ``modules``, and the jobs of every integrate_many call with the
-    batch's outcome (see ``_batch_outcome``)."""
+    batch's values."""
     calls, batches = [], []
 
     def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
@@ -331,7 +333,7 @@ def _recorded_integrals(monkeypatch, modules, compute):
         return integrate(f, lo, hi, spec)
 
     def record_many(jobs):
-        batches.append((list(jobs), _batch_outcome(integrate_many, jobs)))
+        batches.append((list(jobs), integrate_many(jobs)))
         return integrate_many(jobs)
 
     for module in modules:
@@ -344,20 +346,18 @@ def _recorded_integrals(monkeypatch, modules, compute):
     return calls, batches
 
 
-def _batch_outcome(integrator, jobs):
-    """The values of a batch, or the estimate, bound and message of the
-    ToleranceNotMetError it raises."""
-    try:
-        return integrator(jobs)
-    except ToleranceNotMetError as exc:
-        return exc.estimate, exc.error_bound, str(exc)
-
-
 def _ref_batch(closures):
-    """What a batch of ``(f, lo, hi, spec)`` must give by the reference loop:
-    every value, or the failure of the first job that fails."""
-    outcomes = [_outcome(_ref_integrate, *closure) for closure in closures]
-    return next((o for o in outcomes if isinstance(o, tuple)), outcomes)
+    """What the reference loop gives each ``(f, lo, hi, spec)`` of a batch:
+    its value, or its failure's estimate, bound and message."""
+    return [_outcome(_ref_integrate, *closure) for closure in closures]
+
+
+def _served(jobs):
+    """What the lookups of a batch's jobs get: each value the batch
+    finished, and for each job that left it, ``integrate``'s value or
+    failure alone."""
+    return [_outcome(integrate, partial(family, *params), lo, hi, spec) if value is None else value
+            for value, (family, params, lo, hi, spec) in zip(integrate_many(jobs), jobs)]
 
 
 class TestBitIdentity:
@@ -698,7 +698,8 @@ def _power_jobs(cases):
 
 @pytest.fixture
 def heap_finishes(monkeypatch):
-    """The jobs (by their lo, hi) that a batch runs again with integrate."""
+    """The jobs (by their lo, hi) integrated through ``quadrature.integrate``,
+    which a batch must call for none of its jobs."""
     rerun, alone = [], quadrature.integrate
 
     def record(f, lo, hi, spec=quadrature.DEFAULT_QUADSPEC):
@@ -712,7 +713,7 @@ def heap_finishes(monkeypatch):
 class TestIntegrateMany:
     def test_batch_matches_the_written_out_integrands(self):
         cases = _mixed_cases()
-        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+        assert integrate_many([job for job, _ in cases]) == _ref_batch(_closures(cases))
 
     def test_each_job_alone_matches_its_written_out_integrand(self):
         for (family, params, lo, hi, spec), closure in _mixed_cases():
@@ -744,7 +745,7 @@ class TestIntegrateMany:
                 weight, float(rng.choice([0.0, 0.5, 1.0, rng.random()])), 1.0 + 2.0 * rng.random(),
                 a, a * rng.uniform(1.1, 10.0), bool(rng.integers(2)))
             cases.append(((family, params, lo, hi, spec), closure))
-        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+        assert integrate_many([job for job, _ in cases]) == _ref_batch(_closures(cases))
         # a round asks at most two panels of each integral in flight
         assert 0 < widest[0] <= quadrature._IN_FLIGHT * 2 * 15
 
@@ -770,24 +771,26 @@ class TestIntegrateMany:
         # -a in the Euler halves, k b - 1 and c - b - 1, and s in the kernels
         cases = [pair for a, b, cb, z in halves for pair in _euler_cases(Hyp2F1Args(a, b, b + cb, z))]
         cases += [_kernel_case(w, s, r, a, a * ratio, m) for w, s, r, a, ratio, m in kernels]
-        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+        assert integrate_many([job for job, _ in cases]) == _ref_batch(_closures(cases))
 
     @pytest.mark.parametrize("in_flight", [1, 2, quadrature._IN_FLIGHT])
-    def test_first_failing_job_in_order_raises(self, monkeypatch, in_flight):
-        # job 1 fails at depth 6, job 3 already at depth 2: the batch must
-        # raise job 1's error, exactly as integrate raises it
+    def test_failing_jobs_read_none(self, monkeypatch, in_flight):
+        # job 1 fails at depth 6, job 3 already at depth 2: both leave the
+        # batch, and integrate alone raises each its own error
         monkeypatch.setattr(quadrature, "_IN_FLIGHT", in_flight)
         specs = (QuadSpec(), QuadSpec(max_depth=6), QuadSpec(), QuadSpec(max_depth=2))
         jobs = [(_power, (p,), 0.0, 1.0, spec) for p, spec in zip((0.5, -0.95, 2.0, -0.95), specs)]
+        assert [value is None for value in integrate_many(jobs)] == [False, True, False, True]
         expected = _outcome(integrate, partial(_power, -0.95), 0.0, 1.0, specs[1])
         assert isinstance(expected, tuple)
-        assert _batch_outcome(integrate_many, jobs) == expected
-        assert _ref_batch([(partial(_power, p), lo, hi, spec) for _, (p,), lo, hi, spec in jobs]) == expected
+        served = _served(jobs)
+        assert served[1] == expected
+        assert _ref_batch([(partial(_power, p), lo, hi, spec) for _, (p,), lo, hi, spec in jobs]) == served
 
-    def test_non_finite_job_raises_as_integrate_does(self):
+    def test_non_finite_job_reads_none(self):
         jobs = [(_power, (1.0,), 0.0, 1.0, QuadSpec()), (_nan, (), 0.0, 1.0, QuadSpec())]
-        estimate, bound, message = _batch_outcome(integrate_many, jobs)
-        assert message == _outcome(integrate, _nan, 0.0, 1.0, QuadSpec())[2]
+        assert integrate_many(jobs) == [0.5, None]
+        estimate, bound, message = _outcome(integrate, _nan, 0.0, 1.0, QuadSpec())
         assert message.startswith("non-finite") and math.isnan(estimate) and math.isnan(bound)
 
     def test_empty_interval_is_rejected_before_any_work(self):
@@ -817,14 +820,15 @@ class TestIntegrateMany:
         params = [(1.0 + i, e, 0.5) for i, e in enumerate((0.5, 2.0, -1.0, 0.37, 0.5, 3.0))]
         jobs = [(family, p, 0.25, 1.0, QuadSpec()) for p in params]
         closures = [(partial(family, *p), 0.25, 1.0, QuadSpec()) for p in params]
-        outcome = _batch_outcome(integrate_many, jobs)
+        outcome = integrate_many(jobs)
         assert set(seen) == {(np.ndarray, quadrature._Exponent, 0.5)}
         assert outcome == _ref_batch(closures)
 
     @pytest.mark.parametrize("order", ["non-finite first", "stuck first"])
-    def test_non_finite_and_stuck_jobs_raise_in_order(self, order):
+    def test_non_finite_and_stuck_jobs_read_none(self, order):
         # a non-finite total is found when the batch ends, a job stuck at
-        # max_depth while it runs; the earlier job's error is raised either way
+        # max_depth while it runs; both leave the batch in either order, and
+        # the batch's served lookups meet each job's own error
         stuck = (_power, (-0.95,), 0.0, 1.0, QuadSpec(max_depth=3))
         nan = (_nan, (), 0.0, 1.0, QuadSpec())
         fine = (_power, (2.0,), 0.0, 1.0, QuadSpec())
@@ -833,8 +837,9 @@ class TestIntegrateMany:
         alone = [_outcome(integrate, *closure) for closure in closures]
         first = next(o for o in alone if isinstance(o, tuple))
         assert first[2].startswith("non-finite" if order == "non-finite first" else "tolerance not met")
-        estimate, bound, message = _batch_outcome(integrate_many, jobs)
-        assert message == first[2] and estimate.hex() == first[0].hex() and bound.hex() == first[1].hex()
+        assert [value is None for value in integrate_many(jobs)] == [False, True, False, True]
+        for (estimate, bound, message), expected in zip(_served(jobs)[1::2], alone[1::2]):
+            assert message == expected[2] and estimate.hex() == expected[0].hex() and bound.hex() == expected[1].hex()
 
     @pytest.mark.parametrize("jobs, floored", [
         # x^-0.5 at max_depth 4 runs out of panels within its row (31 panels)
@@ -846,52 +851,80 @@ class TestIntegrateMany:
          False),
     ], ids=["floored-in-row", "floored-handed-off", "unfloored"])
     def test_failures_carry_python_floats(self, monkeypatch, heap_finishes, jobs, floored):
-        # the estimate and bound of a failure are floats, whether or not the
-        # round-off floor set a panel's error; the failing job runs again
-        # alone, so its error is integrate's
+        # the failing job leaves the batch, which integrates it no further;
+        # alone, the estimate and bound of its failure are floats, whether
+        # or not the round-off floor set a panel's error
         closures = [(partial(f, *params), lo, hi, spec) for f, params, lo, hi, spec in jobs]
-        outcome = _batch_outcome(integrate_many, jobs)
-        assert heap_finishes == [(0.0, 1.0)]
+        assert [value is None for value in integrate_many(jobs)] == [False] * (len(jobs) - 1) + [True]
+        assert heap_finishes == []
+        served = _served(jobs)
         alone = _outcome(integrate, *closures[-1])
-        assert outcome == alone == _ref_batch(closures)
-        for estimate, bound, message in (outcome, alone):
-            assert type(estimate) is float and type(bound) is float
-            assert "np.float64(" not in message
+        assert served[-1] == alone and served == _ref_batch(closures)
+        estimate, bound, message = alone
+        assert type(estimate) is float and type(bound) is float
+        assert "np.float64(" not in message
         # the floor set some panel's error exactly where the outcome moves without it
         monkeypatch.setattr(quadrature, "_ERR_FLOOR", 0.0)
-        assert (_batch_outcome(integrate_many, jobs) != outcome) == floored
+        assert (_served(jobs) != served) == floored
 
     def test_job_at_a_small_max_depth_among_refining_jobs(self):
         # the kink of job 1 reaches max_depth 6 while its error still leads,
         # so its worst panel is skipped for the next one, and the job then
-        # converges; the others go on refining past depth 6 meanwhile
+        # converges; the others go on refining past depth 6 meanwhile, and
+        # cos(300 x) and cos(100 x) outgrow their rows and leave the batch
         spec = QuadSpec(abs_tol=1e-5, rel_tol=1e-5, max_depth=6)
         jobs = [(_kinked_wave, (1.0 / 3.0, w), 0.0, 1.0, s)
                 for w, s in ((300.0, QuadSpec()), (40.0, spec), (100.0, QuadSpec()))]
-        outcome = _batch_outcome(integrate_many, jobs)
+        assert [value is None for value in integrate_many(jobs)] == [True, False, True]
+        outcome = _served(jobs)
         assert outcome == _ref_batch([(partial(f, *params), lo, hi, s) for f, params, lo, hi, s in jobs])
         assert all(isinstance(value, float) for value in outcome)
 
-    def test_job_outgrowing_its_row_finishes_in_the_heap_loop(self, heap_finishes):
-        # cos(1000 x) takes 521 panels, past the 64 of a row; it runs again
-        # alone in integrate's loop
+    def test_job_outgrowing_its_row_reads_none(self, heap_finishes):
+        # cos(1000 x) takes 521 panels, past the 64 of a row, and 1/x, which
+        # fails after 8,191 panels, outgrows its row too: both leave the
+        # batch, and integrate alone gives each its value or error
         jobs = [(_kinked_wave, (1.0 / 3.0, w), 0.0, 1.0 + w / 1e4, QuadSpec()) for w in (1000.0, 40.0)]
         jobs.append((_power, (-1.0,), 0.0, 1.0, QuadSpec(max_depth=12)))
         closures = [(partial(f, *params), lo, hi, s) for f, params, lo, hi, s in jobs]
-        assert _batch_outcome(integrate_many, jobs[:2]) == _ref_batch(closures[:2])
-        assert heap_finishes == [(0.0, 1.1)]
-        # 1/x fails after 8,191 panels
-        outcome = _batch_outcome(integrate_many, jobs)
+        assert [value is None for value in integrate_many(jobs)] == [True, False, True]
+        assert heap_finishes == []
+        outcome = _served(jobs)
         assert outcome == _ref_batch(closures)
-        assert outcome[2].startswith("tolerance not met on [0.0, 1.0]:")
+        assert isinstance(outcome[0], float)
+        assert outcome[2][2].startswith("tolerance not met on [0.0, 1.0]:")
+
+    def test_exactly_the_jobs_that_leave_the_common_path_read_none(self, monkeypatch, heap_finishes):
+        # under a cap of 300 intervals: a job stuck at max_depth 3, a
+        # non-finite one, cos(1000 x), which outgrows its row and converges
+        # alone within the cap, and cos(3000 x), which needs more intervals
+        # than the cap, leave the batch; the plain jobs among them finish
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 300)
+        plain = [(_power, (p,), 0.0, 1.0, QuadSpec()) for p in (2.0, 0.5, 1.5)]
+        jobs = [plain[0], (_power, (-0.95,), 0.0, 1.0, QuadSpec(max_depth=3)), (_nan, (), 0.0, 1.0, QuadSpec()),
+                plain[1], (_kinked_wave, (1.0 / 3.0, 1000.0), 0.0, 1.1, QuadSpec()),
+                (_kinked_wave, (1.0 / 3.0, 3000.0), 0.0, 1.0, QuadSpec()), plain[2]]
+        closures = [(partial(f, *params), lo, hi, spec) for f, params, lo, hi, spec in jobs]
+        values = integrate_many(jobs)
+        assert heap_finishes == []
+        assert [i for i, value in enumerate(values) if value is None] == [1, 2, 4, 5]
+        # the reference loop holds the cap it was imported with
+        ref = _ref_batch(closures)
+        assert [values[i] for i in (0, 3, 6)] == [ref[i] for i in (0, 3, 6)]
+        # alone, each job that left gets its own value or error
+        stuck, nan, crowded, capped = (_outcome(integrate, *closures[i]) for i in (1, 2, 4, 5))
+        assert stuck == ref[1] and stuck[2].startswith("tolerance not met on [0.0, 1.0]:")
+        assert nan[2].startswith("non-finite") and math.isnan(nan[0]) and math.isnan(nan[1])
+        assert crowded == ref[4] and isinstance(crowded, float)
+        assert capped[2].startswith("tolerance not met on [0.0, 1.0]:") and isinstance(ref[5], float)
 
     @pytest.mark.parametrize("in_flight", [2, quadrature._IN_FLIGHT])
-    def test_interval_cap_inside_a_batch(self, monkeypatch, in_flight):
+    def test_interval_cap_inside_a_batch(self, monkeypatch, heap_finishes, in_flight):
         # under a cap of 12 intervals cos(40 x) and x^1.5 still converge, and
-        # cos(60 x), which stays above depth 8, and x^0.25 no longer do: the
-        # batch raises integrate's error for the first of them, and the jobs
-        # within the cap keep their values (_ref_integrate holds the cap it
-        # was imported with)
+        # cos(60 x), which stays above depth 8, and x^0.25 no longer do.
+        # Every job but x^2 may reach the cap in its row and leaves the batch,
+        # and alone the jobs within the cap keep their values (_ref_integrate
+        # holds the cap it was imported with)
         monkeypatch.setattr(quadrature, "_IN_FLIGHT", in_flight)
         shallow = QuadSpec(max_depth=8)
         jobs = [(_power, (2.0,), 0.0, 1.0, QuadSpec()), (_kinked_wave, (0.5, 40.0), 0.0, 1.0, shallow),
@@ -903,19 +936,12 @@ class TestIntegrateMany:
         alone = [_outcome(integrate, *closure) for closure in closures]
         assert [isinstance(o, tuple) for o in alone] == [False, False, True, True, False]
         assert alone[2][2].startswith("tolerance not met on [0.0, 1.0]:")
-        rerun, integrate_alone = [], quadrature.integrate
-
-        def record(f, *args):
-            rerun.append([job[1] for job in jobs].index(f.args))
-            return integrate_alone(f, *args)
-
-        monkeypatch.setattr(quadrature, "integrate", record)
-        assert _batch_outcome(integrate_many, jobs) == alone[2]
-        # the jobs that left the batch ran again alone, in order, up to the
-        # first failing one, cos(60 x); no job after it ran again
-        assert rerun == [1, 2]
+        assert [value is None for value in integrate_many(jobs)] == [False, True, True, True, True]
+        assert heap_finishes == []
+        # alone, each job that left the batch gets its own value or error
+        assert _served(jobs) == alone
         kept = [i for i, o in enumerate(alone) if not isinstance(o, tuple)]
-        assert integrate_many([jobs[i] for i in kept]) == [uncapped[i] for i in kept] == [alone[i] for i in kept]
+        assert _served([jobs[i] for i in kept]) == [uncapped[i] for i in kept] == [alone[i] for i in kept]
 
     def test_split_counts_share_a_batch(self):
         # 0, 1 and 2 split points inside [0, 1], and splits outside it or
@@ -923,23 +949,26 @@ class TestIntegrateMany:
         splits = [(), (0.5,), (0.25, 0.75), (-1.0, 2.0), (0.5, 0.5, 1.0), (0.1, 0.2, 0.9)]
         cases = [(job, closure) for s in splits
                  for job, closure in _power_jobs([(p, QuadSpec(split_points=s)) for p in (0.5, 1.5, 3.0)])]
-        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+        assert integrate_many([job for job, _ in cases]) == _ref_batch(_closures(cases))
 
     @pytest.mark.parametrize("in_flight", [3, quadrature._IN_FLIGHT])
     def test_failure_amid_more_jobs_than_rows(self, monkeypatch, in_flight):
         # job in_flight + 1 starts only once a row frees up, and fails at
-        # depth 6; job 2 in_flight, after it, would fail sooner, at depth 2
+        # depth 6; job 2 in_flight, after it, fails sooner, at depth 2: both
+        # leave the batch, and the jobs around them finish
         monkeypatch.setattr(quadrature, "_IN_FLIGHT", in_flight)
         cases = [(0.5 + i % 3, QuadSpec()) for i in range(2 * in_flight + 3)]
         cases[in_flight + 1] = (-0.95, QuadSpec(max_depth=6))
         cases[2 * in_flight] = (-0.95, QuadSpec(max_depth=2))
         cases = _power_jobs(cases)
+        jobs = [job for job, _ in cases]
         expected = _ref_batch(_closures(cases))
-        assert expected == _outcome(integrate, *_closures(cases)[in_flight + 1])
-        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == expected
+        assert expected[in_flight + 1] == _outcome(integrate, *_closures(cases)[in_flight + 1])
+        assert [i for i, value in enumerate(integrate_many(jobs)) if value is None] == [in_flight + 1, 2 * in_flight]
+        assert _served(jobs) == expected
         # and without the failing jobs every value matches
         del cases[2 * in_flight], cases[in_flight + 1]
-        assert _batch_outcome(integrate_many, [job for job, _ in cases]) == _ref_batch(_closures(cases))
+        assert integrate_many([job for job, _ in cases]) == _ref_batch(_closures(cases))
 
 
 # Slow lane: replay every integral of an adjudication report and of two
@@ -948,21 +977,14 @@ class TestIntegrateMany:
 _INTEGRATING_MODULES = (quadrature, specfun, bounds)
 
 
-def _clear_value_caches():
-    for cached in (quadrature._kernel_K_cached, bounds.coeff_lambda, bounds.coeff_mu,
-                   bounds.coeff_C, bounds.coeff_rho, bounds.coeff_nu):
-        cached.cache_clear()
-    bounds.clear_certification_cache()
-
-
 def _assert_replay_bit_identical(monkeypatch, compute):
     """Every integral ``compute`` makes, alone or in a batch, replayed
     against the reference loop."""
-    _clear_value_caches()
+    clear_value_caches()
     try:
         calls, batches = _recorded_integrals(monkeypatch, _INTEGRATING_MODULES, compute)
     finally:
-        _clear_value_caches()
+        clear_value_caches()
     for f, lo, hi, spec in calls:
         assert _outcome(integrate, f, lo, hi, spec) == _outcome(_ref_integrate, f, lo, hi, spec)
     for jobs, outcome in batches:
@@ -974,12 +996,12 @@ def _assert_replay_bit_identical(monkeypatch, compute):
 def test_adjudication_batch_replays_job_by_job(monkeypatch):
     # One interval's batch (its 2F1 halves and kernels, every weight form):
     # each value is the reference loop's on that job alone.
-    _clear_value_caches()
+    clear_value_caches()
     try:
         calls, batches = _recorded_integrals(
             monkeypatch, _INTEGRATING_MODULES, lambda: harness.build_adjudication_report((Interval(0.8, 5.3),)))
     finally:
-        _clear_value_caches()
+        clear_value_caches()
     assert not calls and len(batches) == 1
     jobs, values = batches[0]
     assert len(jobs) == len(values) > 300

@@ -21,6 +21,8 @@ from hhkit.functions import FAMILY_ROWS, FunctionSpec, SMParams, eval_fn
 from hhkit.harness import search_counterexample
 from hhkit.quadrature import QuadSpec, harmonic_mean_integral, integrate
 
+from conftest import clear_value_caches
+
 
 def search_digest(theorem: str, seed: int, enforce: bool, monkeypatch) -> str:
     """sha256 of the finding of a budget-300 search and of every record the
@@ -188,8 +190,7 @@ class TestRaisingBatch:
             batches.append(len(jobs))
             raise ToleranceNotMetError("injected", 0.0, 1.0)
 
-        bounds.clear_certification_cache()
-        quadrature._kernel_K_cached.cache_clear()
+        clear_value_caches()
         with monkeypatch.context() as patched:
             patched.setattr(bounds, "integrate_many", raising)
             served = search_counterexample("II2", 40, seed=7, **kwargs)

@@ -3,11 +3,15 @@
 ``run_sweep`` makes one ``bounds.batched(body, plan=...)`` call.  Its plan
 builds each distinct printed companion set of the sweep's gradient instances
 once, and its body is the sweep's instance loop (``harness._evaluate``).  The
-sets' oracles are the kernels ``verify_bound`` looks up, so every kernel and
-2F1 term of a sweep is integrated in the batch and only the harmonic means
-integrate one by one.  A batch that raises, with a plan of its own or not,
-serves nothing: the body then meets each error alone.  These tests pin that
-rule, and that a sweep reports what its loop reports without the batch.
+sets' oracles are the kernels ``verify_bound`` looks up, so the batch serves
+the sweep's 2F1 terms and kernels, and the harmonic means integrate one by
+one.  One kernel can miss the plan: II3's k0 = K_W1(0, 1) is an oracle only
+of the I1 and FS1 sets and of the rho set at s = 0, so on an interval with
+none of those it integrates alone.  The batch serves each key whose jobs all
+finished.  Any other key, and every key of a batch that raised, integrates
+alone where the body looks it up and meets its own error there.  These tests
+pin that rule, and that a sweep reports what its loop reports without the
+batch.
 """
 
 import pytest
@@ -15,6 +19,8 @@ import pytest
 from hhkit import bounds, harness, quadrature
 from hhkit.errors import ToleranceNotMetError
 from hhkit.harness import SweepConfig, _instance_plan, default_sweep_config, run_sweep
+
+from conftest import clear_value_caches
 
 ALL_ROWS = ("HH", "HarmHH", "II1", "I1", "I2", "FS1", "FS2", "II2", "II3", "II4")
 POWERS = ({"family": "pow", "params": (1.0, 2.0, 0.0)}, {"family": "pow", "params": (1.0, 3.0, 0.0)})
@@ -25,22 +31,6 @@ def small_config(**overrides) -> SweepConfig:
                 s_grid=(0.5, 1.0), m_grid=(0.8, 1.0), q_grid=(1.0, 1.5, 3.0), grid=24)
     base.update(overrides)
     return SweepConfig(**base)
-
-
-def clear_value_caches() -> None:
-    """Empty every cache a mean, a kernel, a coefficient set or a
-    certification is kept in, so that each run integrates what it looks up."""
-    for cache in (quadrature._kernel_K_cached,
-                  *(getattr(bounds, row.builder) for row in bounds.PRINTED_SETS.values())):
-        cache.cache_clear()
-    bounds.clear_certification_cache()
-
-
-@pytest.fixture
-def cold():
-    clear_value_caches()
-    yield
-    clear_value_caches()
 
 
 @pytest.fixture
@@ -89,7 +79,8 @@ def assert_same_sweep(res: harness.SweepResult, ref: harness.SweepResult) -> Non
 
 class TestSeparatePlan:
     """``batched(body, plan)``: the plan names the lookups, the body is
-    served, and a batch that raises serves nothing, as without a plan."""
+    served each key whose jobs all finished, and a batch that raises serves
+    nothing, as without a plan."""
 
     FAILING = ("W1", 0.5, 1.0, 1.0, 2.0)  # fails under a cap of 16 intervals
     PASSING = ("W1", 1.0, 1.0, 1.0, 2.0)
@@ -122,8 +113,8 @@ class TestSeparatePlan:
 
         value = bounds.batched(lambda: bounds._kernel(*self.PASSING), plan=plan)
         assert value == quadrature.kernel_K(*self.PASSING)
-        # the batch raised, so it served nothing: the body integrated alone
-        assert lone["batches"] == [2] and lone["kernels"] == 1
+        # the failing job left the batch, and the passing kernel was served
+        assert lone["batches"] == [2] and lone["kernels"] == 0
         assert bounds._BATCH.get() is None
 
     def test_a_failing_lookup_of_the_body_raises_its_own_error(self, monkeypatch, cold):
@@ -155,8 +146,9 @@ class TestSeparatePlan:
 
 
 class TestSweepFailures:
-    """A batch failure under the sweep's plan leaves its records, skips and
-    findings as the loop without the batch reports them."""
+    """A batch failure, or jobs that leave the batch, under the sweep's plan
+    leave its records, skips and findings as the loop without the batch
+    reports them."""
 
     def test_a_raising_batch_serves_nothing(self, monkeypatch, lone, cold):
         cfg = small_config()
@@ -172,11 +164,14 @@ class TestSweepFailures:
         assert res.records and not res.findings
         assert_same_sweep(res, unbatched(cfg))
 
-    def test_failing_kernels_are_the_loops_evaluation_errors_in_order(self, monkeypatch, cold):
-        # under a cap of 16 intervals, 84 of the 212 instances fail
+    def test_failing_kernels_are_the_loops_evaluation_errors_in_order(self, monkeypatch, lone, cold):
+        # under a cap of 16 intervals, 84 of the 212 instances fail; the
+        # batch serves every key but the failing kernel's, which each failing
+        # instance integrates alone, and the means integrate alone as ever
         monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 16)
         cfg = small_config()
         res = run_sweep(cfg)
+        assert (lone["kernels"], lone["2F1"], len(lone["means"])) == (84, 0, 12)
         errors = [f for f in res.findings if f.kind == "EvaluationError"]
         assert len(errors) == 84 and len(res.records) == 128
         assert all(f.description.startswith("ToleranceNotMetError: ") for f in errors)
@@ -184,8 +179,8 @@ class TestSweepFailures:
 
 
 class TestWhatThePlanServes:
-    """Records equal the loop's without the batch, and the plan serves every
-    kernel and 2F1 term the sweep looks up."""
+    """Records equal the loop's without the batch, and on these configs the
+    plan serves every kernel and 2F1 term the sweep looks up."""
 
     @pytest.mark.parametrize("overrides", [
         dict(families=({"family": "exp", "params": (0.5,)}, {"family": "exp", "params": (-1.3,)})),
