@@ -41,7 +41,7 @@ from .quadrature import (
     integrate_many,
     kernel_K,
 )
-from .quadrature import _kernel_job
+from .quadrature import _kernel_plan
 from .specfun import Hyp2F1Args, _euler_jobs, _hyp2f1_from_integral, beta, hyp2f1_euler
 
 __all__ = [
@@ -270,17 +270,9 @@ def _f21_alone(*key: float) -> float:
     return hyp2f1_euler(Hyp2F1Args(*key))
 
 
-def _same(value: float) -> float:
-    return value
-
-
 def _kernel(weight: str, s: float, r: float, a: float, b: float) -> float:
     """``kernel_K(weight, s, r, a, b)``, as a lookup."""
     return _lookup("K", (weight, s, r, a, b), _kernel_plan, kernel_K)
-
-
-def _kernel_plan(*args) -> tuple:
-    return (_kernel_job(*args),), _same
 
 
 def _coefficient_cache(body: Callable[..., CoefficientSet]) -> Callable[..., CoefficientSet]:
@@ -830,14 +822,13 @@ def verify_bound(
 
 
 def _substituted_kernel(weight: str, s: float, r: float, a: float, b: float) -> float:
-    """Kernel integrals written in the t -> 1-t substituted form over (ta+(1-t)b)."""
+    """The kernel ``kernel_K(weight, s, r, a, b)`` by an independent
+    integrand: the mirror weight after t -> 1-t, in the log variable taken
+    from the other end, y = b (a/b)^v (``_kernel_plan`` with ``mirrored``)."""
     return _lookup("S", (weight, s, r, a, b), _substituted_plan, _substituted_value)
 
 
-def _substituted_plan(*args) -> tuple:
-    return (_kernel_job(*args, mirrored=True),), _same
-
-
+_substituted_plan = partial(_kernel_plan, mirrored=True)
 _substituted_value = partial(_integrated, _substituted_plan)
 
 

@@ -829,9 +829,12 @@ CSV_FIELDS = ("theorem", "a", "b", "s", "m", "q", "family", "lhs", "rhs", "margi
 
 
 def _report_rows(result: SweepResult) -> Iterator[list]:
+    """Each record's ``CSV_FIELDS``, read off the record as its ``to_dict``
+    reads them."""
     for rec in result.records:
-        row = rec.to_dict()
-        yield [row[k] for k in CSV_FIELDS]
+        p = rec.params
+        yield [rec.theorem, rec.interval.a, rec.interval.b, *((p.s, p.m, p.q) if p else (None, None, None)),
+               rec.family, rec.lhs, rec.rhs, rec.margin, rec.satisfied]
 
 
 def render_report_csv(result: SweepResult) -> str:

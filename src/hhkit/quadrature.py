@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -110,8 +111,9 @@ class QuadSpec:
         # specs are cache keys; keep them hashable even if a list was passed
         object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
 
-    # Built once per spec and points: every W1/W2 kernel asks for its kink at
-    # t = 1/2, and every Euler half for the midpoint of its interval.
+    # Built once per spec and points: every kernel asks for the split at x = 0
+    # where the halves of its log variable meet, and every Euler half for
+    # the midpoint of its interval.
     @lru_cache(maxsize=256)
     def with_splits(self, *points: float) -> "QuadSpec":
         """This spec with the split points ``points``."""
@@ -615,17 +617,25 @@ def _select(cond, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x if cond else y
 
 
-def _kernel_integrand(flip, kink, s, e, p, q, t: np.ndarray) -> np.ndarray:
-    """The kernel integrand w(t) (t q + (1 - t) p)^e, e = -2r, with w(t) the
-    power s of t, or of 1 - t where ``flip``, times |1 - 2t| where ``kink``."""
-    u = 1.0 - t
-    w = _pow(_select(flip, u, t), s)
+def _kernel_integrand(flip, kink, s, e, h_left, h_right, k_left, k_right, c_left, c_right,
+                      x: np.ndarray) -> np.ndarray:
+    """A kernel job's integrand (see :func:`_kernel_plan`): the left half of
+    the log variable at x >= 0 and the right half at x < 0, each with its
+    own constants h, k and c.  At x, ln y lies d = h x^4 from its value at
+    the half's end, n = k expm1(d) is t on the left and 1 - t on the right,
+    and the value is c |x|^3 w(t) exp(e d), e = 1 - 2r, with w the power s
+    of t (of 1 - t where ``flip``), times |1 - 2t| where ``kink``."""
+    right = x < 0.0
+    x2 = x * x
+    d = np.where(right, h_right, h_left) * (x2 * x2)
+    n = np.expm1(d) * np.where(right, k_right, k_left)
+    w = _pow(np.where(right != flip, 1.0 - n, n), s)
     if kink is not False:  # a scalar False needs no factor
-        w = _select(kink, np.abs(1.0 - 2.0 * t) * w, w)
-    return w * _pow(t * q + u * p, e)
+        w = _select(kink, np.abs(1.0 - 2.0 * n) * w, w)
+    return np.where(right, c_right, c_left) * x2 * np.abs(x) * w * np.exp(e * d)
 
 
-_kernel_integrand.exponents = (2, 3)
+_kernel_integrand.exponents = (2,)
 
 
 def _check_kernel(weight: str, s: float, r: float, a: float, b: float) -> None:
@@ -639,23 +649,55 @@ def _check_kernel(weight: str, s: float, r: float, a: float, b: float) -> None:
         raise DomainError(f"kernel requires 0 < a < b, got ({a}, {b})")
 
 
-def _kernel_job(weight: str, s: float, r: float, a: float, b: float,
-                spec: QuadSpec = DEFAULT_QUADSPEC, mirrored: bool = False) -> Job:
-    """The integral of ``kernel_K(weight, s, r, a, b, spec)`` as a job of
-    :func:`integrate_many`, after ``kernel_K``'s checks.  ``mirrored`` writes
-    it in the t -> 1-t substituted form: the mirror weight over
-    (t a + (1 - t) b), the same value by an independent integrand."""
+def _kernel_plan(weight: str, s: float, r: float, a: float, b: float,
+                 spec: QuadSpec = DEFAULT_QUADSPEC, mirrored: bool = False) -> tuple:
+    """``kernel_K(weight, s, r, a, b, spec)`` as one job of
+    :func:`integrate_many` and the function of its value that gives the
+    kernel, after ``kernel_K``'s checks.
+
+    The kernel is integrated in its log variable: y = t b + (1 - t) a =
+    p R^v with p = a and R = b / a, so that with L = ln R and E = expm1(L)
+
+        K = p^(-2r) (L / E) int_0^1 w(t(v)) R^((1 - 2r) v) dv,
+        t(v) = expm1(v L) / E,   1 - t(v) = -R expm1((v - 1) L) / E.
+
+    The |1 - 2t| kink sits at v* = log1p((R - 1) / 2) / L.  The job
+    integrates over x in [-1, 1], split at 0: x >= 0 covers [0, v*] with
+    v = v* x^4, and x < 0 covers [v*, 1] with v = 1 - (1 - v*) x^4, its
+    value taken times R^(1 - 2r).  Each end of v is reached at x = 0, where
+    the power 4 makes t^s and (1 - t)^s, times the Jacobian 4 |x|^3, the
+    smooth x^(4s + 3); the t or 1 - t that vanishes there comes from one
+    ``expm1``, without cancellation.
+
+    ``mirrored`` writes the kernel by t -> 1-t: the mirror weight over
+    y = t a + (1 - t) b = b (a / b)^v, the same formulas with p = b and
+    R = a / b, and an independent integrand.  That integrand peaks at
+    v = 1, so there the x >= 0 half is scaled, by R^(2r - 1), rather than
+    the x < 0 one, and the factor is p^(-2r) R^(1 - 2r) (L / E)."""
     _check_kernel(weight, s, r, a, b)
     flip, kink = _WEIGHT_FORMS[_MIRROR[weight] if mirrored else weight]
     p, q = (b, a) if mirrored else (a, b)
-    use = spec.with_splits(0.5) if kink else spec
-    return _kernel_integrand, (flip, kink, float(s), -2.0 * float(r), float(p), float(q)), 0.0, 1.0, use
+    ratio = q / p
+    log_ratio = math.log(ratio)
+    span = math.expm1(log_ratio)
+    kink_v = math.log1p(0.5 * (ratio - 1.0)) / log_ratio
+    e = 1.0 - 2.0 * float(r)
+    # Each half's Jacobian times (y/a)^(1 - 2r) where the half reaches x = 0:
+    # the integrand, at most 4 |x|^3 w(t) (y/a)^(1 - 2r), stays below 4 and
+    # the factor is a^(-2r) (a/p) (L/E), so neither leaves the range of a
+    # double before K does, whichever end p is.
+    c_left = 4.0 * kink_v * math.exp(e * math.log(p / a))
+    c_right = 4.0 * (1.0 - kink_v) * math.exp(e * math.log(q / a))
+    params = (flip, kink, float(s), e, kink_v * log_ratio, (kink_v - 1.0) * log_ratio, 1.0 / span,
+              -ratio / span, c_left, c_right)
+    job = (_kernel_integrand, params, -1.0, 1.0, spec.with_splits(0.0))
+    return (job,), partial(operator.mul, a ** (-2.0 * float(r)) * (a / p) * (log_ratio / span))
 
 
 @lru_cache(maxsize=16384)
 def _kernel_K_cached(weight: str, s: float, r: float, a: float, b: float, spec: QuadSpec) -> float:
-    family, params, lo, hi, use = _kernel_job(weight, s, r, a, b, spec)
-    return integrate(partial(family, *params), lo, hi, use)
+    ((family, params, lo, hi, use),), combine = _kernel_plan(weight, s, r, a, b, spec)
+    return combine(integrate(partial(family, *params), lo, hi, use))
 
 
 def kernel_K(
@@ -669,7 +711,11 @@ def kernel_K(
     """Kernel integral ``int_0^1 w(t) (t b + (1-t) a)^(-2r) dt``.
 
     ``weight`` selects ``w`` from W1 = |1-2t| t^s, W2 = |1-2t| (1-t)^s,
-    N1 = t^s, N2 = (1-t)^s.  W1/W2 are pre-split at the ``t = 1/2`` kink.
+    N1 = t^s, N2 = (1-t)^s.  The integral is taken in the log variable of
+    ``t b + (1-t) a``, split at the ``t = 1/2`` kink, with a power
+    substitution at each end (see :func:`_kernel_plan`), so that it sees
+    the integrand's peak at every ratio b/a; ``spec``'s tolerances and depth
+    apply to that integral, and its split points are not used.
     Results are cached; the quadrature is deterministic so caching is exact.
     """
     _check_kernel(weight, s, r, a, b)

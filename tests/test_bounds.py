@@ -1,12 +1,11 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhkit import bounds
+from hhkit import bounds, quadrature
 from hhkit.bounds import (
     TOL_ACCEPT,
     Interval,
@@ -24,6 +23,8 @@ from hhkit.bounds import (
 from hhkit.errors import CertificationError, DomainError, ParameterError
 from hhkit.functions import FunctionSpec, SMParams, eval_fn
 from hhkit.quadrature import DEFAULT_QUADSPEC, harmonic_mean_integral, integrate, kernel_K
+
+from conftest import log_variable_kernel
 
 IV12 = Interval(1.0, 2.0)
 
@@ -395,21 +396,9 @@ class TestOracleIdentities:
 
 def _reference_substituted_kernel(weight, s, r, a, b, quad=DEFAULT_QUADSPEC):
     """Reference for the mirror map: the four substituted kernels with each
-    weight written out in the t -> 1-t orientation."""
-
-    def denom(t):
-        return (t * a + (1.0 - t) * b) ** (-2.0 * r)
-
-    if weight == "W1":
-        fn = lambda t: np.abs(1.0 - 2.0 * t) * (1.0 - t) ** s * denom(t)
-    elif weight == "W2":
-        fn = lambda t: np.abs(1.0 - 2.0 * t) * t**s * denom(t)
-    elif weight == "N1":
-        fn = lambda t: (1.0 - t) ** s * denom(t)
-    else:
-        fn = lambda t: t**s * denom(t)
-    use = quad.with_splits(0.5) if weight in ("W1", "W2") else quad
-    return integrate(fn, 0.0, 1.0, use)
+    weight written out in the t -> 1-t orientation, over y = b (a/b)^v."""
+    integrand, factor = log_variable_kernel(quadrature._MIRROR[weight], s, r, b, a)
+    return factor * integrate(integrand, -1.0, 1.0, quad.with_splits(0.0))
 
 
 class TestSubstitutedKernel:

@@ -19,6 +19,11 @@ reductions cases do not.
 
 The uncertified searches pin what the CLI cannot reach: the order of the
 random draws, the per-theorem overrides and the shrink toward the boundary.
+
+Every case that prints a kernel value, the small sweep and the adjudication
+digests were re-pinned when kernels came to be integrated in their log
+variable: each kernel moved in its last bits, and no verdict, exit code or
+finding changed.
 """
 
 import hashlib
@@ -103,21 +108,21 @@ GOLDEN = {
     "verify-HarmHH": (0, "f9eb771d76485c1fd7e426bcefa6b7c633302996871b5da861babc4ad581cdc6", EMPTY),
     "verify-II1": (0, "01ccf64138c267c0c493ed6777873cde4dd4a5869c2bb7431647ac1a3ad844f6", EMPTY),
     "verify-Lemma": (0, "fa64611e3c629e3ff947e528e23319ce7fc0cae583b2d3a165a145a1aee93fe3", EMPTY),
-    "verify-I1": (0, "69a0bcdf7705111167b7029c57f0f4fed73dda32b88477d5e1305b6cd8ee8dfd", EMPTY),
-    "verify-I2": (0, "e50399aed33aef3a8e3f65e6d65a3e6becf2035bcc426ca6bce012fe3d77c4e4", EMPTY),
-    "verify-FS1": (0, "a92d1b766a23fcc308d09798a2c9be4df3d68135636fdd70800cdbf4d193cbfc", EMPTY),
-    "verify-FS2": (0, "6824b009a1f516462ed0514eca5d4890e565fcfc467f14be064cf7431bb48e0d", EMPTY),
-    "verify-II2": (0, "b1f176f4e731ef90ce1e08c9c613019acaa5f43d7711283102de996eb6940ecd", EMPTY),
-    "verify-II3": (0, "9847f08f97c4a2a699cf4afcdbf76718861d66cf3f344af1c19891c457a7797e", EMPTY),
-    "verify-II4": (0, "dc46346d7f419f30b0ac5307c75085afe1522238a56945227152f6dcc5c7c15f", EMPTY),
+    "verify-I1": (0, "e413c9dd39340ed18c8976ff3887118907858493f5d12024a5fdf2f023381947", EMPTY),
+    "verify-I2": (0, "1ea724b40dc070324bf1fb61db426e2df56575f2c81e6b22a5ecda590505cfe0", EMPTY),
+    "verify-FS1": (0, "0827d2e183be2bb449a4ba4e83884098ab6877037af303847933461a323a3adb", EMPTY),
+    "verify-FS2": (0, "a7c960e3ebc703d536ded5373f32a294d590cc42604aa31fca9ad68b729cb279", EMPTY),
+    "verify-II2": (0, "f307476c285088e0a90b361657d923af2d878d65f2cfec0e5aabf86112f48cf7", EMPTY),
+    "verify-II3": (0, "ab84a5fb08de32e45347f4342607459f2f33c97fb80d3b602b5f06dbcaf72390", EMPTY),
+    "verify-II4": (0, "d894f68b47f0b145fcc1e9eeae4480eb2064cd315169d2891e58bede5106939d", EMPTY),
     "verify-II2-s0": (0, "cbc947db0427f5db3ad58ff9359fee9f7c6f157f309280e65fcf3429bee47090", EMPTY),
-    "verify-II4-csv": (0, "588577ca71c3157f1b9d231b732ccf5df37d0a2f22081b32a338f72822b87538", EMPTY),
-    "verify-II2-text": (0, "ddf32c46057167bd94c638c4a909fb1c141ece3149bcd0cc7459c411b8f866a0", EMPTY),
+    "verify-II4-csv": (0, "74b33421ec66814fbf6adeae9f1a7a6f56686a8cccdf859860eb41f458c2fd59", EMPTY),
+    "verify-II2-text": (0, "358cbf6874f39f7f3905265068aa7dfc105d2bb11487000f2b3f13190f941989", EMPTY),
     "verify-spiece-sexp-default": (0, "e056524e585e8a9c96293c6ecd9658dda4eefd2533a643c6de08c7e16937c368", EMPTY),
     "verify-spiece-sexp": (0, "c721deb126f7c12cee854a1060170d748d822c5fbe1adcd0af787299bd1d5dd9", EMPTY),
     "verify-recip": (0, "01c769cba47557eff0ed4bc311eb9f1ae197f2723a2221164e1c86e3a90933e7", EMPTY),
     "verify-affine": (0, "0973e7c515c65cc56f252f58b86860a0b3986af037c023be14161c58591ec993", EMPTY),
-    "verify-exp": (0, "ca49eea6772dce941af0ac26f52f8c13057349fbfcd153d3127e472d0f34c61a", EMPTY),
+    "verify-exp": (0, "591cb06f05b41721cb736c0287da80105eae2681c66b041a376b8e4021905caf", EMPTY),
     "verify-certification-failure": (1, EMPTY, "08f5abc465d954812525a619b70f15214b017763b38827a0ae5b08d8aaad011d"),
     "verify-parameter-error-FS1-m": (2, EMPTY, "c42430e7db3f30aa2dd85578f3b1af9b4b7d1a7f94a25397b3bfcf7a16e83699"),
     "verify-parameter-error-FS1-s0": (2, EMPTY, "6d9a651ba4592effe6f2c6b742c2b0187c5c94e2c1d770214284a11e46b59cc5"),
@@ -133,25 +138,25 @@ GOLDEN = {
     "search-II2": (0, "fb60bf62592496f2842cb0e27ac04de324094644e7ad92d2a335d85681fc409c", EMPTY),
     "search-II3": (0, "22002efcfb0403f5857386aa37fd12a71301d89341333307c89d5a64e9849120", EMPTY),
     "search-II4": (0, "94e3dc0817fc3c30bb759f369a927e47d8d3c9bb0ef30aedd85b6f2b4436040a", EMPTY),
-    "reductions-json": (0, "0a8d00cfe900ece711d1762361513859175fc966f06ff60a19b124b99532ae10", EMPTY),
-    "reductions-csv": (0, "895026e9561dbf86fb2d6a32fbbb8706005a18804796963a287ec7b7871b5271", EMPTY),
-    "reductions-text": (0, "2349aa53edafa746c2817d29062cbd100c282a2e77cf6d4e16fd61292ccffe6f", EMPTY),
-    "reductions-default-grids": (0, "dc6564569687cb889cdfd8f27b639bddedf39ee41b380a59cea812c7cbeb9406", EMPTY),
+    "reductions-json": (0, "7f690b24d62aa9dd58588f248e653f041b708727a291daf41aa2d315cf976976", EMPTY),
+    "reductions-csv": (0, "c5e550d69e5a81b945d8ff63cb15dc0c91f59496c5f09470d9a07ffe63ff2c0e", EMPTY),
+    "reductions-text": (0, "6b3203cd81ba5bb6d035661f03118647c5b735e978d3fb6cc3f75bcffac422af", EMPTY),
+    "reductions-default-grids": (0, "87f9dc0734eed71fa05c1c6fffaaa1a9ab3bfad649fc3ccb33e76ac695feeddd", EMPTY),
     "coeffs-lambda": (0, "ebc51c0d318c665507b6d9c8d4c8ba88493dfe89998710f2180e1954cb8365a6", EMPTY),
-    "coeffs-mu": (0, "a8dacbea989ebc9c02e201e4a6e68680613ab0ad9c23a83e8ca832543f6fd95b", EMPTY),
-    "coeffs-c": (0, "09ca65cb9e9868d77dca2e1f17e30dbd5ae72a2dc9090d56ad033abc7123d40f", EMPTY),
-    "coeffs-rho": (0, "64e6e692a9d47d45898f9d70e7ced5a9189fcc9d64a59e58e6d2cbfd03e091fc", EMPTY),
-    "coeffs-nu": (0, "ef67581ffdca84bb4957d8567f08edb619d3b669751b246b60b2c3bfb69a48af", EMPTY),
+    "coeffs-mu": (0, "59246b3a4b93e1b21e677e2eb323d20754bac0115f53d65690eac4bfd5d3dda0", EMPTY),
+    "coeffs-c": (0, "4d7c892d13f42efba2fcdb5f80c258db97a1fc82622399c140f12c4d64934e72", EMPTY),
+    "coeffs-rho": (0, "03aef148c1d7c61486acc818a0e186fd23869a9ec3813892d4c5e82edab25143", EMPTY),
+    "coeffs-nu": (0, "356d4205267088bd70da63c7ccfd4bb90d48bc00421b04f79f9c693a5bc0f60e", EMPTY),
     "coeffs-lambda-csv": (0, "85e1d76a6ca5b28972fc07cfeaa4bb868708089cdf95248831a9941d586c80af", EMPTY),
     "coeffs-lambda-text": (0, "cd95de6638576c8a71ad88c6c2c01eb5cee6b2412adda3f10441175a3b6b78bf", EMPTY),
-    "coeffs-mu-csv": (0, "97ac6efb2aa375ef6cabae899bc6e0252a5b302d5e27f491a2fd051c11ac04b7", EMPTY),
-    "coeffs-mu-text": (0, "e2322ba20409bef89c402db529f7f55c531eecba8f3810697df47b247610880b", EMPTY),
-    "coeffs-c-csv": (0, "a98fa64bf7dc94f04697928616d2ccb0ae191fa9c7e2fa7e72953db5de82f5bd", EMPTY),
-    "coeffs-c-text": (0, "22c1d4ab5ab712ee573f9fb328880e20e09d8d35b631c1ff2e553da19dabe929", EMPTY),
-    "coeffs-rho-csv": (0, "bde955d7fc414d1c567c7cab32d3a85f6e102ca19742cd2f9637a1c7a0da0edd", EMPTY),
-    "coeffs-rho-text": (0, "ff250490409709fa00db5a61b32503a4eb07126e1a0eeb8fac072a0cf14f3ac9", EMPTY),
-    "coeffs-nu-csv": (0, "f0d63b4eccd5fc943c91f90820bb92900ed492c5ea880e3b5615a030c2347178", EMPTY),
-    "coeffs-nu-text": (0, "1fd5b4e98c63c9a0f86ee54198d32cd32475509432799dbac9218a9a002c95ca", EMPTY),
+    "coeffs-mu-csv": (0, "874da46424ed1422a86b9b9a75834d7d1e0f0aa2501afa2de58679890be8e82a", EMPTY),
+    "coeffs-mu-text": (0, "392076ed1a7ecc6854d10fc3db1a15c5f9f85679e4c88b7b86e06cfa9df943be", EMPTY),
+    "coeffs-c-csv": (0, "901019f654b07db8def6948005ca8ae437f77875e05a9e7a25b14c49eeb5c15e", EMPTY),
+    "coeffs-c-text": (0, "2fec760066809b919e3fa487c154a8fe2ff5fb5a264de727a9ada7cc4eb62739", EMPTY),
+    "coeffs-rho-csv": (0, "1325667eed968a21d01ade19fd7d61dfb4c1aaf6c188a0673294fe7c19a374ce", EMPTY),
+    "coeffs-rho-text": (0, "f01f456bf461876616d4148c24fb86aadb4962e167e1c55003ba05598f731dc9", EMPTY),
+    "coeffs-nu-csv": (0, "e5491d196322007faa1dd8da27624f8a152b69fc681509e611118a10f233d767", EMPTY),
+    "coeffs-nu-text": (0, "5af16b7bb837297cb6898d1e5b6a56246cbc5f4dace33d2907507dc56a59a284", EMPTY),
     "coeffs-missing-mu": (2, EMPTY, "37f00d2813c8de03ddda90f6b27600b3eaef428914c6c402a3ff6515e43baa30"),
     "coeffs-missing-c": (2, EMPTY, "61ec1c978a96fdb3fae20e2f529f3d7862ba832b5729c3b9a71b8ebfebbb8c06"),
     "coeffs-missing-rho": (2, EMPTY, "c7c7be1fde38519e6492b8e569faf285e24fd67b166ecd63970cee86465806bf"),
@@ -196,13 +201,13 @@ SWEEP_CONFIG = {
     "grid": 16, "seed": 0,
 }
 SWEEP_REPORTS = {
-    "json": "55e0af0ae64f5d19dabebc21eb4fd3f342d51da74ff528dacaf86eb25d0ed880",
-    "csv": "0f80684cf2c6e59550a4f62c98fd7a47cf2c952be0b71481d9eee2fe280b20b1",
+    "json": "c04393032c119b20d03c3a7261c19335f3b3480e6b54ad0c8811ac7561ff3dae",
+    "csv": "40b77997f529685da63740ab84626998b455b0d3e08fae834224abc74b5adc4b",
 }
 SWEEP_GOLDEN = {
-    "json": (0, "5a4d3c79a1978442bfcef42b29bf112e4d913227c6cc45e131f79793f17873af", EMPTY),
-    "csv": (0, "0f80684cf2c6e59550a4f62c98fd7a47cf2c952be0b71481d9eee2fe280b20b1", EMPTY),
-    "text": (0, "f40218369ec47b92df0bedfe63688f3852e6b7e4a2d2e10a4178be3a10c0df6f", EMPTY),
+    "json": (0, "edc0807d39dbd65966993f63669222df36296afea50949e394cb842ee456853b", EMPTY),
+    "csv": (0, "40b77997f529685da63740ab84626998b455b0d3e08fae834224abc74b5adc4b", EMPTY),
+    "text": (0, "99d3be25a244e70224448f7e48248823fbf5edcd4d6bf512f1780066615a74ee", EMPTY),
 }
 
 
@@ -235,9 +240,9 @@ UNCERTIFIED_SEARCH = {
     "I2": NO_FINDING,
     "FS1": NO_FINDING,
     "FS2": NO_FINDING,
-    "II2": "fb6684d3cb2cca755dbeddcc4941406db8a9fbbdfec533f9a9bc0895d83dc386",
-    "II3": "cc1df5838d240c6eb06c538af18674c4c5516d32f02ca0977eb6d7b5bdd23dd2",
-    "II4": "f5c963b064c381f16a174ca02457a8dbbc6c2082ad2beb64e46117a03037ae3e",
+    "II2": "b72ecd6e16cf8b4f9bd45c98cbfa051b72854c16587929f0aaf187186fb7892d",
+    "II3": "d0edf45602ad3752118db9e3f2be6ece347a8589782009d76a85a076a9095386",
+    "II4": "ba97929c84d3fbda6c75dda8ad823627757248e122bed57b8dd20d5569c04aca",
 }
 
 
@@ -252,31 +257,31 @@ def test_uncertified_search_is_pinned(theorem):
 # The 25 intervals of the benchmark's adjudicate-grid workload at seed 1, drawn
 # as that workload draws them, with the sha256 of each interval's JSON report.
 ADJUDICATE_SEED_1 = (
-    "0990ff2ebdfd46a81dde4779a36e73a1520262b9d330c07803835fd5b00c8210",
-    "4def8db84bf3d7bdfb741d07f145a707dc3136c89726cbd21c8c0ee0c91a6bab",
-    "708a14354a5424250f6469a0396284410aec1c50e49a1974ecae5f3562cee79a",
-    "18f8e1e92966ea1016fd30bf6ed79c9437fe5b686453338f3bb0808d8ea99ebe",
-    "e8b267cd09bfcc7bc863cac9c9477e21c7d552f074cca2fdaad1f97baa413941",
-    "bc47dfe0966f443cc68cce1424b629e677d7b5926650479716e8a2da267b4006",
-    "ba3e69cb887fcc09779c2981f6f9d597b3f519383806a9072aab03e0309232b6",
-    "cfd7087dd1d00cfce5b48b6935e4422efb7d2745317fcdf6283f2b31181c5c4c",
-    "c4c44a8fa23253caeff7ba1056e3a8576f163fe4fb4aeef4ca042cd591d9d3f3",
-    "e6d49c819cabb2d6f143b48142c45fe657bb18e495c0b3c76f38ec135a17516a",
-    "c17799c2558810f216b83934cae5df0a58539a818d1dd052be2fb0605cbb5804",
-    "da20b5f0e69a80efdb83c81061952e30085da997b711ca22560580fdbf4af9e6",
-    "fe5b7f14e4ae51f5521f8a820cfe038b8f62737fa0387d51f263a0e12438122d",
-    "254f5b085d37b099b87f24913c5fe34ed7c6b499a3f73972e8c9df873ad2847a",
-    "c8698c1e220dbd8e0189e7819b7528cc209ff7019c44878512496e825c4e7342",
-    "4070d95eafcc5a7601024e55319568e1ca10ebc7686b8238d3b04173da2fc139",
-    "d645c28ca7d90ab7745ee61af9484544520390b5b5e3dd243e7759ac9c407d73",
-    "3fb1fe6358bef0f0e66f7220f1dc6dd0dc8c8a021745faafb2eea5f100154769",
-    "bcf3cc639772d3697d3747a98ae64bd999c8e39e20d7952663815875cb3f6c87",
-    "8c31af8184c5cefe77280c7a64de025730a93c7db7ac6aa67787eac89c0ff38d",
-    "b91e1b58e72319e069257f38b3256aaee17d863b08d21c9e8a95fe8983e7bee0",
-    "8ae36ea01b5e614bba21234a88a90fcfd0a813c3be26f22354ff9dc3876e79e9",
-    "2c940916281b29958029495f87c28f926ae2c8d02201441ff80900d6078c5f00",
-    "fb7af8cbbaa84aaf02396cf9e7a41313c562bd9f5a64b45b752e7036012649f4",
-    "29e384d960c44b37ab90cc4f8822717a0ffd5bbc9281aa79fc24501731cf5a04",
+    "9150e40c32320f341a71b5986aca7b27e896219ee9f7b55687956de3f4a42da1",
+    "3b4ca6018cc8ac55a457dc5993c41ceb40895a21881542f4b5aed7b1519d102a",
+    "b8f885cf83a73317552710ad5fced13dbffefaa6a5fc1295bf3aa79645218c20",
+    "18b30973a878dfc402df7ec8de4384a98a04e09f2244ed745b900df5d07efe72",
+    "0535e30376028db63670fd59611fc6af3785bd542e5c72f30e8a6b4c8da311b4",
+    "760a9a2f96cffa5ee10879876c1325e98b88582939a84d85891f2c617f7f9847",
+    "19a45d6529834bccf6b47bff63d3cc8d1f0ec822e1393d6d3c950ffeec2c14a1",
+    "0b077602a4ce7f8d52e80fedcaad6dff1cc883ae743c9e3196b976d0ea57d971",
+    "a7a94110ad33f6b26ad646168779d61aa39a09689a094b3776e098b637bff752",
+    "68e3ade41ea353d75cbdd14844d5380b995591d0fa490c07300e51b3ecc79870",
+    "0c3768d6c687321d2416d8ee3f5e9e5f69495d71d922513889d83efb12a8d4b4",
+    "e08b6efe0d1256a97e6475e7cb7e6757cca2e5f90f37c649a987563229aaaf52",
+    "ca56b623469533bf751c0728f640f0f5d3aae42f37290645c6b1e828c8f147fb",
+    "4ebfb3fff0a693e29f1f2581327d29c0eb8e0deec58a31de454c61a1fbbc9754",
+    "6d48b24c24424cccfe5c16bda840c5e7038b291e20e5580f4f1fb1f3cecb765c",
+    "713ba6cb1c6efbd4f76aa115cd5297e1f2d6e38699ae929324f59303bf48d580",
+    "089b7913c7dffdad097906d6705c12567102413414d448bd1b51538220aa9a12",
+    "7d3eb340410a77916180bda4cf81a7996aa5b95a36bb610f4c06b3aec19138bd",
+    "21e4aaaedcda250337361047a58a82d5923406ff3a64d9181e318572f6b44a52",
+    "4707942c01de1c15b9ead7be18d3a81b833fb6d2b11fa1d9309f3f8c193bd726",
+    "2404db742a74270154911aba9cdc279027a0f4f652953c6fdc6d083fcbb1b3db",
+    "89b12722e26d7fc7416d6d427603e5c495eaf709980bcfbd4ee743dafdd1858a",
+    "c24bd839ed157cdfa9f7f1827445465c7e6fa195d765ec18f38ea9b2061e8e88",
+    "5d116a0b36b5fd5cf0d2fc0975b2a7b92f6701159a48c89f7ad9a43f4b0b57af",
+    "30c30b934d95cbdbd6c5c89cb683099cc4bf59f114892f3b8aa8411a83726530",
 )
 
 

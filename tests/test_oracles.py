@@ -8,12 +8,21 @@ digits share none of it, so agreement here bounds the true error of the
 contractual paths.
 """
 
+import json
+import random
+
 import pytest
 
-from hhkit.bounds import Interval, _lemma_sides
+from hhkit import bounds
+from hhkit.bounds import Interval, _lemma_sides, _substituted_value
+from hhkit.cli import main
+from hhkit.errors import ToleranceNotMetError
 from hhkit.functions import FunctionSpec
+from hhkit.harness import check_reductions, default_sweep_config, run_sweep
 from hhkit.quadrature import KERNEL_WEIGHTS, kernel_K
 from hhkit.specfun import Hyp2F1Args, hyp2f1_euler
+
+from conftest import clear_value_caches
 
 mp = pytest.importorskip("mpmath")
 
@@ -72,3 +81,110 @@ def test_lemma_sides_against_mpmath_quad(p, a, b):
     # the trapezoid term against the mean
     assert abs(lhs - ref_lhs) <= 1e-13 * (a**p + b**p + abs(mean))
     assert abs(rhs - ref_rhs) <= 1e-13 * abs(ref_rhs)
+
+
+def _mp_kernel(weight, s, r, a, b):
+    """The kernel at 30 digits: tanh-sinh quadrature in t, with breakpoints
+    at the kink and at multiples of a / (b - a), where the mass of
+    (t b + (1 - t) a)^(-2r) lies once b/a is large."""
+    wfn = _MP_WEIGHTS[weight]
+    a, b, s, r = mp.mpf(a), mp.mpf(b), mp.mpf(s), mp.mpf(r)
+    scale = a / (b - a)
+    points = sorted({mp.mpf(0), mp.mpf(0.5), mp.mpf(1), *(scale * 10**k for k in range(-3, 4) if scale * 10**k < 0.5)})
+    return mp.quad(lambda t: wfn(t, s) * (t * b + (1 - t) * a) ** (-2 * r), points)
+
+
+def test_ii4_at_ratio_1e5_reads_satisfied(capsys):
+    # At b/a = 1e5 the mass of the N1/N2 kernels lies in t < 1e-4; the
+    # kernels now see it, so the rhs is mpmath's and the bound holds.
+    code = main(["verify", "--theorem", "II4", "--family", "pow", "--coeff", "1", "--exp", "2", "--shift", "0",
+                 "--s", "0.5", "--m", "1", "--q", "2", "--a", "1", "--b", "1e5", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["satisfied"] is True
+    # the Holder rhs, with N1 and N2 as Beta times 2F1 at z = -(b - a)/a
+    a, b, s, q = mp.mpf(1), mp.mpf(10) ** 5, mp.mpf("0.5"), mp.mpf(2)
+    z = (a - b) / a
+    n1 = a ** (-2 * q) * mp.beta(s + 1, 1) * mp.hyp2f1(2 * q, s + 1, s + 2, z)
+    n2 = a ** (-2 * q) * mp.beta(1, s + 1) * mp.hyp2f1(2 * q, 1, s + 2, z)
+    p = q / (q - 1)
+    rhs = a * b * (b - a) / 2 * (1 / (p + 1)) ** (1 / p) * (n1 * (2 * a) ** q + n2 * (2 * b) ** q) ** (1 / q)
+    assert abs(doc["rhs"] - rhs) <= 1e-8 * rhs
+    assert n1 == pytest.approx(_mp_kernel("N1", 0.5, 2.0, 1.0, 1e5), rel=1e-20)
+
+
+SCAN_S = (0.0, 0.25, 0.5, 0.75, 1.0)
+SCAN_R = (1.0, 1.5, 2.0, 3.0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ratio", [10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e8])
+def test_kernels_at_large_ratios_are_right_or_raise(ratio):
+    # 80 kernels at a = 1, both ways round: each value is within 1e-9 of
+    # mpmath's, or its integral raises ToleranceNotMetError; never a wrong
+    # value.  (The absolute floor of DEFAULT_QUADSPEC, 1e-11, is what is
+    # left of the error from ratio 1e5 on.)
+    worst = 0.0
+    for weight in KERNEL_WEIGHTS:
+        for s in SCAN_S:
+            for r in SCAN_R:
+                ref = _mp_kernel(weight, s, r, 1.0, ratio)
+                for route in (kernel_K, _substituted_value):
+                    try:
+                        value = route(weight, s, r, 1.0, ratio)
+                    except ToleranceNotMetError:
+                        continue
+                    worst = max(worst, float(abs(value - ref) / ref))
+    assert worst <= 1e-9
+
+
+def _served_kernels(monkeypatch, compute):
+    """Every kernel key (``K``, or ``S`` for the substituted form) that the
+    batches of ``compute()`` served, with its value."""
+    served = {}
+    serve = bounds._serve
+
+    def record(planned):
+        values = serve(planned)
+        served.update((key, value) for key, value in values.items() if key[0] in ("K", "S"))
+        return values
+
+    clear_value_caches()
+    monkeypatch.setattr(bounds, "_serve", record)
+    try:
+        compute()
+    finally:
+        monkeypatch.undo()
+        clear_value_caches()
+    return served
+
+
+def _audit(served):
+    """The worst relative error of the served kernels against mpmath."""
+    worst = 0.0
+    for (_, weight, s, r, a, b), value in served.items():
+        ref = _mp_kernel(weight, s, r, a, b)
+        worst = max(worst, float(abs(value - ref) / ref))
+    return worst
+
+
+@pytest.mark.slow
+def test_the_default_sweeps_batch_kernels_against_mpmath(monkeypatch):
+    served = _served_kernels(monkeypatch, lambda: run_sweep(default_sweep_config()))
+    assert len(served) == 513
+    assert _audit(served) <= 1e-10
+
+
+@pytest.mark.slow
+def test_adjudicate_grid_batch_kernels_against_mpmath(monkeypatch):
+    # every sixth of the 25 intervals of the benchmark's adjudicate-grid
+    # workload at seed 1, drawn as that workload draws them: each interval's
+    # batch holds 63 kernels and 14 substituted ones
+    rng = random.Random("adjudicate-grid:1")
+    intervals = []
+    for _ in range(25):
+        a = rng.uniform(0.5, 3.0)
+        intervals.append(Interval(a, a * rng.uniform(1.1, 10.0)))
+    sample = intervals[::6]
+    served = _served_kernels(monkeypatch, lambda: [check_reductions(iv) for iv in sample])
+    assert len(served) == 77 * len(sample)
+    assert _audit(served) <= 1e-10

@@ -27,7 +27,7 @@ from hhkit.quadrature import (
 )
 from hhkit.specfun import Hyp2F1Args
 
-from conftest import clear_value_caches
+from conftest import clear_value_caches, log_variable_kernel
 
 
 # The kernel weights written out, apart from the kernel family of quadrature.
@@ -248,12 +248,16 @@ def test_kernel_rejects_nan_exponent():
 
 @pytest.mark.parametrize("spec", [QuadSpec(), QuadSpec(abs_tol=1e-13, max_depth=7, split_points=(0.3,))])
 def test_kinked_kernels_share_one_split_spec(spec):
-    jobs = [quadrature._kernel_job(weight, 0.5, 1.5, 1.0, 2.0, spec, mirrored)
-            for weight in ("W1", "W2") for mirrored in (False, True)]
+    # every kernel, kinked or not, either way round, is one job over [-1, 1]
+    # split at 0, where the halves of its log variable meet at the kink
+    plans = [quadrature._kernel_plan(weight, 0.5, 1.5, 1.0, 2.0, spec, mirrored)
+             for weight in KERNEL_WEIGHTS for mirrored in (False, True)]
+    assert all(len(jobs) == 1 for jobs, _ in plans)
+    jobs = [jobs[0] for jobs, _ in plans]
     # one spec per spec, equal to the one with_splits builds
     assert all(job[4] is jobs[0][4] for job in jobs)
-    assert jobs[0][4] == spec.with_splits(0.5)
-    assert quadrature._kernel_job("N1", 0.5, 1.5, 1.0, 2.0, spec)[4] is spec
+    assert jobs[0][4] == spec.with_splits(0.0)
+    assert all(job[2:4] == (-1.0, 1.0) for job in jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +636,10 @@ class TestPow:
 def _kernel_case(weight, s, r, a, b, mirrored):
     """A kernel job, and its integrand as kernel_K (or, mirrored, the
     substituted kernel of the reduction chain) wrote it as a closure."""
-    wfn = WEIGHT_FNS[quadrature._MIRROR[weight] if mirrored else weight]
     p, q = (b, a) if mirrored else (a, b)
-    job = quadrature._kernel_job(weight, s, r, a, b, mirrored=mirrored)
-    return job, lambda t: wfn(t, s) * (t * q + (1.0 - t) * p) ** (-2.0 * r)
+    (job,), _ = quadrature._kernel_plan(weight, s, r, a, b, mirrored=mirrored)
+    closure, _ = log_variable_kernel(quadrature._MIRROR[weight] if mirrored else weight, s, r, p, q)
+    return job, closure
 
 
 def _euler_cases(args):
@@ -723,11 +727,30 @@ class TestIntegrateMany:
         for weight in KERNEL_WEIGHTS:
             for case in KERNEL_CASES:
                 (family, params, lo, hi, spec), _ = _kernel_case(weight, *case, False)
-                assert kernel_K(weight, *case) == integrate(partial(family, *params), lo, hi, spec)
+                _, factor = log_variable_kernel(weight, *case)
+                assert kernel_K(weight, *case) == factor * integrate(partial(family, *params), lo, hi, spec)
         for case in EULER_CASES:
             args = Hyp2F1Args(*case)
             left, right = integrate_many(specfun._euler_jobs(args))
             assert specfun.euler_integral(args) == left + right
+
+    def test_batch_kernels_equal_lone_kernels(self):
+        # 120 random kernels at ratios b/a up to 1e8, either way round: each
+        # batch value, times its factor, is the lone kernel_K (or the lone
+        # substituted kernel of the reduction chain), bit for bit
+        rng = np.random.default_rng(20261022)
+        cases, plans = [], []
+        for _ in range(120):
+            a = float(rng.uniform(0.3, 3.0))
+            case = (KERNEL_WEIGHTS[rng.integers(4)], float(rng.choice([0.0, 0.5, 1.0, rng.random()])),
+                    float(rng.choice([1.0, 2.0, 1.0 + 3.0 * rng.random()])), a, a * math.exp(rng.uniform(0.01, 18.5)))
+            mirrored = bool(rng.integers(2))
+            cases.append((case, mirrored))
+            plans.append(quadrature._kernel_plan(*case, mirrored=mirrored))
+        values = integrate_many([jobs[0] for jobs, _ in plans])
+        lone = [bounds._substituted_value(*case) if mirrored else kernel_K(*case) for case, mirrored in cases]
+        assert [combine(value) for value, (_, combine) in zip(values, plans)] == lone
+        assert len({case[4] / case[3] > 1e4 for case, _ in cases}) == 2
 
     def test_batch_beyond_the_in_flight_cap(self):
         rng = np.random.default_rng(31)

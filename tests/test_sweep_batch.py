@@ -82,8 +82,9 @@ class TestSeparatePlan:
     served each key whose jobs all finished, and a batch that raises serves
     nothing, as without a plan."""
 
-    FAILING = ("W1", 0.5, 1.0, 1.0, 2.0)  # fails under a cap of 16 intervals
-    PASSING = ("W1", 1.0, 1.0, 1.0, 2.0)
+    FAILING = ("W1", 0.5, 3.0, 1.0, 2.0)  # fails under a cap of 5 intervals
+    PASSING = ("W1", 1.0, 1.0, 1.0, 2.0)  # the batch finishes it under that cap
+    CAP = 5
 
     def test_the_body_runs_once_and_is_served_the_planned_values(self, lone, cold):
         runs = []
@@ -103,7 +104,7 @@ class TestSeparatePlan:
         assert served == served_by_plan == body()
 
     def test_a_failing_planned_job_the_body_never_looks_up_is_not_raised(self, monkeypatch, lone, cold):
-        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 16)
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", self.CAP)
         with pytest.raises(ToleranceNotMetError):
             quadrature.kernel_K(*self.FAILING)
 
@@ -118,7 +119,7 @@ class TestSeparatePlan:
         assert bounds._BATCH.get() is None
 
     def test_a_failing_lookup_of_the_body_raises_its_own_error(self, monkeypatch, cold):
-        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 16)
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", self.CAP)
         with pytest.raises(ToleranceNotMetError) as alone:
             quadrature.kernel_K(*self.FAILING)
         clear_value_caches()
@@ -165,15 +166,17 @@ class TestSweepFailures:
         assert_same_sweep(res, unbatched(cfg))
 
     def test_failing_kernels_are_the_loops_evaluation_errors_in_order(self, monkeypatch, lone, cold):
-        # under a cap of 16 intervals, 84 of the 212 instances fail; the
-        # batch serves every key but the failing kernel's, which each failing
-        # instance integrates alone, and the means integrate alone as ever
-        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 16)
+        # under a cap of 6 intervals, 22 of the 212 instances fail.  The
+        # batch serves every 2F1 term, and every kernel but those that may
+        # reach the cap in their rows: the instances look those up 273 times
+        # alone, the failing kernels among them, and the means integrate
+        # alone as ever
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 6)
         cfg = small_config()
         res = run_sweep(cfg)
-        assert (lone["kernels"], lone["2F1"], len(lone["means"])) == (84, 0, 12)
+        assert (lone["kernels"], lone["2F1"], len(lone["means"])) == (273, 0, 12)
         errors = [f for f in res.findings if f.kind == "EvaluationError"]
-        assert len(errors) == 84 and len(res.records) == 128
+        assert len(errors) == 22 and len(res.records) == 190
         assert all(f.description.startswith("ToleranceNotMetError: ") for f in errors)
         assert_same_sweep(res, unbatched(cfg))
 
